@@ -1,5 +1,10 @@
 """Online protection strategies.
 
+All four strategies run one core: ``_step`` weighs the root neighbors and
+root-cycle vertices and protects greedily or seals a heavy root cycle with
+a pair; they differ only in the break policy a lone firefighter consults
+against a heavy root cycle (none for ``greedy-tree`` and ``alg-e``).
+
 All deciders are pure functions of the current reduced view.  Within a
 round a strategy may place several firefighters; after each placement the
 view is re-derived (the newly covered territory disappears), which is what
@@ -88,12 +93,9 @@ class CooldownState:
     """Break aftermath timer: while positive, stay greedy on heavy cycles."""
 
     remaining: int = 0
-    origin: BreakDetail | None = None
 
     def tick(self) -> "CooldownState":
-        if self.remaining <= 1:
-            return CooldownState(0, None)
-        return CooldownState(self.remaining - 1, self.origin)
+        return CooldownState(max(self.remaining - 1, 0))
 
 
 @dataclass(frozen=True)
@@ -101,15 +103,13 @@ class Choice:
     """One protection, plus the exact graph it was decided on.
 
     ``vertex`` is an id of the round's input view; ``graph``/``to_view``
-    describe the (possibly already stripped) graph the decision used, and
-    ``local_vertex`` the same protection in that graph's ids.
+    describe the (possibly already stripped) graph the decision used.
     """
 
     vertex: int
     reason: str
     graph: Graph
     to_view: tuple[int, ...]
-    local_vertex: int
     brk: BreakDetail | None = None
 
 
@@ -119,23 +119,6 @@ def _weight_one(g: Graph, v: int) -> int:
 
 def _cycle_weight(g: Graph, cycle: tuple[int, ...]) -> int:
     return len(covered_set(g, frozenset(), frozenset(cycle) - {g.root}))
-
-
-def _greedy_neighbor(g: Graph) -> int:
-    # heaviest root neighbor, lowest id on ties
-    best = None
-    for v in g.adjacency[g.root]:
-        w = _weight_one(g, v)
-        if best is None or (w, -v) > (best[0], -best[1]):
-            best = (w, v)
-    assert best is not None
-    return best[1]
-
-
-def _ordered_candidates(g: Graph, pool: set[int]) -> list[tuple[int, int]]:
-    weighted = [(_weight_one(g, v), v) for v in sorted(pool)]
-    weighted.sort(key=lambda t: (-t[0], t[1]))
-    return weighted
 
 
 def _strip_covered(g: Graph, chosen: list[int]) -> Subgraph:
@@ -206,38 +189,24 @@ def improved_break(g: Graph, decomp: CactusDecomposition, eta_sq: int) -> BreakD
     raise NoEligibleBreakVertexError("no cycle vertex covers the required depth")
 
 
-def _root_cycles_by_weight(
-    g: Graph, decomp: CactusDecomposition
-) -> list[tuple[int, tuple[int, ...], int]]:
-    out = []
-    for i in decomp.root_cycle_indices:
-        cyc = decomp.cycles[i]
-        out.append((i, cyc, _cycle_weight(g, cyc)))
-    out.sort(key=lambda t: (-t[2], min(t[1])))
-    return out
+RootCycle = tuple[int, tuple[int, ...], int]  # (cycle index, cycle, weight)
+
+# A break policy answers a lone firefighter facing a root cycle heavier than
+# the best single pick squared: a break, or None to stay greedy.
+BreakPolicy = Callable[
+    [Graph, CactusDecomposition, RootCycle, CooldownState, int], BreakDetail | None
+]
 
 
-def _step_tree_greedy(g: Graph) -> tuple[list[int], str, BreakDetail | None]:
-    return [_greedy_neighbor(g)], "greedy", None
-
-
-def _step_alg_a(
-    g: Graph, decomp: CactusDecomposition, f_left: int
-) -> tuple[list[int], str, BreakDetail | None]:
-    cycles = _root_cycles_by_weight(g, decomp)
-    if not cycles:
-        return _step_tree_greedy(g)
-    ci, cyc, w_cyc = cycles[0]
-    order = _ordered_candidates(g, set(g.adjacency[g.root]) | (set(cyc) - {g.root}))
-    w1, v1 = order[0]
-    if f_left >= 2:
-        w2, _ = order[1]
-        if w1 + w2 >= w_cyc:
-            return [v1], "greedy", None
-        pair = sorted((cyc[1], cyc[-1]))
-        return pair, "pair", None
-    if w1 * w1 >= w_cyc:
-        return [v1], "greedy", None
+def _tolerance_break(
+    g: Graph,
+    decomp: CactusDecomposition,
+    heaviest: RootCycle,
+    cooldown: CooldownState,
+    n_original: int,
+) -> BreakDetail | None:
+    """1-almost-tree break: the more tolerant root neighbor of the cycle."""
+    ci, cyc, w_cyc = heaviest
     target = ceil_sqrt(w_cyc)
     best = None
     for u in (cyc[1], cyc[-1]):
@@ -247,8 +216,8 @@ def _step_alg_a(
         if best is None or (t, -u) > (best[0], -best[1]):
             best = (t, u)
     if best is None:  # cannot happen for a break-branch cycle; stay safe
-        return [v1], "greedy", None
-    detail = BreakDetail(
+        return None
+    return BreakDetail(
         vertex=best[1],
         anchor=best[1],
         depth=best[0],
@@ -257,102 +226,112 @@ def _step_alg_a(
         target=target,
         cycle_weight=w_cyc,
     )
-    return [best[1]], "break", detail
 
 
-def _step_alg_c(
+def _guarded_improved_break(
     g: Graph,
     decomp: CactusDecomposition,
-    f_left: int,
+    heaviest: RootCycle,
     cooldown: CooldownState,
     n_original: int,
-) -> tuple[list[int], str, BreakDetail | None, CooldownState]:
-    cycles = _root_cycles_by_weight(g, decomp)
-    if not cycles:
-        verts, reason, brk = _step_tree_greedy(g)
-        return verts, reason, brk, cooldown
-    _, cyc1, w1_cyc = cycles[0]
-    pool = set(g.adjacency[g.root])
-    for _, cyc, _ in cycles:
-        pool |= set(cyc) - {g.root}
-    order = _ordered_candidates(g, pool)
-    w1, v1 = order[0]
-    if f_left >= 2:
-        w2, _ = order[1]
-        if w1 + w2 >= w1_cyc:
-            return [v1], "greedy", None, cooldown
-        return sorted((cyc1[1], cyc1[-1])), "pair", None, cooldown
-    if w1 * w1 >= w1_cyc or w1_cyc * w1_cyc <= n_original or cooldown.remaining > 0:
-        return [v1], "greedy", None, CooldownState(0, None)
+) -> BreakDetail | None:
+    """Cactus break: only on cycles of weight above sqrt(n), never in a cool-down."""
+    w_cyc = heaviest[2]
+    if w_cyc * w_cyc <= n_original or cooldown.remaining > 0:
+        return None
     try:
-        detail = improved_break(g, decomp, n_original)
+        return improved_break(g, decomp, n_original)
     except (NoEligibleCycleError, NoEligibleBreakVertexError) as exc:
         # the guard makes this unreachable except on tiny cycles; fall back
         log.warning("cycle break found no eligible vertex (%s); protecting greedily", exc)
-        return [v1], "greedy", None, CooldownState(0, None)
-    return [detail.vertex], "break", detail, CooldownState(detail.cooldown, detail)
+        return None
 
 
-def _step_alg_e(
-    g: Graph, decomp: CactusDecomposition, f_left: int
-) -> tuple[list[int], str, BreakDetail | None]:
-    cycles = _root_cycles_by_weight(g, decomp)
-    if not cycles:
-        return _step_tree_greedy(g)
-    _, cyc1, w1_cyc = cycles[0]
-    pool = set(g.adjacency[g.root])
-    for _, cyc, _ in cycles:
-        pool |= set(cyc) - {g.root}
-    order = _ordered_candidates(g, pool)
+def _step(
+    g: Graph,
+    decomp: CactusDecomposition,
+    f_left: int,
+    policy: BreakPolicy | None,
+    cooldown: CooldownState,
+    n_original: int,
+) -> tuple[list[int], str, BreakDetail | None, CooldownState]:
+    """The next protection(s): greedy, a pair sealing a root cycle, or a break.
+
+    Candidates are the root neighbors plus every root-cycle vertex.  With
+    no root cycle this is the tree greedy.  Two firefighters seal the
+    heaviest root cycle when it outweighs the two best picks together; one
+    firefighter consults ``policy`` when the cycle outweighs the best pick
+    squared.  A one-firefighter decision on a root cycle restarts the
+    cool-down: at the break's value after a break, at zero otherwise.
+    """
+    cycles = [(i, decomp.cycles[i]) for i in decomp.root_cycle_indices]
+    cycles = [(i, c, _cycle_weight(g, c)) for i, c in cycles]
+    cycles.sort(key=lambda t: (-t[2], min(t[1])))
+    pool = set(g.adjacency[g.root]).union(*(c[1:] for _, c, _ in cycles))
+    order = sorted(((_weight_one(g, v), v) for v in pool), key=lambda t: (-t[0], t[1]))
     w1, v1 = order[0]
+    if not cycles:
+        return [v1], "greedy", None, cooldown
+    _, cyc1, w_cyc = cycles[0]
     if f_left >= 2:
-        w2, _ = order[1]
-        if w1 + w2 >= w1_cyc:
-            return [v1], "greedy", None
-        return sorted((cyc1[1], cyc1[-1])), "pair", None
-    return [v1], "greedy", None
+        if w1 + order[1][0] >= w_cyc:
+            return [v1], "greedy", None, cooldown
+        return sorted((cyc1[1], cyc1[-1])), "pair", None, cooldown
+    brk = None
+    if w1 * w1 < w_cyc and policy is not None:
+        brk = policy(g, decomp, cycles[0], cooldown, n_original)
+    if brk is None:
+        return [v1], "greedy", None, CooldownState()
+    return [brk.vertex], "break", brk, CooldownState(brk.cooldown)
 
 
-def _consume_round(
+def _round(
     view: Graph,
-    step: Callable[[Graph, CactusDecomposition, int], tuple[list[int], str, BreakDetail | None]],
     decomp: CactusDecomposition,
     f: int,
-) -> list[Choice]:
+    policy: BreakPolicy | None,
+    cooldown: CooldownState,
+    n_original: int,
+) -> tuple[list[Choice], CooldownState]:
+    """Place a round's f firefighters one decision at a time.
+
+    The cool-down elapses once per round; after each decision the covered
+    territory is stripped and the rest re-decomposed.
+    """
+    cd = cooldown.tick()
     g, dec = view, decomp
     to_view = tuple(range(view.n))
     out: list[Choice] = []
     while f > 0 and g.n > 1:
-        locs, reason, brk = step(g, dec, f)
+        locs, reason, brk, cd = _step(g, dec, f, policy, cd, n_original)
         locs = locs[:f]
-        for lv in locs:
-            out.append(Choice(to_view[lv], reason, g, to_view, lv, brk))
+        out.extend(Choice(to_view[lv], reason, g, to_view, brk) for lv in locs)
         f -= len(locs)
         if f <= 0:
             break
         sub = _strip_covered(g, locs)
         to_view = tuple(to_view[o] for o in sub.to_orig)
         g, dec = sub.graph, validate_and_decompose(sub.graph)
-    return out
+    return out, cd
 
 
 def greedy_tree_round(view: Graph, f: int) -> list[Choice]:
     """Protect the f heaviest root neighbors of a tree, one at a time."""
     if view.edge_count() != view.n - 1:
         raise NotATreeError("greedy baseline only plays on trees")
-    return _consume_round(view, lambda g, dec, fl: _step_tree_greedy(g), validate_and_decompose(view), f)
+    return _round(view, validate_and_decompose(view), f, None, CooldownState(), view.n)[0]
 
 
 def alg_a_round(view: Graph, decomp: CactusDecomposition, f: int) -> list[Choice]:
     """One round of the 1-almost-tree strategy on the current view."""
     if decomp.class_tag is GraphClass.CACTUS:
         raise WrongGraphClassError("this strategy handles at most one cycle")
-    return _consume_round(view, _step_alg_a, decomp, f)
+    return _round(view, decomp, f, _tolerance_break, CooldownState(), view.n)[0]
 
 
 def alg_e_round(view: Graph, decomp: CactusDecomposition, f: int) -> list[Choice]:
     """One round of the plain cactus strategy (no cycle breaking)."""
-    return _consume_round(view, _step_alg_e, decomp, f)
+    return _round(view, decomp, f, None, CooldownState(), view.n)[0]
 
 
 def alg_c_round(
@@ -366,35 +345,7 @@ def alg_c_round(
 
     The cool-down timer elapses once per round, firefighters or not.
     """
-    cd = cooldown.tick()
-    g, dec = view, decomp
-    to_view = tuple(range(view.n))
-    out: list[Choice] = []
-    while f > 0 and g.n > 1:
-        locs, reason, brk, cd_new = _step_alg_c(g, dec, f, cd, n_original)
-        locs = locs[:f]
-        if brk is not None:
-            # keep the timer's diagnostic origin in the round view's ids
-            mapped = BreakDetail(
-                vertex=to_view[brk.vertex],
-                anchor=to_view[brk.anchor],
-                depth=brk.depth,
-                cooldown=brk.cooldown,
-                cycle=tuple(to_view[x] for x in brk.cycle),
-                target=brk.target,
-                cycle_weight=brk.cycle_weight,
-            )
-            cd_new = CooldownState(cd_new.remaining, mapped)
-        cd = cd_new
-        for lv in locs:
-            out.append(Choice(to_view[lv], reason, g, to_view, lv, brk))
-        f -= len(locs)
-        if f <= 0:
-            break
-        sub = _strip_covered(g, locs)
-        to_view = tuple(to_view[o] for o in sub.to_orig)
-        g, dec = sub.graph, validate_and_decompose(sub.graph)
-    return out, cd
+    return _round(view, decomp, f, _guarded_improved_break, cooldown, n_original)
 
 
 @dataclass(frozen=True)
@@ -417,11 +368,14 @@ class RunResult:
     events: tuple[ProtectEvent, ...] | None = None
 
 
-_CLASS_OK = {
-    AlgorithmKind.GREEDY_TREE: {GraphClass.TREE},
-    AlgorithmKind.ALG_A: {GraphClass.TREE, GraphClass.ONE_ALMOST_TREE},
-    AlgorithmKind.ALG_C: {GraphClass.TREE, GraphClass.ONE_ALMOST_TREE, GraphClass.CACTUS},
-    AlgorithmKind.ALG_E: {GraphClass.TREE, GraphClass.ONE_ALMOST_TREE, GraphClass.CACTUS},
+_ANY_CLASS = {GraphClass.TREE, GraphClass.ONE_ALMOST_TREE, GraphClass.CACTUS}
+
+# kind -> (accepted graph classes, break policy); the kinds differ in nothing else
+_KINDS: dict[AlgorithmKind, tuple[set[GraphClass], BreakPolicy | None]] = {
+    AlgorithmKind.GREEDY_TREE: ({GraphClass.TREE}, None),
+    AlgorithmKind.ALG_A: ({GraphClass.TREE, GraphClass.ONE_ALMOST_TREE}, _tolerance_break),
+    AlgorithmKind.ALG_C: (_ANY_CLASS, _guarded_improved_break),
+    AlgorithmKind.ALG_E: (_ANY_CLASS, None),
 }
 
 
@@ -432,9 +386,11 @@ def run_algorithm(
 
     With ``record`` every protection carries the decision-time view, which
     the property suites need to evaluate the structural guarantees.
+    Rounds without firefighters only tick the cool-down.
     """
+    classes, policy = _KINDS[kind]
     decomp0 = validate_and_decompose(instance.graph)
-    if decomp0.class_tag not in _CLASS_OK[kind]:
+    if decomp0.class_tag not in classes:
         raise WrongGraphClassError(
             f"{kind.value} does not accept a {decomp0.class_tag.value} instance"
         )
@@ -445,17 +401,12 @@ def run_algorithm(
     while not state.is_finished():
         f = instance.firefighters(state.round)
         choices: list[Choice] = []
-        if f > 0 or kind is AlgorithmKind.ALG_C:
+        if f > 0:
             sub = state.reduced_view()
             dec = validate_and_decompose(sub.graph)
-            if kind is AlgorithmKind.ALG_C:
-                choices, cd = alg_c_round(sub.graph, dec, f, cd, n_orig)
-            elif kind is AlgorithmKind.ALG_A:
-                choices = alg_a_round(sub.graph, dec, f)
-            elif kind is AlgorithmKind.ALG_E:
-                choices = alg_e_round(sub.graph, dec, f)
-            else:
-                choices = greedy_tree_round(sub.graph, f)
+            choices, cd = _round(sub.graph, dec, f, policy, cd, n_orig)
+        else:
+            cd = cd.tick()
         for ch in choices:
             orig = sub.to_orig[ch.vertex]
             state.protect(orig)

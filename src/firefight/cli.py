@@ -81,16 +81,24 @@ def _kind(name: str) -> AlgorithmKind:
     return AlgorithmKind(name)
 
 
-def _bound_for(kind: AlgorithmKind, n: int, sequence: tuple[int, ...]):
+def _bound_for(kind: AlgorithmKind, sequence: tuple[int, ...]) -> tuple[int, int] | None:
+    """The proven ratio bound c*sqrt(n) + k as (c, k), or None."""
     if kind is AlgorithmKind.GREEDY_TREE:
-        return 2.0
+        return 0, 2
     if kind is AlgorithmKind.ALG_A:
-        return 6 * math.sqrt(n) + 1
+        return 6, 1
     if kind is AlgorithmKind.ALG_C:
-        return 15 * math.sqrt(n) + 1
+        return 15, 1
     if all(f % 2 == 0 for f in sequence):
-        return 3.0
+        return 0, 3
     return None
+
+
+def _within_bound(bound: tuple[int, int], n: int, opt: int, alg: int) -> bool:
+    """opt <= (c*sqrt(n) + k) * alg, decided in integers."""
+    c, k = bound
+    excess = opt - k * alg
+    return excess <= 0 or excess * excess <= c * c * alg * alg * n
 
 
 def cmd_run(args) -> int:
@@ -166,11 +174,12 @@ def _ratio_row(inst: Instance, kind: AlgorithmKind, budget: int):
         ratio = 1.0
     else:
         ratio = "inf"
-    bound = _bound_for(kind, inst.graph.n, inst.sequence)
-    if opt.value == 0 or bound is None:
+    terms = _bound_for(kind, inst.sequence)
+    bound = None if terms is None else terms[0] * math.sqrt(inst.graph.n) + terms[1]
+    if opt.value == 0 or terms is None:
         satisfied = True
     else:
-        satisfied = isinstance(ratio, float) and ratio <= bound + 1e-9
+        satisfied = _within_bound(terms, inst.graph.n, opt.value, alg_profit)
     record = {
         "record": "ratio",
         "name": inst.name or "",

@@ -177,10 +177,6 @@ class GameState:
         return Subgraph(view, (g.root, *avail))
 
 
-def new_game(instance: Instance) -> GameState:
-    return GameState(instance)
-
-
 def replay(instance: Instance, schedule: Iterable[tuple[int, int]]) -> tuple[int, GameState]:
     """Run a fixed protection schedule to completion and return its profit.
 

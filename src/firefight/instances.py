@@ -195,7 +195,8 @@ def random_one_almost_tree(
         raise BadParamsError("need n >= 3 to fit a cycle")
     rng = random.Random(seed)
     if through_root is None:
-        through_root = rng.random() < 0.5
+        # three vertices leave no room for a cycle off the root
+        through_root = rng.random() < 0.5 or n == 3
     max_len = n if through_root else n - 1
     if max_len < 3:
         raise BadParamsError("no room for a cycle off the root")

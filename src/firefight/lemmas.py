@@ -16,12 +16,9 @@ from typing import Callable, Optional
 
 from .algorithms import (
     AlgorithmKind,
-    NoEligibleBreakVertexError,
-    NoEligibleCycleError,
-    _ordered_candidates,
-    _root_cycles_by_weight,
+    CooldownState,
     alg_a_round,
-    improved_break,
+    alg_c_round,
     run_algorithm,
 )
 from .engine import GameState, Instance, profit_of_protections, replay
@@ -255,21 +252,10 @@ def _algc_break_context(rng: random.Random):
     n = rng.randint(6, 13)
     g = random_cactus(n, rng.uniform(0.5, 1.0), rng.randint(4, max(4, n)), _seed(rng))
     decomp = validate_and_decompose(g)
-    if not decomp.root_cycle_indices:
+    (choice,), _ = alg_c_round(g, decomp, 1, CooldownState(), g.n)
+    if choice.brk is None:
         return None
-    cycles = _root_cycles_by_weight(g, decomp)
-    w1_cyc = cycles[0][2]
-    pool = set(g.adjacency[g.root])
-    for _, cyc, _ in cycles:
-        pool |= set(cyc) - {g.root}
-    w1 = _ordered_candidates(g, pool)[0][0]
-    if w1 * w1 >= w1_cyc or w1_cyc * w1_cyc <= g.n:
-        return None
-    try:
-        brk = improved_break(g, decomp, g.n)
-    except (NoEligibleCycleError, NoEligibleBreakVertexError):
-        return None
-    return g, decomp, brk
+    return g, decomp, choice.brk
 
 
 @_suite("improved-break-feasibility")

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -120,21 +122,21 @@ def test_class_gating():
 
 
 def test_cooldown_state_tick():
-    assert CooldownState(0, None).tick() == CooldownState(0, None)
-    assert CooldownState(3, 7).tick() == CooldownState(2, 7)
-    assert CooldownState(1, 7).tick() == CooldownState(0, None)
+    assert CooldownState(0).tick() == CooldownState(0)
+    assert CooldownState(3).tick() == CooldownState(2)
+    assert CooldownState(1).tick() == CooldownState(0)
 
 
 def test_alg_c_round_reports_cooldown():
     g = make_tadpole(10, 3)
     decomp = validate_and_decompose(g)
-    choices, cd = alg_c_round(g, decomp, 1, CooldownState(0, None), g.n)
+    choices, cd = alg_c_round(g, decomp, 1, CooldownState(0), g.n)
     assert [c.reason for c in choices] == ["break"]
     assert cd.remaining == 10
     # an active cool-down forces one greedy protection, then clears
-    choices2, cd2 = alg_c_round(g, decomp, 1, CooldownState(5, 1), g.n)
+    choices2, cd2 = alg_c_round(g, decomp, 1, CooldownState(5), g.n)
     assert [c.reason for c in choices2] == ["greedy"]
-    assert cd2 == CooldownState(0, None)
+    assert cd2 == CooldownState(0)
 
 
 def _random_instance(seed):
@@ -202,3 +204,49 @@ def test_alg_e_never_breaks(seed):
     result = run_algorithm(inst, AlgorithmKind.ALG_E, record=True)
     assert all(e.reason in ("greedy", "pair") for e in result.events)
     assert all(e.brk is None for e in result.events)
+
+
+def _golden_instance(seed):
+    rng = random.Random(seed)
+    style = seed % 4
+    n = rng.randint(4, 18)
+    if style == 0:
+        g = random_tree(n, seed)
+    elif style == 1:
+        g = random_one_almost_tree(n, seed)
+    elif style == 2:
+        g = random_cactus(n, rng.uniform(0.3, 0.9), rng.randint(3, 9), seed)
+    else:
+        g = make_tadpole(rng.randint(2, 14), rng.randint(1, 5))
+    even = seed % 3 == 0
+    seq = random_sequence(rng.randint(1, 8), rng.randint(0, 8), even, seed + 1)
+    return Instance(g, seq)
+
+
+# sha256 over every accepted (instance, kind) run below: a changed profit,
+# protection or decision record anywhere changes it
+GOLDEN_TRACE_SHA256 = "e263b013132e921f84b4eadcf1a3f40c1594e9d669f1a1e1e5a149d59caaddc9"
+
+
+def test_golden_traces():
+    h = hashlib.sha256()
+    for seed in range(400):
+        inst = _golden_instance(seed)
+        for kind in AlgorithmKind:
+            try:
+                r = run_algorithm(inst, kind, record=True)
+            except WrongGraphClassError:
+                continue
+            events = [
+                (e.time, e.round, e.vertex, e.reason,
+                 None if e.brk is None else astuple(e.brk), e.to_orig)
+                for e in r.events
+            ]
+            h.update(repr((seed, kind.value, r.profit, r.trace, events)).encode())
+    assert h.hexdigest() == GOLDEN_TRACE_SHA256
+
+
+def test_empty_round_only_ticks_cooldown():
+    g = make_tadpole(10, 3)
+    dec = validate_and_decompose(g)
+    assert alg_c_round(g, dec, 0, CooldownState(5), g.n) == ([], CooldownState(4))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from firefight.cli import main
+from firefight.cli import _within_bound, main
 
 
 def run_cli(capsys, *argv):
@@ -174,3 +174,22 @@ def test_table_format_keeps_stdout_machine_readable(capsys, tadpole_file):
     (rec,) = records(out)  # stdout stays pure json-lines
     assert rec["profit"] == 9
     assert "profit" in err  # the human table goes to stderr
+
+
+def test_ratio_gen_one_almost_tree_default_trials(capsys):
+    # the generator draws n = 3 for some trials; those must not abort the run
+    code, out, _ = run_cli(capsys, "ratio", "--gen", "one-almost-tree", "--alg", "alg-a")
+    assert code == 0
+    recs = records(out)
+    assert len(recs) == 201
+    assert recs[-1]["record"] == "ratio-summary"
+
+
+def test_bound_check_is_exact():
+    # 383120/40391 = 9.4852813746 lies just above 6*sqrt(2) + 1 = 9.4852813742,
+    # inside the reach of a 1e-9 float tolerance
+    assert not _within_bound((6, 1), 2, 383120, 40391)
+    assert _within_bound((6, 1), 2, 383119, 40391)
+    assert _within_bound((0, 3), 5, 9, 3)
+    assert not _within_bound((0, 3), 5, 10, 3)
+    assert not _within_bound((15, 1), 9, 1, 0)

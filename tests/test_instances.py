@@ -143,6 +143,13 @@ def test_random_one_almost_tree_shape(n, seed, through_root):
         assert d.root_cycle_indices == ()
 
 
+def test_random_one_almost_tree_of_three_is_the_triangle():
+    # n = 3 leaves no room for a cycle off the root, whatever the seed draws
+    for seed in range(50):
+        g = random_one_almost_tree(3, seed)
+        assert sorted(map(sorted, oracles.to_nx(g).edges())) == [[0, 1], [0, 2], [1, 2]]
+
+
 @given(st.integers(1, 6), st.integers(0, 12), st.booleans(), st.integers(0, 2**20))
 def test_random_sequence_properties(length, budget, even_only, seed):
     seq = random_sequence(length, budget, even_only, seed)
