@@ -12,8 +12,14 @@ makes per-placement weights add up to the final profit.
 
 Square-root comparisons are done in exact integer arithmetic throughout:
 ``w >= sqrt(W)`` becomes ``w*w >= W`` and population targets use
-``ceil_sqrt``.  Ties between equally good vertices go to the lowest id;
-ties between cycles go to the cycle whose smallest member id is lowest.
+``ceil_sqrt``.  Ties between equally good vertices go to the lowest id.
+Root cycles are ranked by weight, then by smallest member id; every root
+cycle holds the root, which is id 0 in a reduced view, so there ties
+between root cycles fall to ``decomp.cycles`` order.
+
+Weights come from one dominator-tree pass per decision
+(:func:`~firefight.graph.dominator_tree`): a vertex is worth its dominator
+subtree, a root cycle the subtrees of its non-root vertices.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .graph import (
     Subgraph,
     ceil_sqrt,
     covered_set,
+    dominator_tree,
     induced_subgraph,
     tolerance,
     tolerance_edge,
@@ -113,14 +120,6 @@ class Choice:
     brk: BreakDetail | None = None
 
 
-def _weight_one(g: Graph, v: int) -> int:
-    return len(covered_set(g, frozenset(), frozenset([v])))
-
-
-def _cycle_weight(g: Graph, cycle: tuple[int, ...]) -> int:
-    return len(covered_set(g, frozenset(), frozenset(cycle) - {g.root}))
-
-
 def _strip_covered(g: Graph, chosen: list[int]) -> Subgraph:
     cov = covered_set(g, frozenset(), frozenset(chosen))
     keep = [v for v in range(g.n) if v not in cov]
@@ -138,9 +137,10 @@ def improved_break(g: Graph, decomp: CactusDecomposition, eta_sq: int) -> BreakD
     at depth ``depth`` or beyond.
     """
     root = g.root
+    dom = dominator_tree(g, decomp)
     eligible: list[tuple[int, int]] = []
     for i in decomp.root_cycle_indices:
-        w = _cycle_weight(g, decomp.cycles[i])
+        w = dom.cycle_weight(decomp.cycles[i])
         if w * w >= eta_sq:
             eligible.append((i, w))
     if not eligible:
@@ -151,7 +151,7 @@ def improved_break(g: Graph, decomp: CactusDecomposition, eta_sq: int) -> BreakD
     for i, w in eligible:
         cyc = decomp.cycles[i]
         for u in (cyc[1], cyc[-1]):
-            rest = w - _weight_one(g, u)
+            rest = w - dom.size[u]
             if rest < 0 or rest * rest < heaviest:
                 continue
             t = tolerance_edge(g, decomp, (root, u), i, target)
@@ -166,17 +166,19 @@ def improved_break(g: Graph, decomp: CactusDecomposition, eta_sq: int) -> BreakD
     cyc = decomp.cycles[ci]
     if cyc[1] != anchor:
         cyc = (cyc[0],) + tuple(reversed(cyc[1:]))
-    opened = induced_subgraph(
-        g,
-        {root} | set(covered_set(g, frozenset(), frozenset(cyc) - {root})),
-        root,
-        drop_edge=(root, anchor),
-    )
-    dmap_local = _distances(opened.graph, frozenset(), opened.graph.root)
-    dmap = {opened.to_orig[v]: d for v, d in dmap_local.items()}
+    # distances once the root edge to the anchor is cut: the cycle's
+    # territory is the part of g - root that cyc[-1] reaches
+    dmap = {v: d + 1 for v, d in _distances(g, frozenset([root]), cyc[-1]).items()}
+    # reach[v]: the farthest opened distance in v's territory (dominator subtree)
+    reach = [-1] * g.n
+    for v, d in dmap.items():
+        reach[v] = d
+    for v in reversed(dom.order[1:]):
+        p = dom.idom[v]
+        if reach[v] > reach[p]:
+            reach[p] = reach[v]
     for u_hat in cyc[1:]:
-        territory = covered_set(g, frozenset(), frozenset([u_hat]))
-        if any(dmap.get(v, -1) >= depth for v in territory):
+        if reach[u_hat] >= depth:
             return BreakDetail(
                 vertex=u_hat,
                 anchor=anchor,
@@ -264,11 +266,12 @@ def _step(
     squared.  A one-firefighter decision on a root cycle restarts the
     cool-down: at the break's value after a break, at zero otherwise.
     """
+    dom = dominator_tree(g, decomp)
     cycles = [(i, decomp.cycles[i]) for i in decomp.root_cycle_indices]
-    cycles = [(i, c, _cycle_weight(g, c)) for i, c in cycles]
+    cycles = [(i, c, dom.cycle_weight(c)) for i, c in cycles]
     cycles.sort(key=lambda t: (-t[2], min(t[1])))
     pool = set(g.adjacency[g.root]).union(*(c[1:] for _, c, _ in cycles))
-    order = sorted(((_weight_one(g, v), v) for v in pool), key=lambda t: (-t[0], t[1]))
+    order = sorted(((dom.size[v], v) for v in pool), key=lambda t: (-t[0], t[1]))
     w1, v1 = order[0]
     if not cycles:
         return [v1], "greedy", None, cooldown

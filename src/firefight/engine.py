@@ -78,15 +78,25 @@ class Instance:
 
 
 class GameState:
-    """Mutable game position: statuses, current round, protection trace."""
+    """Mutable game position: statuses, current round, protection trace.
+
+    A status only ever leaves ``AVAILABLE``, never returns to it.  So a
+    vertex that burned before the last spread has no available neighbor
+    left, and the fire's next step starts from ``_front``, the vertices
+    that caught fire last (initially the root).  Spreading, the finished
+    test and the search for reachable vertices look at the front only,
+    which makes a round cost time proportional to the burning front.
+    """
 
     def __init__(self, instance: Instance):
         self.instance = instance
+        root = instance.graph.root
         self.status: list[Status] = [Status.AVAILABLE] * instance.graph.n
-        self.status[instance.graph.root] = Status.BURNED
+        self.status[root] = Status.BURNED
         self.round = 1
         self.trace: list[TraceEntry] = []
         self._placed_this_round = 0
+        self._front: list[int] = [root]
 
     def burned(self) -> frozenset[int]:
         return frozenset(v for v, s in enumerate(self.status) if s is Status.BURNED)
@@ -108,26 +118,24 @@ class GameState:
 
     def spread(self) -> None:
         """Advance the fire one step and start the next round."""
-        g = self.instance.graph
-        newly = [
-            v
-            for v in range(g.n)
-            if self.status[v] is Status.AVAILABLE
-            and any(self.status[u] is Status.BURNED for u in g.adjacency[v])
-        ]
-        for v in newly:
-            self.status[v] = Status.BURNED
+        adj = self.instance.graph.adjacency
+        status = self.status
+        newly = []
+        for u in self._front:
+            for v in adj[u]:
+                if status[v] is Status.AVAILABLE:
+                    status[v] = Status.BURNED
+                    newly.append(v)
+        self._front = newly
         self.round += 1
         self._placed_this_round = 0
 
     def is_finished(self) -> bool:
-        g = self.instance.graph
-        for v in range(g.n):
-            if self.status[v] is Status.AVAILABLE and any(
-                self.status[u] is Status.BURNED for u in g.adjacency[v]
-            ):
-                return False
-        return True
+        adj = self.instance.graph.adjacency
+        status = self.status
+        return not any(
+            status[v] is Status.AVAILABLE for u in self._front for v in adj[u]
+        )
 
     def profit(self) -> int:
         if not self.is_finished():
@@ -138,12 +146,8 @@ class GameState:
         """Vertices the fire can still reach: unburned, unprotected, and
         connected to the burning region by a protected-free path."""
         g = self.instance.graph
-        seen = set()
-        queue = deque()
-        for v in range(g.n):
-            if self.status[v] is Status.BURNED:
-                seen.add(v)
-                queue.append(v)
+        seen = set(self._front)
+        queue = deque(self._front)
         while queue:
             u = queue.popleft()
             for v in g.adjacency[u]:
@@ -164,14 +168,13 @@ class GameState:
         avail = sorted(self.truly_available())
         index = {o: i + 1 for i, o in enumerate(avail)}
         edges = set()
-        burned = {v for v in range(g.n) if self.status[v] is Status.BURNED}
         for u in avail:
             iu = index[u]
             for v in g.adjacency[u]:
                 if v in index:
                     if u < v:
                         edges.add((iu, index[v]))
-                elif v in burned:
+                elif self.status[v] is Status.BURNED:
                     edges.add((0, iu))
         view = Graph.from_edges(len(avail) + 1, sorted(edges), 0)
         return Subgraph(view, (g.root, *avail))

@@ -372,6 +372,55 @@ def validate_and_decompose(g: Graph) -> CactusDecomposition:
     )
 
 
+@dataclass(frozen=True)
+class DominatorTree:
+    """Dominator tree of a rooted cactus.
+
+    ``idom[v]`` is v's immediate dominator (-1 for the root), ``order`` is
+    a BFS order from the root, so every vertex comes after its dominator,
+    and ``size[v]`` is the size of v's dominator subtree.  The subtree of v
+    is exactly ``covered_set({v})``, so ``size[v]`` is the weight of v.
+    """
+
+    idom: tuple[int, ...]
+    order: tuple[int, ...]
+    size: tuple[int, ...]
+
+    def cycle_weight(self, cycle: tuple[int, ...]) -> int:
+        """Weight of a root cycle (root first): its other vertices' subtrees."""
+        return sum(self.size[v] for v in cycle[1:])
+
+
+def dominator_tree(g: Graph, decomp: CactusDecomposition) -> DominatorTree:
+    """Immediate dominators and subtree sizes of a validated cactus, one BFS.
+
+    A vertex's BFS tree edge lies in its parent block.  When that block is
+    a cycle, the vertex is dominated by the cycle's top (its vertex closest
+    to the root); otherwise by its BFS parent.  Sizes are summed in reverse
+    BFS order.
+    """
+    root = g.root
+    idom = [-1] * g.n
+    via: list[int | None] = [None] * g.n  # cycle of each vertex's BFS tree edge
+    seen = [False] * g.n
+    seen[root] = True
+    order = [root]
+    edge_cycle = decomp.edge_cycle
+    for u in order:  # the list grows behind the loop: a FIFO queue
+        for v in g.adjacency[u]:
+            if not seen[v]:
+                seen[v] = True
+                c = edge_cycle.get((u, v) if u < v else (v, u))
+                via[v] = c
+                # below the top of its cycle, u already hangs off that top
+                idom[v] = idom[u] if c is not None and via[u] == c else u
+                order.append(v)
+    size = [1] * g.n
+    for v in reversed(order[1:]):
+        size[idom[v]] += size[v]
+    return DominatorTree(tuple(idom), tuple(order), tuple(size))
+
+
 def _cycle_for_break(decomp: CactusDecomposition, g: Graph, c: int) -> tuple[int, ...]:
     if not 0 <= c < len(decomp.cycles):
         raise ValueError(f"no cycle with index {c}")

@@ -7,17 +7,28 @@ from hypothesis import given, strategies as st
 
 from firefight.algorithms import (
     AlgorithmKind,
+    BreakDetail,
     CooldownState,
+    NoEligibleBreakVertexError,
     NoEligibleCycleError,
     NotATreeError,
     WrongGraphClassError,
     alg_c_round,
+    alg_e_round,
     greedy_tree_round,
     improved_break,
     run_algorithm,
 )
 from firefight.engine import Instance, replay
-from firefight.graph import Graph, validate_and_decompose
+from firefight.graph import (
+    Graph,
+    ceil_sqrt,
+    covered_set,
+    induced_subgraph,
+    tolerance_edge,
+    validate_and_decompose,
+    _distances,
+)
 from firefight.instances import (
     make_tadpole,
     random_cactus,
@@ -250,3 +261,80 @@ def test_empty_round_only_ticks_cooldown():
     g = make_tadpole(10, 3)
     dec = validate_and_decompose(g)
     assert alg_c_round(g, dec, 0, CooldownState(5), g.n) == ([], CooldownState(4))
+
+
+def test_root_cycle_ties_fall_to_decomposition_order():
+    # two root 4-cycles of weight 3; (0, 5, 1, 6) holds the lower id 1 but
+    # every root cycle holds the root, so the tie goes to decomp.cycles order
+    g = Graph.from_edges(7, [(0, 5), (5, 1), (1, 6), (6, 0), (0, 2), (2, 3), (3, 4), (4, 0)])
+    d = validate_and_decompose(g)
+    assert d.cycles == ((0, 2, 3, 4), (0, 5, 1, 6))
+    choices = alg_e_round(g, d, 2)
+    assert [(c.vertex, c.reason) for c in choices] == [(2, "pair"), (4, "pair")]
+
+
+def _reference_improved_break(g, decomp, eta_sq):
+    """improved_break with one covered_set per weight and per cycle vertex."""
+    root = g.root
+
+    def weight(s):
+        return len(covered_set(g, frozenset(), frozenset(s)))
+
+    eligible = []
+    for i in decomp.root_cycle_indices:
+        w = weight(set(decomp.cycles[i]) - {root})
+        if w * w >= eta_sq:
+            eligible.append((i, w))
+    if not eligible:
+        raise NoEligibleCycleError
+    heaviest = max(w for _, w in eligible)
+    target = ceil_sqrt(heaviest)
+    best = None
+    for i, w in eligible:
+        cyc = decomp.cycles[i]
+        for u in (cyc[1], cyc[-1]):
+            rest = w - weight({u})
+            if rest < 0 or rest * rest < heaviest:
+                continue
+            t = tolerance_edge(g, decomp, (root, u), i, target)
+            if t is not None and (best is None or (t, -u) > (best[0], best[1])):
+                best = (t, -u, i)
+    if best is None:
+        raise NoEligibleBreakVertexError
+    depth, anchor, cyc = best[0], -best[1], decomp.cycles[best[2]]
+    if cyc[1] != anchor:
+        cyc = (cyc[0],) + tuple(reversed(cyc[1:]))
+    keep = {root} | covered_set(g, frozenset(), frozenset(cyc) - {root})
+    opened = induced_subgraph(g, keep, root, drop_edge=(root, anchor))
+    local = _distances(opened.graph, frozenset(), opened.graph.root)
+    dmap = {opened.to_orig[v]: d for v, d in local.items()}
+    for u_hat in cyc[1:]:
+        if any(dmap.get(v, -1) >= depth for v in covered_set(g, frozenset(), {u_hat})):
+            return BreakDetail(u_hat, anchor, depth, dmap[u_hat], cyc, target, heaviest)
+    raise NoEligibleBreakVertexError
+
+
+def test_improved_break_matches_covered_set_reference():
+    breaks = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        if seed % 3 == 0:
+            g = make_tadpole(rng.randint(3, 40), rng.randint(1, 8))
+        else:
+            n = rng.randint(6, 40)
+            g = random_cactus(n, rng.uniform(0.5, 1.0), rng.randint(4, 16), seed)
+        if seed % 2:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
+        d = validate_and_decompose(g)
+        eta_sq = rng.randint(1, 2 * g.n)
+        try:
+            expected = _reference_improved_break(g, d, eta_sq)
+        except (NoEligibleCycleError, NoEligibleBreakVertexError) as exc:
+            with pytest.raises(type(exc)):
+                improved_break(g, d, eta_sq)
+            continue
+        assert improved_break(g, d, eta_sq) == expected
+        breaks += 1
+    assert breaks >= 200

@@ -210,3 +210,44 @@ def test_reduced_view_well_formed(seed):
     assert rest == sorted(rest)
     # contracted root keeps at least one frontier edge while fire can spread
     assert view.graph.degree(0) >= 1
+
+
+def _full_scan_spread(g, status):
+    """Burned set after one step, from a one-hop flood of every burned vertex."""
+    burned = {v for v, s in enumerate(status) if s is Status.BURNED}
+    protected = {v for v, s in enumerate(status) if s is Status.PROTECTED}
+    return burned | ({w for u in burned for w in g.adjacency[u]} - protected)
+
+
+def _full_scan_finished(g, status):
+    return not any(
+        s is Status.AVAILABLE and any(status[u] is Status.BURNED for u in g.adjacency[v])
+        for v, s in enumerate(status)
+    )
+
+
+@given(st.integers(0, 2**20))
+def test_front_engine_matches_full_scan(seed):
+    rng = random.Random(seed)
+    inst = random_instance(seed)
+    g = inst.graph
+    state = GameState(inst)
+    while True:
+        for _ in range(inst.firefighters(state.round)):
+            available = [v for v, s in enumerate(state.status) if s is Status.AVAILABLE]
+            reached = _full_scan_spread(g, state.status)
+            front_nbrs = [v for v in available if v in reached]
+            pool = front_nbrs if front_nbrs and rng.random() < 0.6 else available
+            if pool:
+                state.protect(rng.choice(pool))
+        # protecting the front's last neighbours can end the game right here
+        finished = state.is_finished()
+        assert finished == _full_scan_finished(g, state.status)
+        if finished:
+            break
+        expected = _full_scan_spread(g, state.status)
+        state.spread()
+        assert state.burned() == expected
+    schedule = tuple((t.round, t.vertex) for t in state.trace)
+    profit, _ = replay(inst, schedule)
+    assert profit == state.profit() == oracles.flood_replay(inst, schedule)

@@ -21,13 +21,14 @@ from firefight.graph import (
     count_safe,
     covered_set,
     dist,
+    dominator_tree,
     induced_subgraph,
     tolerance,
     tolerance_edge,
     validate_and_decompose,
     weight,
 )
-from firefight.instances import random_cactus, random_one_almost_tree
+from firefight.instances import random_cactus, random_one_almost_tree, random_tree
 
 
 @st.composite
@@ -52,6 +53,22 @@ def cacti(draw, max_n=12):
     seed = draw(st.integers(0, 2**20))
     frac = draw(st.sampled_from([0.0, 0.3, 0.6, 1.0]))
     return random_cactus(n, frac, 6, seed)
+
+
+@st.composite
+def relabelled_cacti(draw, max_n=12):
+    """A tree, 1-almost tree or cactus under a random relabelling, so the
+    root is not always vertex 0."""
+    kind = draw(st.sampled_from(["tree", "one-almost-tree", "cactus"]))
+    seed = draw(st.integers(0, 2**20))
+    if kind == "tree":
+        g = random_tree(draw(st.integers(2, max_n)), seed)
+    elif kind == "one-almost-tree":
+        g = random_one_almost_tree(draw(st.integers(3, max_n)), seed)
+    else:
+        g = draw(cacti(max_n))
+    perm = draw(st.permutations(range(g.n)))
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
 
 
 @st.composite
@@ -289,3 +306,23 @@ def test_induced_subgraph_drop_edge_and_mapping():
     assert not sub.graph.has_edge(sub.index_map()[4], sub.index_map()[0])
     with pytest.raises(ValueError):
         induced_subgraph(g, [1, 2], 0)
+
+
+@given(relabelled_cacti())
+def test_dominator_tree_matches_covered_sets(g):
+    d = validate_and_decompose(g)
+    dom = dominator_tree(g, d)
+    assert dom.order[0] == g.root
+    assert sorted(dom.order) == list(range(g.n))
+    assert dom.size[g.root] == g.n
+    idoms = nx.immediate_dominators(oracles.to_nx(g).to_directed(), g.root)
+    assert dom.idom[g.root] == -1
+    for v in range(g.n):
+        if v != g.root:
+            assert dom.idom[v] == idoms[v]
+            assert dom.size[v] == len(covered_set(g, (), {v}))
+    for i in d.root_cycle_indices:
+        c = d.cycles[i]
+        assert c[0] == g.root
+        expected = len(covered_set(g, (), set(c) - {g.root}))
+        assert dom.cycle_weight(c) == sum(dom.size[v] for v in c[1:]) == expected
