@@ -8,14 +8,16 @@ against a heavy root cycle (none for ``greedy-tree`` and ``alg-e``).
 All deciders are pure functions of the current reduced view.  Within a
 round a strategy may place several firefighters; after each placement the
 view is re-derived (the newly covered territory disappears), which is what
-makes per-placement weights add up to the final profit.
+makes per-placement weights add up to the final profit.  A game decomposes
+its graph once; every view and every strip derives its graph and its
+decomposition from that one (:func:`~firefight.graph.contract`).
 
 Square-root comparisons are done in exact integer arithmetic throughout:
 ``w >= sqrt(W)`` becomes ``w*w >= W`` and population targets use
 ``ceil_sqrt``.  Ties between equally good vertices go to the lowest id.
-Root cycles are ranked by weight, then by smallest member id; every root
-cycle holds the root, which is id 0 in a reduced view, so there ties
-between root cycles fall to ``decomp.cycles`` order.
+Root cycles are ranked by weight, then by the canonical ``decomp.cycles``
+order, ``(min(c), c)``; in a reduced view every root cycle holds the root,
+id 0, so ties between root cycles go to the smaller root neighbor.
 
 Weights come from one dominator-tree pass per decision
 (:func:`~firefight.graph.dominator_tree`): a vertex is worth its dominator
@@ -36,9 +38,9 @@ from .graph import (
     GraphClass,
     Subgraph,
     ceil_sqrt,
+    contract,
     covered_set,
     dominator_tree,
-    induced_subgraph,
     tolerance,
     tolerance_edge,
     validate_and_decompose,
@@ -120,10 +122,18 @@ class Choice:
     brk: BreakDetail | None = None
 
 
-def _strip_covered(g: Graph, chosen: list[int]) -> Subgraph:
-    cov = covered_set(g, frozenset(), frozenset(chosen))
-    keep = [v for v in range(g.n) if v not in cov]
-    return induced_subgraph(g, keep, g.root)
+def _strip_covered(
+    g: Graph, decomp: CactusDecomposition, chosen: list[int]
+) -> tuple[Subgraph, CactusDecomposition]:
+    """What stays in play once ``chosen`` is protected: the root (id 0) and
+    the vertices it still reaches, with their decomposition."""
+    cov = covered_set(g, (), chosen)
+    kept = [v for v in range(g.n) if v not in cov and v != g.root]
+    index = [-1] * g.n
+    index[g.root] = 0
+    for i, v in enumerate(kept, 1):
+        index[v] = i
+    return contract(g, decomp, index)
 
 
 def improved_break(g: Graph, decomp: CactusDecomposition, eta_sq: int) -> BreakDetail:
@@ -269,7 +279,7 @@ def _step(
     dom = dominator_tree(g, decomp)
     cycles = [(i, decomp.cycles[i]) for i in decomp.root_cycle_indices]
     cycles = [(i, c, dom.cycle_weight(c)) for i, c in cycles]
-    cycles.sort(key=lambda t: (-t[2], min(t[1])))
+    cycles.sort(key=lambda t: -t[2])  # stable: ties keep decomp.cycles order
     pool = set(g.adjacency[g.root]).union(*(c[1:] for _, c, _ in cycles))
     order = sorted(((dom.size[v], v) for v in pool), key=lambda t: (-t[0], t[1]))
     w1, v1 = order[0]
@@ -299,7 +309,8 @@ def _round(
     """Place a round's f firefighters one decision at a time.
 
     The cool-down elapses once per round; after each decision the covered
-    territory is stripped and the rest re-decomposed.
+    territory is stripped, and the rest's decomposition is derived from the
+    current one.
     """
     cd = cooldown.tick()
     g, dec = view, decomp
@@ -312,9 +323,9 @@ def _round(
         f -= len(locs)
         if f <= 0:
             break
-        sub = _strip_covered(g, locs)
+        sub, dec = _strip_covered(g, dec, locs)
         to_view = tuple(to_view[o] for o in sub.to_orig)
-        g, dec = sub.graph, validate_and_decompose(sub.graph)
+        g = sub.graph
     return out, cd
 
 
@@ -389,7 +400,8 @@ def run_algorithm(
 
     With ``record`` every protection carries the decision-time view, which
     the property suites need to evaluate the structural guarantees.
-    Rounds without firefighters only tick the cool-down.
+    The graph is decomposed once; each round's view and its decomposition
+    derive from that.  Rounds without firefighters only tick the cool-down.
     """
     classes, policy = _KINDS[kind]
     decomp0 = validate_and_decompose(instance.graph)
@@ -405,8 +417,7 @@ def run_algorithm(
         f = instance.firefighters(state.round)
         choices: list[Choice] = []
         if f > 0:
-            sub = state.reduced_view()
-            dec = validate_and_decompose(sub.graph)
+            sub, dec = contract(instance.graph, decomp0, state.view_index())
             choices, cd = _round(sub.graph, dec, f, policy, cd, n_orig)
         else:
             cd = cd.tick()

@@ -9,12 +9,11 @@ cannot spread any more, and the profit is the number of unburned vertices.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .graph import Graph, Subgraph, covered_set
+from .graph import Graph, Subgraph, contract, covered_set
 
 
 class GameError(Exception):
@@ -145,16 +144,29 @@ class GameState:
     def truly_available(self) -> frozenset[int]:
         """Vertices the fire can still reach: unburned, unprotected, and
         connected to the burning region by a protected-free path."""
-        g = self.instance.graph
-        seen = set(self._front)
-        queue = deque(self._front)
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if v not in seen and self.status[v] is Status.AVAILABLE:
-                    seen.add(v)
+        return frozenset(self._live())
+
+    def _live(self) -> list[int]:
+        """The truly available vertices, in BFS order from the front."""
+        adj = self.instance.graph.adjacency
+        status = self.status
+        seen = bytearray(len(status))
+        queue = list(self._front)
+        for u in queue:  # the list grows behind the loop: a FIFO queue
+            for v in adj[u]:
+                if not seen[v] and status[v] is Status.AVAILABLE:
+                    seen[v] = 1
                     queue.append(v)
-        return frozenset(v for v in seen if self.status[v] is not Status.BURNED)
+        return queue[len(self._front):]
+
+    def view_index(self) -> list[int]:
+        """Each vertex's id in :meth:`reduced_view`: 0 when burned, -1 when
+        protected or cut off from the fire, 1..k for the truly available
+        vertices in increasing order.  The index :func:`contract` takes."""
+        index = [0 if s is Status.BURNED else -1 for s in self.status]
+        for i, v in enumerate(sorted(self._live()), 1):
+            index[v] = i
+        return index
 
     def reduced_view(self) -> Subgraph:
         """Shrink the position to its live part.
@@ -164,20 +176,7 @@ class GameState:
         from the contraction collapse.  View id 0 is the contracted root and
         maps back to the fire source; other ids keep the original order.
         """
-        g = self.instance.graph
-        avail = sorted(self.truly_available())
-        index = {o: i + 1 for i, o in enumerate(avail)}
-        edges = set()
-        for u in avail:
-            iu = index[u]
-            for v in g.adjacency[u]:
-                if v in index:
-                    if u < v:
-                        edges.add((iu, index[v]))
-                elif self.status[v] is Status.BURNED:
-                    edges.add((0, iu))
-        view = Graph.from_edges(len(avail) + 1, sorted(edges), 0)
-        return Subgraph(view, (g.root, *avail))
+        return contract(self.instance.graph, None, self.view_index())[0]
 
 
 def replay(instance: Instance, schedule: Iterable[tuple[int, int]]) -> tuple[int, GameState]:

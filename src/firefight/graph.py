@@ -62,7 +62,8 @@ class Graph:
     """Simple undirected connected graph with a root vertex.
 
     ``adjacency[v]`` is the sorted tuple of v's neighbors.  Build through
-    :meth:`from_edges`, which validates simplicity and connectivity.
+    :meth:`from_edges`, which validates simplicity and connectivity; the
+    views :func:`contract` builds are valid by construction and skip it.
     """
 
     n: int
@@ -122,8 +123,9 @@ class Subgraph:
 
     ``to_orig[i]`` is the parent-graph id of view vertex ``i``.  Ids are
     assigned in increasing parent-id order, so comparisons between view ids
-    agree with comparisons between the original ids (the reduced-view root
-    is the one exception and is never a protection candidate).
+    agree with comparisons between the original ids (the root of a view
+    :func:`contract` builds is id 0, the one exception, and is never a
+    protection candidate).
     """
 
     graph: Graph
@@ -246,8 +248,11 @@ class CactusDecomposition:
 
     ``cycles[i]`` lists one cycle in cyclic order; cycles through the root
     start at the root and continue toward the smaller root neighbor, other
-    cycles start at their smallest member.  ``vertex_cycles[v]`` holds the
-    indices of the cycles containing v (a cut vertex may sit on several).
+    cycles start at their smallest member and continue toward its smaller
+    neighbor.  The cycles are sorted by ``(min(c), c)``, so when the root is
+    vertex 0, as in every view, root cycles come first, in the order of
+    their smaller root neighbor.  ``vertex_cycles[v]`` holds the indices of
+    the cycles containing v (a cut vertex may sit on several).
     """
 
     cycles: tuple[tuple[int, ...], ...]
@@ -263,99 +268,24 @@ class CactusDecomposition:
         return self.edge_cycle.get((min(u, v), max(u, v)))
 
 
-def _biconnected_edge_components(g: Graph) -> list[list[tuple[int, int]]]:
-    """Edge sets of the biconnected components (iterative lowpoint search)."""
-    disc = [0] * g.n
-    low = [0] * g.n
-    timer = 1
-    comps: list[list[tuple[int, int]]] = []
-    estack: list[tuple[int, int]] = []
-    for s in range(g.n):
-        if disc[s]:
-            continue
-        stack: list[tuple[int, int, Iterator[int]]] = [(s, -1, iter(g.adjacency[s]))]
-        disc[s] = low[s] = timer
-        timer += 1
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for v in it:
-                if not disc[v]:
-                    estack.append((u, v))
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, u, iter(g.adjacency[v])))
-                    advanced = True
-                    break
-                if v != parent and disc[v] < disc[u]:
-                    estack.append((u, v))
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pu = stack[-1][0]
-                if low[u] < low[pu]:
-                    stack[-1] = (pu, stack[-1][1], stack[-1][2])
-                    low[pu] = low[u]
-                if low[u] >= disc[pu]:
-                    comp = []
-                    while estack:
-                        e = estack.pop()
-                        comp.append(e)
-                        if e == (pu, u):
-                            break
-                    comps.append(comp)
-    return comps
+def _orient(cyc: list[int], start: int) -> tuple[int, ...]:
+    """The cycle read from position ``start`` toward its smaller neighbor."""
+    r = cyc[start:] + cyc[:start]
+    return tuple(r) if r[1] < r[-1] else (r[0], *reversed(r[1:]))
 
 
-def _cycle_order(members: set[int], adj: dict[int, list[int]], anchor: int) -> tuple[int, ...]:
-    start = anchor if anchor in members else min(members)
-    first = min(adj[start])
-    order = [start, first]
-    prev, cur = start, first
-    while cur != start:
-        a, b = adj[cur]
-        nxt = b if a == prev else a
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(order[:-1])
-
-
-def validate_and_decompose(g: Graph) -> CactusDecomposition:
-    """Check the cactus property and extract every cycle.
-
-    Raises :class:`NotCactusError` when some biconnected component is not a
-    single cycle, :class:`DisconnectedError` when the graph is not connected.
-    """
-    if len(_reachable(g, frozenset(), g.root)) != g.n:
-        raise DisconnectedError("graph is not connected")
-    raw_cycles: list[tuple[int, ...]] = []
-    for comp in _biconnected_edge_components(g):
-        if len(comp) <= 1:
-            continue
-        members: set[int] = set()
-        cadj: dict[int, list[int]] = {}
-        for u, v in comp:
-            members.add(u)
-            members.add(v)
-            cadj.setdefault(u, []).append(v)
-            cadj.setdefault(v, []).append(u)
-        if len(comp) != len(members) or any(len(a) != 2 for a in cadj.values()):
-            raise NotCactusError("a biconnected component is denser than one cycle")
-        raw_cycles.append(_cycle_order(members, cadj, g.root))
-    raw_cycles.sort(key=min)
-    cycles = tuple(raw_cycles)
+def _decomposition(n: int, root: int, cycles: list[tuple[int, ...]]) -> CactusDecomposition:
+    """Index oriented cycles (root cycles starting at the root) canonically."""
+    cycles.sort(key=lambda c: (min(c), c))
     edge_cycle: dict[tuple[int, int], int] = {}
-    vertex_cycles: list[list[int]] = [[] for _ in range(g.n)]
+    vertex_cycles: list[tuple[int, ...]] = [()] * n
     root_idx = []
     for i, cyc in enumerate(cycles):
         for v in cyc:
-            vertex_cycles[v].append(i)
+            vertex_cycles[v] += (i,)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            edge_cycle[(min(a, b), max(a, b))] = i
-        if g.root in cyc:
+            edge_cycle[(a, b) if a < b else (b, a)] = i
+        if cyc[0] == root:
             root_idx.append(i)
     if not cycles:
         tag = GraphClass.TREE
@@ -364,12 +294,106 @@ def validate_and_decompose(g: Graph) -> CactusDecomposition:
     else:
         tag = GraphClass.CACTUS
     return CactusDecomposition(
-        cycles=cycles,
+        cycles=tuple(cycles),
         edge_cycle=edge_cycle,
-        vertex_cycles=tuple(tuple(c) for c in vertex_cycles),
+        vertex_cycles=tuple(vertex_cycles),
         class_tag=tag,
         root_cycle_indices=tuple(root_idx),
     )
+
+
+def validate_and_decompose(g: Graph) -> CactusDecomposition:
+    """Check the cactus property and extract every cycle, with one BFS.
+
+    Each non-tree edge of the BFS tree closes one cycle, found by walking
+    both ends up to their lowest common ancestor.  A graph is a cactus iff
+    these fundamental cycles are edge-disjoint, so a tree edge walked twice
+    raises :class:`NotCactusError`; :class:`DisconnectedError` is raised
+    when the graph is not connected.
+    """
+    root, adj = g.root, g.adjacency
+    parent = [-1] * g.n
+    depth = [-1] * g.n
+    depth[root] = 0
+    order = [root]
+    for u in order:  # the list grows behind the loop: a FIFO queue
+        for v in adj[u]:
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
+                parent[v] = u
+                order.append(v)
+    if len(order) != g.n:
+        raise DisconnectedError("graph is not connected")
+    walked = [False] * g.n  # tree edge (parent[v], v), keyed by v
+    cycles = []
+    for u in range(g.n):
+        for v in adj[u]:
+            if u > v or parent[v] == u or parent[u] == v:
+                continue
+            a, b = u, v
+            up: list[int] = []
+            down: list[int] = []
+            while a != b:
+                if depth[a] >= depth[b]:
+                    x, a = a, parent[a]
+                    up.append(x)
+                else:
+                    x, b = b, parent[b]
+                    down.append(x)
+                if walked[x]:
+                    raise NotCactusError("a biconnected component is denser than one cycle")
+                walked[x] = True
+            cyc = up + [a] + down[::-1]
+            cycles.append(_orient(cyc, len(up) if a == root else cyc.index(min(cyc))))
+    return _decomposition(g.n, root, cycles)
+
+
+def contract(
+    g: Graph, decomp: CactusDecomposition | None, index: list[int]
+) -> tuple[Subgraph, CactusDecomposition | None]:
+    """The view of g that merges, drops and keeps vertices as ``index`` says.
+
+    ``index[v]`` is 0 for the root and every vertex merged into it, -1 for
+    a dropped vertex, and 1..k for the kept vertices in increasing order of
+    v.  The merged vertices must form a connected set, and every kept
+    vertex must reach it avoiding dropped ones.  The view is read off
+    ``g.adjacency`` with parallel root edges collapsed; its decomposition,
+    when ``decomp`` (g's) is given, is read off ``decomp.cycles``: a cycle
+    with a dropped member is gone, the merged arc of a cycle collapses to
+    the root and leaves a cycle only if at least two kept vertices remain,
+    and every other cycle is re-oriented in view ids.
+    """
+    adj = g.adjacency
+    view_id = index.__getitem__
+    kept = [v for v, i in enumerate(index) if i > 0]
+    adjacency: list[tuple[int, ...]] = [()]
+    root_nbrs = []
+    for i, v in enumerate(kept, 1):
+        nbrs = tuple(map(view_id, adj[v]))
+        if 0 in nbrs:
+            root_nbrs.append(i)
+            nbrs = (0, *[j for j in nbrs if j > 0])
+        elif -1 in nbrs:
+            nbrs = tuple([j for j in nbrs if j > 0])
+        adjacency.append(nbrs)
+    adjacency[0] = tuple(root_nbrs)
+    view = Subgraph(Graph(len(adjacency), tuple(adjacency), 0), (g.root, *kept))
+    if decomp is None:
+        return view, None
+    cycles = []
+    for cyc in decomp.cycles:
+        m = [index[v] for v in cyc]
+        if -1 in m:
+            continue
+        if 0 in m:
+            k = len(m) - m.count(0)
+            if k >= 2:
+                # the merged members form one arc; the kept ones run from its end
+                s = next(p for p in range(len(m)) if m[p] and not m[p - 1])
+                cycles.append(_orient([0, *(m[s:] + m[:s])[:k]], 0))
+        else:
+            cycles.append(_orient(m, m.index(min(m))))
+    return view, _decomposition(len(adjacency), 0, cycles)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,15 @@ class BadParamsError(ValueError):
     pass
 
 
+# largest graph a constructor builds; bigger requests are refused up front
+MAX_VERTICES = 10**6
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise BadParamsError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+
+
 def make_tadpole(alpha: int, beta: int) -> Graph:
     """A cycle of alpha+1 vertices and a path of beta+1 vertices sharing
     vertex 0, which is the root: vertices 1..alpha close the cycle and
@@ -32,6 +41,7 @@ def make_tadpole(alpha: int, beta: int) -> Graph:
     if alpha < 2 or beta < 1:
         raise BadParamsError("need alpha >= 2 and beta >= 1")
     n = alpha + beta + 1
+    _check_size(n)
     edges = [(0, 1), (alpha, 0), (0, alpha + 1)]
     edges += [(i, i + 1) for i in range(1, alpha)]
     edges += [(i, i + 1) for i in range(alpha + 1, alpha + beta)]
@@ -49,6 +59,7 @@ def make_alge_tight(beta: int) -> Instance:
     """
     if beta < 1:
         raise BadParamsError("need beta >= 1")
+    _check_size(6 * beta + 27)
     edges = [(0, 1), (7, 0), (0, 8), (14, 0)]
     edges += [(i, i + 1) for i in range(1, 7)]
     edges += [(i, i + 1) for i in range(8, 14)]
@@ -147,6 +158,7 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform attachment tree on n vertices rooted at 0."""
     if n < 1:
         raise BadParamsError("need n >= 1")
+    _check_size(n)
     rng = random.Random(seed)
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     return Graph.from_edges(n, edges, root=0)
@@ -158,6 +170,7 @@ def random_cactus(n: int, cycle_fraction: float, max_cycle_len: int, seed: int) 
     """
     if n < 2:
         raise BadParamsError("need n >= 2")
+    _check_size(n)
     if not 0 <= cycle_fraction <= 1:
         raise BadParamsError("cycle_fraction must lie in [0, 1]")
     if max_cycle_len < 3:
@@ -193,6 +206,7 @@ def random_one_almost_tree(
     """
     if n < 3:
         raise BadParamsError("need n >= 3 to fit a cycle")
+    _check_size(n)
     rng = random.Random(seed)
     if through_root is None:
         # three vertices leave no room for a cycle off the root

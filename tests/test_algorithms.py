@@ -5,6 +5,7 @@ from dataclasses import astuple
 import pytest
 from hypothesis import given, strategies as st
 
+from firefight import algorithms
 from firefight.algorithms import (
     AlgorithmKind,
     BreakDetail,
@@ -23,6 +24,7 @@ from firefight.engine import Instance, replay
 from firefight.graph import (
     Graph,
     ceil_sqrt,
+    contract,
     covered_set,
     induced_subgraph,
     tolerance_edge,
@@ -338,3 +340,46 @@ def test_improved_break_matches_covered_set_reference():
         assert improved_break(g, d, eta_sq) == expected
         breaks += 1
     assert breaks >= 200
+
+
+def test_derived_views_equal_rebuilds(monkeypatch):
+    """Every view and strip a game derives equals a from-scratch rebuild."""
+    derived = contract
+    game = {}
+    counts = {"views": 0, "strips": 0}
+
+    def checked(g, decomp, index):
+        sub, dec = derived(g, decomp, index)
+        view = sub.graph
+        contracted = {
+            (min(index[u], index[v]), max(index[u], index[v]))
+            for u, v in g.edges()
+            if index[u] >= 0 and index[v] >= 0 and index[u] + index[v] > 0
+        }
+        assert set(view.edges()) == contracted
+        assert sub.to_orig[0] == g.root
+        assert all(sub.to_orig[i] == v for v, i in enumerate(index) if i > 0)
+        assert Graph.from_edges(view.n, view.edges(), 0) == view
+        assert dec == validate_and_decompose(view)
+        counts["views" if g is game["graph"] else "strips"] += 1
+        return sub, dec
+
+    monkeypatch.setattr(algorithms, "contract", checked)
+    for seed in range(300):
+        rng = random.Random(seed)
+        if seed % 2:
+            inst = _golden_instance(seed)
+        else:
+            g = random_cactus(rng.randint(10, 50), rng.uniform(0.5, 1.0), rng.randint(3, 12), seed)
+            seq = random_sequence(rng.randint(2, 6), rng.randint(2, 12), False, seed + 1)
+            inst = Instance(g, seq)
+        if seed % 3:
+            g = inst.graph
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
+            inst = Instance(g, inst.sequence)
+        game["graph"] = inst.graph
+        for kind in (AlgorithmKind.ALG_C, AlgorithmKind.ALG_E):
+            run_algorithm(inst, kind)
+    assert counts["views"] >= 700 and counts["strips"] >= 300, counts

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -193,3 +194,23 @@ def test_bound_check_is_exact():
     assert _within_bound((0, 3), 5, 9, 3)
     assert not _within_bound((0, 3), 5, 10, 3)
     assert not _within_bound((15, 1), 9, 1, 0)
+
+
+def test_generated_sizes_are_capped(capsys):
+    # beta = 100000 asks for a tadpole of about 10^10 vertices
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "adversary", "--alg", "alg-c", "--beta", "100000")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for argv in (
+        ["tadpole", "--alpha", "1000000"],
+        ["tadpole", "--beta", "1000000"],
+        ["alge-tight", "--beta", "200000"],
+        ["tree", "--n", "1000001"],
+        ["one-almost-tree", "--n", "1000001"],
+        ["cactus", "--n", "1000001"],
+    ):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv

@@ -15,7 +15,7 @@ from firefight.engine import (
     profit_of_protections,
     replay,
 )
-from firefight.graph import Graph
+from firefight.graph import Graph, Subgraph
 from firefight.instances import random_cactus, random_sequence
 
 
@@ -196,20 +196,39 @@ def test_truly_available_is_reachable_and_unprotected(seed):
     assert avail == comp - state.burned()
 
 
+def _edge_set_view(state):
+    """The reduced view built from its contracted edge set through from_edges."""
+    g = state.instance.graph
+    avail = sorted(state.truly_available())
+    index = {o: i + 1 for i, o in enumerate(avail)}
+    edges = set()
+    for u in avail:
+        for v in g.adjacency[u]:
+            if v in index:
+                if u < v:
+                    edges.add((index[u], index[v]))
+            elif state.status[v] is Status.BURNED:
+                edges.add((0, index[u]))
+    return Subgraph(Graph.from_edges(len(avail) + 1, sorted(edges), 0), (g.root, *avail))
+
+
 @given(st.integers(0, 2**20))
 def test_reduced_view_well_formed(seed):
     inst = random_instance(seed)
+    rng = random.Random(seed)
     state = GameState(inst)
     state.spread()
-    if state.is_finished():
-        return
-    view = state.reduced_view()
-    assert view.to_orig[0] == inst.graph.root
-    rest = list(view.to_orig[1:])
-    assert rest == sorted(state.truly_available())
-    assert rest == sorted(rest)
-    # contracted root keeps at least one frontier edge while fire can spread
-    assert view.graph.degree(0) >= 1
+    while not state.is_finished():
+        view = state.reduced_view()
+        assert view == _edge_set_view(state)
+        assert view.to_orig[0] == inst.graph.root
+        rest = list(view.to_orig[1:])
+        assert rest == sorted(state.truly_available())
+        # contracted root keeps at least one frontier edge while fire can spread
+        assert view.graph.degree(0) >= 1
+        if inst.firefighters(state.round):
+            state.protect(rng.choice(rest))
+        state.spread()
 
 
 def _full_scan_spread(g, status):

@@ -1,4 +1,5 @@
 import math
+from typing import Iterator
 
 import networkx as nx
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from firefight.graph import (
+    CactusDecomposition,
     DisconnectedError,
     EdgeNotOnCycleError,
     Graph,
@@ -208,6 +210,115 @@ def test_nonroot_cycle_starts_at_smallest_member():
     (cyc,) = d.cycles
     assert cyc[0] == min(cyc) == 1
     assert d.root_cycle_indices == ()
+
+
+def test_cycles_in_canonical_order():
+    # (5, 1, 2) hangs off the root through 5 and (1, 3, 4) off its vertex 1:
+    # both start at their smallest member 1 and sort by the next one
+    g = Graph.from_edges(6, [(0, 5), (5, 1), (1, 2), (2, 5), (1, 3), (3, 4), (4, 1)])
+    assert validate_and_decompose(g).cycles == ((1, 2, 5), (1, 3, 4))
+    # root cycles all start at the root: ties go to the smaller root neighbor
+    g = Graph.from_edges(7, [(0, 5), (5, 1), (1, 6), (6, 0), (0, 2), (2, 3), (3, 4), (4, 0)])
+    d = validate_and_decompose(g)
+    assert d.cycles == ((0, 2, 3, 4), (0, 5, 1, 6))
+    assert d.root_cycle_indices == (0, 1)
+
+
+def _tarjan_decompose(g):
+    """The lowpoint-search decomposition validate_and_decompose replaced,
+    with cycles sorted by (min(c), c): the reference for the BFS."""
+    disc = [0] * g.n
+    low = [0] * g.n
+    timer = 1
+    comps = []
+    estack = []
+    stack: list[tuple[int, int, Iterator[int]]] = [(g.root, -1, iter(g.adjacency[g.root]))]
+    disc[g.root] = low[g.root] = timer
+    timer += 1
+    while stack:
+        u, parent, it = stack[-1]
+        advanced = False
+        for v in it:
+            if not disc[v]:
+                estack.append((u, v))
+                disc[v] = low[v] = timer
+                timer += 1
+                stack.append((v, u, iter(g.adjacency[v])))
+                advanced = True
+                break
+            if v != parent and disc[v] < disc[u]:
+                estack.append((u, v))
+                low[u] = min(low[u], disc[v])
+        if advanced:
+            continue
+        stack.pop()
+        if stack:
+            pu = stack[-1][0]
+            low[pu] = min(low[pu], low[u])
+            if low[u] >= disc[pu]:
+                comp = []
+                while estack:
+                    e = estack.pop()
+                    comp.append(e)
+                    if e == (pu, u):
+                        break
+                comps.append(comp)
+    cycles = []
+    for comp in comps:
+        if len(comp) <= 1:
+            continue
+        cadj: dict[int, list[int]] = {}
+        for u, v in comp:
+            cadj.setdefault(u, []).append(v)
+            cadj.setdefault(v, []).append(u)
+        if len(comp) != len(cadj) or any(len(a) != 2 for a in cadj.values()):
+            raise NotCactusError
+        start = g.root if g.root in cadj else min(cadj)
+        order = [start, min(cadj[start])]
+        while True:
+            a, b = cadj[order[-1]]
+            nxt = b if a == order[-2] else a
+            if nxt == start:
+                break
+            order.append(nxt)
+        cycles.append(tuple(order))
+    cycles.sort(key=lambda c: (min(c), c))
+    edge_cycle = {}
+    vertex_cycles = [[] for _ in range(g.n)]
+    for i, cyc in enumerate(cycles):
+        for v in cyc:
+            vertex_cycles[v].append(i)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            edge_cycle[(min(a, b), max(a, b))] = i
+    if not cycles:
+        tag = GraphClass.TREE
+    elif len(cycles) == 1:
+        tag = GraphClass.ONE_ALMOST_TREE
+    else:
+        tag = GraphClass.CACTUS
+    return CactusDecomposition(
+        cycles=tuple(cycles),
+        edge_cycle=edge_cycle,
+        vertex_cycles=tuple(tuple(c) for c in vertex_cycles),
+        class_tag=tag,
+        root_cycle_indices=tuple(i for i, c in enumerate(cycles) if g.root in c),
+    )
+
+
+@given(relabelled_cacti(), st.integers(0, 3), st.data())
+def test_decompose_matches_tarjan_oracle(g, chords, data):
+    edges = set(g.edges())
+    for _ in range(chords):
+        u, v = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, g.n - 1))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    g = Graph.from_edges(g.n, edges, g.root)
+    if not oracles.is_cactus(oracles.to_nx(g)):
+        # some biconnected component has more edges than vertices
+        with pytest.raises(NotCactusError):
+            validate_and_decompose(g)
+        return
+    assert validate_and_decompose(g) == _tarjan_decompose(g)
 
 
 @given(cacti())
