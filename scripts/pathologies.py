@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the large slow cases listed on the roadmap.
 
-The cases: `alg-e` and `alg-c` on a 4001-vertex tadpole with 30 single
-firefighters, a replay of no protections on a 3000-vertex path, and
+The cases: `alg-e`, `alg-c` and `alg-a` on a 4001-vertex tadpole with 30
+single firefighters, a replay of no protections on a 3000-vertex path, and
 `alg-c` on that path with 2000 empty rounds.  Each case is run
 ``--repeat`` times; the median wall time in seconds is printed as one JSON
 object per case, with the instance size and profit.  Every case's profit
@@ -28,6 +28,7 @@ def _cases():
     return [
         ("tadpole-30x1/alg-e", tadpole, lambda i: run_algorithm(i, AlgorithmKind.ALG_E).profit, 3997),
         ("tadpole-30x1/alg-c", tadpole, lambda i: run_algorithm(i, AlgorithmKind.ALG_C).profit, 3997),
+        ("tadpole-30x1/alg-a", tadpole, lambda i: run_algorithm(i, AlgorithmKind.ALG_A).profit, 3997),
         ("path-replay-none", Instance(path, ()), lambda i: replay(i, ())[0], 0),
         (
             "path-empty-rounds/alg-c",

@@ -34,17 +34,18 @@ from typing import Callable
 from .engine import GameState, Instance, TraceEntry
 from .graph import (
     CactusDecomposition,
+    DominatorTree,
     Graph,
     GraphClass,
     Subgraph,
+    break_depth,
+    break_distances,
     ceil_sqrt,
     contract,
     covered_set,
     dominator_tree,
     tolerance,
-    tolerance_edge,
     validate_and_decompose,
-    _distances,
 )
 
 log = logging.getLogger(__name__)
@@ -136,18 +137,20 @@ def _strip_covered(
     return contract(g, decomp, index)
 
 
-def improved_break(g: Graph, decomp: CactusDecomposition, eta_sq: int) -> BreakDetail:
+def improved_break(
+    g: Graph, decomp: CactusDecomposition, dom: DominatorTree, eta_sq: int
+) -> BreakDetail:
     """Pick the cycle break point that buys the most burning time.
 
-    Considers root cycles whose weight squared is at least ``eta_sq`` (the
-    threshold is passed squared to keep the comparison exact).  Among their
-    root neighbors that leave enough territory behind, the anchor maximizes
-    the edge tolerance at the square-root population target; the protected
-    vertex is then the first one along the opened cycle covering territory
-    at depth ``depth`` or beyond.
+    Considers root cycles whose weight squared (read off g's dominator tree
+    ``dom``) is at least ``eta_sq``.  Among their root neighbors that leave
+    enough territory behind, the anchor maximizes the edge tolerance at the
+    square-root population target: one BFS of the territory the cycle opens
+    when the anchor's root edge is cut.  The winner's distances give the
+    protected vertex, the first along the opened cycle covering territory
+    at depth ``depth`` or beyond, and its cool-down.
     """
     root = g.root
-    dom = dominator_tree(g, decomp)
     eligible: list[tuple[int, int]] = []
     for i in decomp.root_cycle_indices:
         w = dom.cycle_weight(decomp.cycles[i])
@@ -157,28 +160,26 @@ def improved_break(g: Graph, decomp: CactusDecomposition, eta_sq: int) -> BreakD
         raise NoEligibleCycleError("no root cycle reaches the weight threshold")
     heaviest = max(w for _, w in eligible)
     target = ceil_sqrt(heaviest)
-    best: tuple[int, int, int, int] | None = None  # (depth, -u, cycle index, weight)
+    best: tuple[int, int, int, dict[int, int]] | None = None  # (depth, -u, cycle, distances)
     for i, w in eligible:
         cyc = decomp.cycles[i]
         for u in (cyc[1], cyc[-1]):
             rest = w - dom.size[u]
             if rest < 0 or rest * rest < heaviest:
                 continue
-            t = tolerance_edge(g, decomp, (root, u), i, target)
+            dist = break_distances(g, decomp, i, (root, u))
+            t = break_depth(dist, target)
             if t is None:
                 continue
             if best is None or (t, -u) > (best[0], best[1]):
-                best = (t, -u, i, w)
+                best = (t, -u, i, dist)
     if best is None:
         raise NoEligibleBreakVertexError("no root neighbor leaves enough territory")
-    depth, neg_u, ci, _ = best
+    depth, neg_u, ci, dmap = best
     anchor = -neg_u
     cyc = decomp.cycles[ci]
     if cyc[1] != anchor:
         cyc = (cyc[0],) + tuple(reversed(cyc[1:]))
-    # distances once the root edge to the anchor is cut: the cycle's
-    # territory is the part of g - root that cyc[-1] reaches
-    dmap = {v: d + 1 for v, d in _distances(g, frozenset([root]), cyc[-1]).items()}
     # reach[v]: the farthest opened distance in v's territory (dominator subtree)
     reach = [-1] * g.n
     for v, d in dmap.items():
@@ -206,13 +207,15 @@ RootCycle = tuple[int, tuple[int, ...], int]  # (cycle index, cycle, weight)
 # A break policy answers a lone firefighter facing a root cycle heavier than
 # the best single pick squared: a break, or None to stay greedy.
 BreakPolicy = Callable[
-    [Graph, CactusDecomposition, RootCycle, CooldownState, int], BreakDetail | None
+    [Graph, CactusDecomposition, DominatorTree, RootCycle, CooldownState, int],
+    BreakDetail | None,
 ]
 
 
 def _tolerance_break(
     g: Graph,
     decomp: CactusDecomposition,
+    dom: DominatorTree,
     heaviest: RootCycle,
     cooldown: CooldownState,
     n_original: int,
@@ -243,6 +246,7 @@ def _tolerance_break(
 def _guarded_improved_break(
     g: Graph,
     decomp: CactusDecomposition,
+    dom: DominatorTree,
     heaviest: RootCycle,
     cooldown: CooldownState,
     n_original: int,
@@ -252,7 +256,7 @@ def _guarded_improved_break(
     if w_cyc * w_cyc <= n_original or cooldown.remaining > 0:
         return None
     try:
-        return improved_break(g, decomp, n_original)
+        return improved_break(g, decomp, dom, n_original)
     except (NoEligibleCycleError, NoEligibleBreakVertexError) as exc:
         # the guard makes this unreachable except on tiny cycles; fall back
         log.warning("cycle break found no eligible vertex (%s); protecting greedily", exc)
@@ -292,7 +296,7 @@ def _step(
         return sorted((cyc1[1], cyc1[-1])), "pair", None, cooldown
     brk = None
     if w1 * w1 < w_cyc and policy is not None:
-        brk = policy(g, decomp, cycles[0], cooldown, n_original)
+        brk = policy(g, decomp, dom, cycles[0], cooldown, n_original)
     if brk is None:
         return [v1], "greedy", None, CooldownState()
     return [brk.vertex], "break", brk, CooldownState(brk.cooldown)

@@ -77,10 +77,6 @@ def _load_instance(path: str) -> Instance:
         return parse_instance(fh.read())
 
 
-def _kind(name: str) -> AlgorithmKind:
-    return AlgorithmKind(name)
-
-
 def _bound_for(kind: AlgorithmKind, sequence: tuple[int, ...]) -> tuple[int, int] | None:
     """The proven ratio bound c*sqrt(n) + k as (c, k), or None."""
     if kind is AlgorithmKind.GREEDY_TREE:
@@ -103,7 +99,7 @@ def _within_bound(bound: tuple[int, int], n: int, opt: int, alg: int) -> bool:
 
 def cmd_run(args) -> int:
     inst = _load_instance(args.instance)
-    kind = _kind(args.alg)
+    kind = AlgorithmKind(args.alg)
     t0 = time.perf_counter()
     result = run_algorithm(inst, kind)
     ms = (time.perf_counter() - t0) * 1000
@@ -214,53 +210,56 @@ def _gen_trial_instance(gen: str, rng_seed: int, n_max: int, even: bool) -> Inst
     return Instance(g, seq, name=f"{gen}-{rng_seed}")
 
 
+def _check_trials(args) -> None:
+    if args.trials < 1:
+        raise BadParamsError(f"--trials must be at least 1, got {args.trials}")
+
+
 def cmd_ratio(args) -> int:
     budget = _node_budget(args)
-    kind = _kind(args.alg)
-    rows = []
-    timings = []
+    kind = AlgorithmKind(args.alg)
     if args.instance is not None:
         instances = [_load_instance(args.instance)]
     elif args.gen is not None:
-        instances = [
+        _check_trials(args)
+        # drawn one at a time, so memory does not grow with --trials
+        instances = (
             _gen_trial_instance(args.gen, args.seed * 1_000_003 + i * 7919 + 1, args.n_max, args.even)
             for i in range(args.trials)
-        ]
+        )
     else:
         raise BadParamsError("ratio needs --instance or --gen")
     worst = 0.0
-    failures = 0
+    trials = failures = 0
+    shown = []
     for inst in instances:
         record, ms = _ratio_row(inst, kind, budget)
-        rows.append(record)
-        timings.append(ms)
         _emit(record)
+        trials += 1
         if isinstance(record["ratio"], float):
             worst = max(worst, record["ratio"])
         if not record["bound_satisfied"]:
             failures += 1
-    if len(instances) > 1:
+        if args.format == "table":
+            shown.append({k: v for k, v in record.items() if k != "record"})
+            shown[-1]["runtime_ms"] = f"{ms:.1f}"
+    if trials > 1:
         _emit(
             {
                 "record": "ratio-summary",
                 "alg": kind.value,
-                "trials": len(instances),
+                "trials": trials,
                 "max_ratio": worst,
                 "bound_failures": failures,
             }
         )
     if args.format == "table":
-        shown = []
-        for row, ms in zip(rows, timings):
-            r = {k: v for k, v in row.items() if k != "record"}
-            r["runtime_ms"] = f"{ms:.1f}"
-            shown.append(r)
         _table(shown)
     return 1 if failures else 0
 
 
 def cmd_adversary(args) -> int:
-    kind = _kind(args.alg)
+    kind = AlgorithmKind(args.alg)
     report = tadpole_adversary_run(kind, args.beta, node_budget=_node_budget(args))
     ratio = report.ratio
     if isinstance(ratio, Fraction):
@@ -360,6 +359,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check_lemmas(args) -> int:
+    _check_trials(args)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:

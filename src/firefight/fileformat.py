@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .engine import Instance
-from .graph import Graph, GraphError
+from .graph import MAX_VERTICES, Graph, GraphError
 
 FORMAT_VERSION = 1
 
@@ -109,6 +109,8 @@ def parse_instance(text: str) -> Instance:
         name = body[matches[1].start() : matches[-1].end()]
     no, rest = _keyword_row(lines, "n", 1)
     n = _int_token(no, rest[0], "n", minimum=1)
+    if n > MAX_VERTICES:
+        raise ParseError(no, rest[0].start() + 1, f"n {n} exceeds the limit of {MAX_VERTICES}")
     no, rest = _keyword_row(lines, "root", 1)
     root = _int_token(no, rest[0], "root")
     if root >= n:

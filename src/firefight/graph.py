@@ -48,6 +48,10 @@ class InvalidTargetError(GraphError):
     pass
 
 
+# largest graph the package builds or parses; bigger requests are refused up front
+MAX_VERTICES = 10**6
+
+
 def ceil_sqrt(x: int) -> int:
     """Smallest integer m with m*m >= x (exact, no floats)."""
     if x < 0:
@@ -91,12 +95,9 @@ class Graph:
             adj[v].append(u)
         g = cls(n, tuple(tuple(sorted(nb)) for nb in adj), root)
         # connectivity is part of the construction contract: every vertex must matter
-        if len(_reachable(g, frozenset(), root)) != n:
+        if len(_distances(g, frozenset(), root)) != n:
             raise DisconnectedError("graph is not connected")
         return g
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -113,9 +114,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
 
 @dataclass(frozen=True)
 class Subgraph:
@@ -130,9 +128,6 @@ class Subgraph:
 
     graph: Graph
     to_orig: tuple[int, ...]
-
-    def orig(self, v: int) -> int:
-        return self.to_orig[v]
 
     def index_map(self) -> dict[int, int]:
         return {o: i for i, o in enumerate(self.to_orig)}
@@ -164,18 +159,6 @@ def induced_subgraph(
     return Subgraph(sub, tuple(kept))
 
 
-def _reachable(g: Graph, removed: frozenset[int], start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if v not in seen and v not in removed:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
 def _distances(g: Graph, removed: frozenset[int], start: int) -> dict[int, int]:
     dist = {start: 0}
     queue = deque([start])
@@ -204,7 +187,7 @@ def covered_set(g: Graph, removed: Iterable[int], s: Iterable[int]) -> frozenset
     if s & removed:
         raise ValueError("protected set overlaps removed vertices")
     blocked = removed | s
-    seen = _reachable(g, blocked, g.root)
+    seen = _distances(g, blocked, g.root)
     return frozenset(v for v in range(g.n) if v not in removed and v not in seen)
 
 
@@ -445,12 +428,20 @@ def dominator_tree(g: Graph, decomp: CactusDecomposition) -> DominatorTree:
     return DominatorTree(tuple(idom), tuple(order), tuple(size))
 
 
-def _cycle_for_break(decomp: CactusDecomposition, g: Graph, c: int) -> tuple[int, ...]:
+def _cycle_for_break(decomp: CactusDecomposition, g: Graph, c: int, cut) -> tuple[int, ...]:
+    """Root cycle ``c``, checked to break at the vertex or edge ``cut``."""
     if not 0 <= c < len(decomp.cycles):
         raise ValueError(f"no cycle with index {c}")
     cyc = decomp.cycles[c]
     if g.root not in cyc:
         raise NotRootCycleError("operation only defined for cycles through the root")
+    if isinstance(cut, tuple):
+        if decomp.cycle_of_edge(*cut) != c:
+            raise EdgeNotOnCycleError(f"edge {cut} is not on cycle {c}")
+    elif cut == g.root:
+        raise RootInSetError("cannot break a cycle at the root")
+    elif cut not in cyc:
+        raise VertexNotOnCycleError(f"{cut} is not on cycle {c}")
     return cyc
 
 
@@ -458,52 +449,62 @@ def break_subgraph(g: Graph, decomp: CactusDecomposition, c: int, v: int) -> Sub
     """Territory that stays reachable after breaking root cycle ``c`` at ``v``.
 
     The induced subgraph on the root plus everything the cycle covers, with
-    v's own covered set removed.
+    v's own covered set removed.  The reference definition behind
+    :func:`break_distances`.
     """
-    cyc = _cycle_for_break(decomp, g, c)
-    if v == g.root:
-        raise RootInSetError("cannot break a cycle at the root")
-    if v not in cyc:
-        raise VertexNotOnCycleError(f"{v} is not on cycle {c}")
-    cyc_cov = covered_set(g, frozenset(), frozenset(cyc) - {g.root})
-    v_cov = covered_set(g, frozenset(), frozenset([v]))
-    keep = ({g.root} | set(cyc_cov)) - set(v_cov)
-    return induced_subgraph(g, keep, g.root)
+    cyc = _cycle_for_break(decomp, g, c, v)
+    keep = {g.root} | covered_set(g, (), set(cyc) - {g.root})
+    return induced_subgraph(g, keep - covered_set(g, (), {v}), g.root)
 
 
 def break_subgraph_edge(
     g: Graph, decomp: CactusDecomposition, c: int, e: tuple[int, int]
 ) -> Subgraph:
     """Like :func:`break_subgraph` but severing one cycle edge instead."""
-    cyc = _cycle_for_break(decomp, g, c)
-    a, b = e
-    if decomp.cycle_of_edge(a, b) != c:
-        raise EdgeNotOnCycleError(f"edge {e} is not on cycle {c}")
-    cyc_cov = covered_set(g, frozenset(), frozenset(cyc) - {g.root})
-    keep = {g.root} | set(cyc_cov)
-    return induced_subgraph(g, keep, g.root, drop_edge=(a, b))
+    cyc = _cycle_for_break(decomp, g, c, tuple(e))
+    keep = {g.root} | covered_set(g, (), set(cyc) - {g.root})
+    return induced_subgraph(g, keep, g.root, drop_edge=e)
 
 
-def _largest_d_with_count(sub: Subgraph, m: int) -> int | None:
+def break_distances(
+    g: Graph, decomp: CactusDecomposition, c: int, cut: int | tuple[int, int]
+) -> dict[int, int]:
+    """Root distances over root cycle ``c``'s territory once it is broken at
+    vertex ``cut`` or severed at edge ``cut``, in BFS order from the root (0).
+
+    One BFS of g - root from the cycle's root neighbors, which never enters
+    the broken vertex (so its covered set drops out) nor crosses the cut edge.
+    """
+    cyc = _cycle_for_break(decomp, g, c, cut)
+    edge = cut if isinstance(cut, tuple) else ()
+    dist = {g.root: 0}
+    order = [g.root]
+    for u in order:  # the list grows behind the loop: a FIFO queue
+        for v in (cyc[1], cyc[-1]) if u == g.root else g.adjacency[u]:
+            if v not in dist and v != cut and not (u in edge and v in edge):
+                dist[v] = dist[u] + 1
+                order.append(v)
+    return dist
+
+
+def break_depth(dist: dict[int, int], m: int) -> int | None:
+    """Largest d keeping ``m`` vertices at >= d: the m-th last BFS distance, or None."""
     if m < 1:
         raise InvalidTargetError("population target must be at least 1")
-    dd = _distances(sub.graph, frozenset(), sub.graph.root)
-    dists = sorted(dd.values(), reverse=True)
-    if len(dists) < m:
-        return None
-    # count_safe(d) >= m exactly for d up to the m-th largest distance
-    return dists[m - 1]
+    return list(dist.values())[-m] if len(dist) >= m else None
 
 
 def tolerance(g: Graph, decomp: CactusDecomposition, u: int, c: int, m: int) -> int | None:
     """Largest d such that breaking cycle ``c`` at ``u`` keeps at least ``m``
     vertices at distance >= d from the root.  None when even d=0 falls short.
+
+    One BFS of the territory the break opens (:func:`break_distances`).
     """
-    return _largest_d_with_count(break_subgraph(g, decomp, c, u), m)
+    return break_depth(break_distances(g, decomp, c, u), m)
 
 
 def tolerance_edge(
     g: Graph, decomp: CactusDecomposition, e: tuple[int, int], c: int, m: int
 ) -> int | None:
     """Edge variant of :func:`tolerance`: sever ``e`` instead of a vertex."""
-    return _largest_d_with_count(break_subgraph_edge(g, decomp, c, e), m)
+    return break_depth(break_distances(g, decomp, c, tuple(e)), m)

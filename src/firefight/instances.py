@@ -16,16 +16,12 @@ from fractions import Fraction
 
 from .algorithms import AlgorithmKind, run_algorithm
 from .engine import Instance, ProtectionSchedule
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 from .optimum import DEFAULT_NODE_BUDGET, solve_opt
 
 
 class BadParamsError(ValueError):
     pass
-
-
-# largest graph a constructor builds; bigger requests are refused up front
-MAX_VERTICES = 10**6
 
 
 def _check_size(n: int) -> None:

@@ -31,6 +31,7 @@ from .graph import (
     covered_set,
     count_safe,
     validate_and_decompose,
+    weight,
     _distances,
 )
 from .instances import (
@@ -87,10 +88,6 @@ def _suite(name: str):
 
 def _seed(rng: random.Random) -> int:
     return rng.randrange(2**30)
-
-
-def _weight(g: Graph, vertices) -> int:
-    return len(covered_set(g, frozenset(), frozenset(vertices)))
 
 
 def _count_fn(sub: Subgraph) -> Callable[[int], int]:
@@ -203,8 +200,8 @@ def _trial_neighbors_best(rng: random.Random):
     ci = decomp.root_cycle_indices[0]
     cyc = decomp.cycles[ci]
     u1, up = cyc[1], cyc[-1]
-    w1 = _weight(g, [u1])
-    wp = _weight(g, [up])
+    w1 = weight(g, (), [u1])
+    wp = weight(g, (), [up])
     c1 = _count_fn(break_subgraph(g, decomp, ci, u1))
     cp = _count_fn(break_subgraph(g, decomp, ci, up))
     for uh in cyc[1:]:
@@ -266,7 +263,7 @@ def _trial_improved_break_feasibility(rng: random.Random):
     g, decomp, brk = ctx
     ci = _cycle_index(decomp, brk.cycle)
     c = _count_fn(break_subgraph(g, decomp, ci, brk.vertex))(brk.depth)
-    w_hat = _weight(g, [brk.vertex])
+    w_hat = weight(g, (), [brk.vertex])
     if (c + w_hat) ** 2 < brk.cycle_weight:
         return False, _describe(
             Instance(g, ()),
@@ -285,10 +282,10 @@ def _trial_secured_break(rng: random.Random):
     n = g.n
     ci = _cycle_index(decomp, brk.cycle)
     c_hat = _count_fn(break_subgraph(g, decomp, ci, brk.vertex))
-    w_hat = _weight(g, [brk.vertex])
+    w_hat = weight(g, (), [brk.vertex])
     for cj in decomp.root_cycle_indices:
         cyc = decomp.cycles[cj]
-        w_cyc = _weight(g, set(cyc) - {g.root})
+        w_cyc = weight(g, (), set(cyc) - {g.root})
         if w_cyc * w_cyc < n:
             continue
         for u in cyc[1:]:
@@ -325,14 +322,14 @@ def _trial_cooldown_quality(rng: random.Random):
     if nxt.vertex not in into:
         return None
     u_hat = into[brk_ev.vertex]
-    base = _weight(bg, {u_hat, into[nxt.vertex]})
+    base = weight(bg, (), {u_hat, into[nxt.vertex]})
     avail_i = [v for v in range(bg.n) if v != bg.root]
     avail_i2 = [
         into[o] for o in nxt.to_orig if o in into and into[o] != bg.root
     ]
     for x in avail_i:
         for x2 in avail_i2:
-            wp = _weight(bg, {x, x2})
+            wp = weight(bg, (), {x, x2})
             if wp * wp > g.n * base * base:
                 return False, _describe(
                     inst,
@@ -469,7 +466,7 @@ def _trial_reduction_equivalence(rng: random.Random):
             while idx < len(result.trace) and result.trace[idx].round == state.round:
                 v = result.trace[idx].vertex
                 sub = state.reduced_view()
-                total += _weight(sub.graph, [sub.index_map()[v]])
+                total += weight(sub.graph, (), [sub.index_map()[v]])
                 state.protect(v)
                 idx += 1
             state.spread()

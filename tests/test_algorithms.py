@@ -5,7 +5,7 @@ from dataclasses import astuple
 import pytest
 from hypothesis import given, strategies as st
 
-from firefight import algorithms
+from firefight import algorithms, graph
 from firefight.algorithms import (
     AlgorithmKind,
     BreakDetail,
@@ -26,8 +26,8 @@ from firefight.graph import (
     ceil_sqrt,
     contract,
     covered_set,
+    dominator_tree,
     induced_subgraph,
-    tolerance_edge,
     validate_and_decompose,
     _distances,
 )
@@ -93,7 +93,8 @@ def test_pair_protection_on_heavy_root_cycle():
 def test_improved_break_frozen_example():
     # hexagon through the root with a pendant at vertex 3
     g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (3, 6)])
-    b = improved_break(g, validate_and_decompose(g), eta_sq=7)
+    d = validate_and_decompose(g)
+    b = improved_break(g, d, dominator_tree(g, d), eta_sq=7)
     assert (b.vertex, b.anchor, b.depth, b.cooldown) == (1, 1, 4, 5)
     assert b.target == 3
     assert b.cycle == (0, 1, 2, 3, 4, 5)
@@ -102,8 +103,9 @@ def test_improved_break_frozen_example():
 
 def test_improved_break_requires_heavy_cycle():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    d = validate_and_decompose(g)
     with pytest.raises(NoEligibleCycleError):
-        improved_break(g, validate_and_decompose(g), eta_sq=10**6)
+        improved_break(g, d, dominator_tree(g, d), eta_sq=10**6)
 
 
 def test_greedy_round_takes_heaviest_subtree():
@@ -276,11 +278,19 @@ def test_root_cycle_ties_fall_to_decomposition_order():
 
 
 def _reference_improved_break(g, decomp, eta_sq):
-    """improved_break with one covered_set per weight and per cycle vertex."""
+    """improved_break with one covered_set per weight and per cycle vertex,
+    and distances read off each materialized opened territory."""
     root = g.root
 
     def weight(s):
         return len(covered_set(g, frozenset(), frozenset(s)))
+
+    def opened(cyc, anchor):
+        """Root distances, in g's ids, once the root edge to ``anchor`` is cut."""
+        keep = {root} | covered_set(g, frozenset(), frozenset(cyc) - {root})
+        sub = induced_subgraph(g, keep, root, drop_edge=(root, anchor))
+        local = _distances(sub.graph, frozenset(), sub.graph.root)
+        return {sub.to_orig[v]: d for v, d in local.items()}
 
     eligible = []
     for i in decomp.root_cycle_indices:
@@ -298,18 +308,19 @@ def _reference_improved_break(g, decomp, eta_sq):
             rest = w - weight({u})
             if rest < 0 or rest * rest < heaviest:
                 continue
-            t = tolerance_edge(g, decomp, (root, u), i, target)
-            if t is not None and (best is None or (t, -u) > (best[0], best[1])):
-                best = (t, -u, i)
+            dmap = opened(cyc, u)
+            # the largest d with at least target vertices at distance >= d
+            dists = sorted(dmap.values(), reverse=True)
+            if len(dists) < target:
+                continue
+            t = dists[target - 1]
+            if best is None or (t, -u) > (best[0], best[1]):
+                best = (t, -u, i, dmap)
     if best is None:
         raise NoEligibleBreakVertexError
-    depth, anchor, cyc = best[0], -best[1], decomp.cycles[best[2]]
+    depth, anchor, cyc, dmap = best[0], -best[1], decomp.cycles[best[2]], best[3]
     if cyc[1] != anchor:
         cyc = (cyc[0],) + tuple(reversed(cyc[1:]))
-    keep = {root} | covered_set(g, frozenset(), frozenset(cyc) - {root})
-    opened = induced_subgraph(g, keep, root, drop_edge=(root, anchor))
-    local = _distances(opened.graph, frozenset(), opened.graph.root)
-    dmap = {opened.to_orig[v]: d for v, d in local.items()}
     for u_hat in cyc[1:]:
         if any(dmap.get(v, -1) >= depth for v in covered_set(g, frozenset(), {u_hat})):
             return BreakDetail(u_hat, anchor, depth, dmap[u_hat], cyc, target, heaviest)
@@ -330,16 +341,43 @@ def test_improved_break_matches_covered_set_reference():
             rng.shuffle(perm)
             g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
         d = validate_and_decompose(g)
+        dom = dominator_tree(g, d)
         eta_sq = rng.randint(1, 2 * g.n)
         try:
             expected = _reference_improved_break(g, d, eta_sq)
         except (NoEligibleCycleError, NoEligibleBreakVertexError) as exc:
             with pytest.raises(type(exc)):
-                improved_break(g, d, eta_sq)
+                improved_break(g, d, dom, eta_sq)
             continue
-        assert improved_break(g, d, eta_sq) == expected
+        assert improved_break(g, d, dom, eta_sq) == expected
         breaks += 1
     assert breaks >= 200
+
+
+def test_breaks_build_no_subgraph(monkeypatch):
+    """alg-a and alg-c decide their breaks without materializing a subgraph."""
+    games = [Instance(make_tadpole(a, b), (1,) * 6) for a in range(3, 40, 4) for b in (1, 3, 8)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(8, 40)
+        seq = random_sequence(rng.randint(2, 6), rng.randint(1, 3), False, seed)
+        games.append(Instance(random_one_almost_tree(n, seed), seq))
+        games.append(Instance(random_cactus(n, rng.uniform(0.5, 1.0), 16, seed), seq))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a strategy built a subgraph")
+
+    monkeypatch.setattr(Graph, "from_edges", forbidden)
+    for name in ("induced_subgraph", "break_subgraph", "break_subgraph_edge"):
+        monkeypatch.setattr(graph, name, forbidden)
+    breaks = {AlgorithmKind.ALG_A: 0, AlgorithmKind.ALG_C: 0}
+    for inst in games:
+        for kind in breaks:
+            if kind is AlgorithmKind.ALG_A and len(validate_and_decompose(inst.graph).cycles) > 1:
+                continue
+            events = run_algorithm(inst, kind, record=True).events
+            breaks[kind] += sum(e.reason == "break" for e in events)
+    assert min(breaks.values()) >= 20, breaks
 
 
 def test_derived_views_equal_rebuilds(monkeypatch):

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from firefight import cli
 from firefight.cli import _within_bound, main
 
 
@@ -148,6 +149,38 @@ def test_malformed_instance_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--instance", str(bad), "--alg", "alg-a")
     assert code == 2
     assert "line 6" in err
+
+
+def test_huge_vertex_count_is_refused_up_front(capsys, tmp_path):
+    path = tmp_path / "huge.ff"
+    path.write_text("version 1\nn 3000000\nroot 0\nedges 0\nsequence 1\n")
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "run", "--instance", str(path), "--alg", "alg-a")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-lemmas", "--suite", "count-monotone", "--trials", "-5"),
+    ("check-lemmas", "--trials", "0"),
+    ("ratio", "--alg", "alg-c", "--gen", "cactus", "--trials", "-3"),
+    ("ratio", "--alg", "alg-a", "--gen", "tree", "--trials", "0"),
+])
+def test_trials_below_one_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--trials" in err and err.count("\n") == 1
+
+
+def test_ratio_gen_draws_one_instance_per_record(capsys, monkeypatch):
+    log = []
+    draw, row = cli._gen_trial_instance, cli._ratio_row
+    monkeypatch.setattr(cli, "_gen_trial_instance", lambda *a: log.append("draw") or draw(*a))
+    monkeypatch.setattr(cli, "_ratio_row", lambda *a: log.append("row") or row(*a))
+    code, out, _ = run_cli(capsys, "ratio", "--alg", "alg-e", "--gen", "tree", "--trials", "4")
+    assert code == 0 and len(records(out)) == 5
+    assert log == ["draw", "row"] * 4
 
 
 def test_wrong_class_is_reported(capsys, tmp_path):

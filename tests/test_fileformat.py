@@ -95,6 +95,14 @@ def test_parse_errors_carry_position(text, line):
     assert isinstance(exc.value.column, int) and exc.value.column >= 1
 
 
+def test_parse_caps_the_vertex_count():
+    # rejected on the n line, before any graph of that size is allocated
+    with pytest.raises(ParseError) as exc:
+        parse_instance("version 1\nname big\nn 1000001\nroot 0\nedges 0\nsequence\n")
+    assert (exc.value.line, exc.value.column) == (3, 3)
+    assert "1000000" in exc.value.message
+
+
 def test_unknown_version():
     with pytest.raises(UnknownVersionError):
         parse_instance("version 2\nn 2\nroot 0\nedges 1\n0 1\nsequence\n")

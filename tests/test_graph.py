@@ -74,6 +74,25 @@ def relabelled_cacti(draw, max_n=12):
 
 
 @st.composite
+def root_cycle_cacti(draw, max_parts=3, max_n=9):
+    """Cacti and 1-almost trees glued at their roots, so the root often sits
+    on several cycles, under a random relabelling."""
+    edges, n = [], 1
+    for _ in range(draw(st.integers(1, max_parts))):
+        if draw(st.booleans()):
+            n_part, seed = draw(st.integers(3, max_n)), draw(st.integers(0, 2**20))
+            part = random_one_almost_tree(n_part, seed, through_root=True)
+        else:
+            part = draw(cacti(max_n))
+        others = [v for v in range(part.n) if v != part.root]
+        ids = {part.root: 0, **{v: n + i for i, v in enumerate(others)}}
+        n += len(others)
+        edges += [(ids[u], ids[v]) for u, v in part.edges()]
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges], perm[0])
+
+
+@st.composite
 def vertex_subsets(draw, g, forbid=()):
     pool = [v for v in range(g.n) if v != g.root and v not in forbid]
     return frozenset(draw(st.lists(st.sampled_from(pool), unique=True, max_size=4))) if pool else frozenset()
@@ -365,6 +384,17 @@ def test_break_guards():
     d2 = validate_and_decompose(off_root)
     with pytest.raises(NotRootCycleError):
         break_subgraph(off_root, d2, 0, 2)
+    # the tolerances check their break the same way
+    with pytest.raises(RootInSetError):
+        tolerance(g, d, 0, 0, 1)
+    with pytest.raises(VertexNotOnCycleError):
+        tolerance(g, d, 5, 0, 1)
+    with pytest.raises(EdgeNotOnCycleError):
+        tolerance_edge(g, d, (2, 5), 0, 1)
+    with pytest.raises(ValueError):
+        tolerance(g, d, 1, 3, 1)
+    with pytest.raises(NotRootCycleError):
+        tolerance_edge(off_root, d2, (1, 2), 0, 1)
 
 
 def test_tolerance_frozen_examples():
@@ -388,26 +418,33 @@ def test_tolerance_frozen_examples():
         tolerance(g, d, 1, 0, 0)
 
 
-@given(st.integers(0, 2**20), st.integers(5, 12), st.data())
-def test_tolerance_matches_definition(seed, n, data):
-    g = random_one_almost_tree(n, seed, through_root=True)
+def _assert_tolerances(g, sub, tol):
+    """``tol(m)`` is the largest d at which ``sub`` keeps m vertices at
+    distance >= d, or None, for every m from 1 to n + 1."""
+    counts = [count_safe(sub.graph, (), dd) for dd in range(g.n + 2)]
+    for m in range(1, g.n + 2):
+        feasible = [dd for dd, k in enumerate(counts) if k >= m]
+        assert tol(m) == (max(feasible) if feasible else None), m
+
+
+@given(root_cycle_cacti())
+def test_tolerance_matches_definition(g):
     d = validate_and_decompose(g)
-    if not d.root_cycle_indices:
-        return
-    c = d.root_cycle_indices[0]
-    cyc = d.cycles[c]
-    u = data.draw(st.sampled_from([v for v in cyc if v != g.root]))
-    m = data.draw(st.integers(1, n))
-    got = tolerance(g, d, u, c, m)
-    sub = break_subgraph(g, d, c, u)
-    counts = [count_safe(sub.graph, (), dd) for dd in range(n + 2)]
-    feasible = [dd for dd in range(n + 2) if counts[dd] >= m]
-    if got is None:
-        assert not feasible
-    else:
-        assert got == max(feasible)
-        # maximality: one step further drops below the target
-        assert count_safe(sub.graph, (), got + 1) < m
+    for c in d.root_cycle_indices:
+        for u in d.cycles[c][1:]:
+            sub = break_subgraph(g, d, c, u)
+            _assert_tolerances(g, sub, lambda m: tolerance(g, d, u, c, m))
+
+
+@given(root_cycle_cacti())
+def test_tolerance_edge_matches_definition(g):
+    d = validate_and_decompose(g)
+    for c in d.root_cycle_indices:
+        cyc = d.cycles[c]
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            sub = break_subgraph_edge(g, d, c, (a, b))
+            for e in ((a, b), (b, a)):
+                _assert_tolerances(g, sub, lambda m: tolerance_edge(g, d, e, c, m))
 
 
 def test_induced_subgraph_drop_edge_and_mapping():
