@@ -110,16 +110,11 @@ class CooldownState:
 
 @dataclass(frozen=True)
 class Choice:
-    """One protection, plus the exact graph it was decided on.
-
-    ``vertex`` is an id of the round's input view; ``graph``/``to_view``
-    describe the (possibly already stripped) graph the decision used.
-    """
+    """One protection and why: ``vertex`` is an id of the round's input
+    view; ``brk`` is in the ids of the graph the decision was made on."""
 
     vertex: int
     reason: str
-    graph: Graph
-    to_view: tuple[int, ...]
     brk: BreakDetail | None = None
 
 
@@ -314,7 +309,7 @@ def _round(
 
     The cool-down elapses once per round; after each decision the covered
     territory is stripped, and the rest's decomposition is derived from the
-    current one.
+    current one.  ``to_view`` maps the strip's ids back to the view's.
     """
     cd = cooldown.tick()
     g, dec = view, decomp
@@ -323,7 +318,7 @@ def _round(
     while f > 0 and g.n > 1:
         locs, reason, brk, cd = _step(g, dec, f, policy, cd, n_original)
         locs = locs[:f]
-        out.extend(Choice(to_view[lv], reason, g, to_view, brk) for lv in locs)
+        out.extend(Choice(to_view[lv], reason, brk) for lv in locs)
         f -= len(locs)
         if f <= 0:
             break
@@ -368,14 +363,13 @@ def alg_c_round(
 
 @dataclass(frozen=True)
 class ProtectEvent:
-    """A recorded protection: what was done and what the strategy saw."""
+    """A recorded protection: what was done and why.  ``brk`` is in the ids
+    of the decision's view, which :func:`decision_view` rebuilds."""
 
     time: int
     round: int
     vertex: int
     reason: str
-    graph: Graph
-    to_orig: tuple[int, ...]
     brk: BreakDetail | None
 
 
@@ -383,7 +377,7 @@ class ProtectEvent:
 class RunResult:
     profit: int
     trace: tuple[TraceEntry, ...]
-    events: tuple[ProtectEvent, ...] | None = None
+    events: tuple[ProtectEvent, ...]
 
 
 _ANY_CLASS = {GraphClass.TREE, GraphClass.ONE_ALMOST_TREE, GraphClass.CACTUS}
@@ -397,15 +391,12 @@ _KINDS: dict[AlgorithmKind, tuple[set[GraphClass], BreakPolicy | None]] = {
 }
 
 
-def run_algorithm(
-    instance: Instance, kind: AlgorithmKind, record: bool = False
-) -> RunResult:
+def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
     """Play a whole game with the chosen strategy.
 
-    With ``record`` every protection carries the decision-time view, which
-    the property suites need to evaluate the structural guarantees.
-    The graph is decomposed once; each round's view and its decomposition
-    derive from that.  Rounds without firefighters only tick the cool-down.
+    Every protection is recorded as a :class:`ProtectEvent`.  The graph is
+    decomposed once; each round's view and its decomposition derive from
+    that.  Rounds without firefighters only tick the cool-down.
     """
     classes, policy = _KINDS[kind]
     decomp0 = validate_and_decompose(instance.graph)
@@ -428,21 +419,30 @@ def run_algorithm(
         for ch in choices:
             orig = sub.to_orig[ch.vertex]
             state.protect(orig)
-            if record:
-                events.append(
-                    ProtectEvent(
-                        time=len(state.trace),
-                        round=state.trace[-1].round,
-                        vertex=orig,
-                        reason=ch.reason,
-                        graph=ch.graph,
-                        to_orig=tuple(sub.to_orig[x] for x in ch.to_view),
-                        brk=ch.brk,
-                    )
-                )
+            events.append(ProtectEvent(len(state.trace), state.round, orig, ch.reason, ch.brk))
         state.spread()
-    return RunResult(
-        profit=state.profit(),
-        trace=tuple(state.trace),
-        events=tuple(events) if record else None,
-    )
+    return RunResult(state.profit(), tuple(state.trace), tuple(events))
+
+
+def decision_view(instance: Instance, result: RunResult, k: int) -> Subgraph:
+    """The view that decided ``result.events[k]``, rebuilt from the trace.
+
+    A decision sees the round's view minus what the round's earlier
+    decisions cover.  A pair's two protections are one decision, so the
+    second one's view is the first one's: pairs come two at a time.
+    """
+    events = result.events
+    rnd, first = events[k].round, k
+    if events[k].reason == "pair":
+        run = k  # where the round's unbroken run of pair protections starts
+        while run > 0 and (events[run - 1].round, events[run - 1].reason) == (rnd, "pair"):
+            run -= 1
+        first -= (k - run) % 2
+    state = GameState(instance)
+    for e in events[:first]:
+        while state.round < e.round:
+            state.spread()
+        state.protect(e.vertex)
+    while state.round < rnd:
+        state.spread()
+    return state.reduced_view()

@@ -11,10 +11,12 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
 import os
+import random
 import sys
 import time
 from fractions import Fraction
@@ -28,8 +30,8 @@ from .instances import (
     make_alge_tight,
     make_tadpole,
     random_cactus,
+    random_instance,
     random_one_almost_tree,
-    random_sequence,
     random_tree,
     tadpole_adversary_run,
 )
@@ -62,7 +64,7 @@ def _table(rows: list[dict]) -> None:
         sys.stderr.write("  ".join(str(r.get(h, "")).ljust(widths[h]) for h in headers) + "\n")
 
 
-def _node_budget(args) -> int:
+def _node_budget() -> int:
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
         try:
@@ -132,7 +134,7 @@ def cmd_run(args) -> int:
 def cmd_opt(args) -> int:
     inst = _load_instance(args.instance)
     t0 = time.perf_counter()
-    result = solve_opt(inst, node_budget=_node_budget(args))
+    result = solve_opt(inst, node_budget=_node_budget())
     ms = (time.perf_counter() - t0) * 1000
     _emit(
         {
@@ -192,22 +194,8 @@ def _ratio_row(inst: Instance, kind: AlgorithmKind, budget: int):
 
 
 def _gen_trial_instance(gen: str, rng_seed: int, n_max: int, even: bool) -> Instance:
-    import random as _random
-
-    rng = _random.Random(rng_seed)
-    n = rng.randint(3, max(3, n_max))
-    if gen == "tree":
-        g = random_tree(n, rng.randrange(2**30))
-    elif gen == "one-almost-tree":
-        g = random_one_almost_tree(n, rng.randrange(2**30))
-    elif gen == "cactus":
-        g = random_cactus(
-            n, rng.uniform(0.3, 0.9), rng.randint(3, max(3, n)), rng.randrange(2**30)
-        )
-    else:
-        raise BadParamsError(f"unknown generator {gen!r}")
-    seq = random_sequence(rng.randint(1, 4), rng.randint(0, 6), even, rng.randrange(2**30))
-    return Instance(g, seq, name=f"{gen}-{rng_seed}")
+    inst = random_instance(random.Random(rng_seed), gen, 3, n_max, even)
+    return dataclasses.replace(inst, name=f"{gen}-{rng_seed}")
 
 
 def _check_trials(args) -> None:
@@ -216,7 +204,7 @@ def _check_trials(args) -> None:
 
 
 def cmd_ratio(args) -> int:
-    budget = _node_budget(args)
+    budget = _node_budget()
     kind = AlgorithmKind(args.alg)
     if args.instance is not None:
         instances = [_load_instance(args.instance)]
@@ -260,7 +248,7 @@ def cmd_ratio(args) -> int:
 
 def cmd_adversary(args) -> int:
     kind = AlgorithmKind(args.alg)
-    report = tadpole_adversary_run(kind, args.beta, node_budget=_node_budget(args))
+    report = tadpole_adversary_run(kind, args.beta, node_budget=_node_budget())
     ratio = report.ratio
     if isinstance(ratio, Fraction):
         ratio_str = f"{ratio.numerator}/{ratio.denominator}"

@@ -97,12 +97,6 @@ class GameState:
         self._placed_this_round = 0
         self._front: list[int] = [root]
 
-    def burned(self) -> frozenset[int]:
-        return frozenset(v for v, s in enumerate(self.status) if s is Status.BURNED)
-
-    def protected(self) -> frozenset[int]:
-        return frozenset(v for v, s in enumerate(self.status) if s is Status.PROTECTED)
-
     def protect(self, v: int) -> None:
         """Place one firefighter on v during the current round."""
         if not 0 <= v < self.instance.graph.n:

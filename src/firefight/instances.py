@@ -250,3 +250,24 @@ def random_sequence(
         if rng.random() < 0.7:
             seq[rng.randrange(length)] += unit
     return tuple(seq)
+
+
+def random_instance(
+    rng: random.Random, gen: str, n_min: int, n_max: int, even: bool = False
+) -> Instance:
+    """A random instance of class ``gen`` ("tree", "one-almost-tree" or
+    "cactus") on n_min..max(n_min, n_max) vertices with a random sequence of
+    1-4 rounds; with ``even`` every count is even.  Draws only from ``rng``.
+    """
+    n = rng.randint(n_min, max(n_min, n_max))
+    if gen == "tree":
+        g = random_tree(n, rng.randrange(2**30))
+    elif gen == "one-almost-tree":
+        g = random_one_almost_tree(n, rng.randrange(2**30))
+    elif gen == "cactus":
+        frac, max_len = rng.uniform(0.3, 0.9), rng.randint(3, max(3, n))
+        g = random_cactus(n, frac, max_len, rng.randrange(2**30))
+    else:
+        raise BadParamsError(f"unknown generator {gen!r}")
+    seq = random_sequence(rng.randint(1, 4), rng.randint(0, 6), even, rng.randrange(2**30))
+    return Instance(g, seq)

@@ -19,6 +19,7 @@ from .algorithms import (
     CooldownState,
     alg_a_round,
     alg_c_round,
+    decision_view,
     run_algorithm,
 )
 from .engine import GameState, Instance, profit_of_protections, replay
@@ -36,6 +37,7 @@ from .graph import (
 )
 from .instances import (
     random_cactus,
+    random_instance,
     random_one_almost_tree,
     random_sequence,
     random_tree,
@@ -112,15 +114,6 @@ def _cycle_index(decomp, cycle: tuple[int, ...]) -> int:
 
 def _describe(instance: Instance, detail: str) -> str:
     return detail + "\n" + serialize_instance(instance)
-
-
-def _rand_cactus_instance(
-    rng: random.Random, n_max: int = 12, even_only: bool = False
-) -> Instance:
-    n = rng.randint(4, n_max)
-    g = random_cactus(n, rng.uniform(0.3, 0.9), rng.randint(3, max(3, n)), _seed(rng))
-    seq = random_sequence(rng.randint(1, 4), rng.randint(0, 6), even_only, _seed(rng))
-    return Instance(g, seq)
 
 
 @_suite("count-monotone")
@@ -306,27 +299,26 @@ def _trial_cooldown_quality(rng: random.Random):
     g = random_cactus(n, rng.uniform(0.6, 1.0), rng.randint(5, n), _seed(rng))
     seq = rng.choice(((1, 1), (1, 0, 1), (1, 1, 1), (1, 0, 0, 1)))
     inst = Instance(g, seq)
-    result = run_algorithm(inst, AlgorithmKind.ALG_C, record=True)
-    assert result.events is not None
-    brk_ev = next((e for e in result.events if e.reason == "break"), None)
-    if brk_ev is None or brk_ev.brk is None:
+    result = run_algorithm(inst, AlgorithmKind.ALG_C)
+    events = result.events
+    k = next((k for k, e in enumerate(events) if e.reason == "break"), None)
+    if k is None:
         return None
-    later = [e for e in result.events if e.round > brk_ev.round]
-    if not later:
+    j = next((j for j in range(k, len(events)) if events[j].round > events[k].round), None)
+    if j is None:
         return None
-    nxt = later[0]
+    brk_ev, nxt = events[k], events[j]
     if nxt.round - brk_ev.round > brk_ev.brk.cooldown or nxt.reason != "greedy":
         return None
-    bg = brk_ev.graph
-    into = {o: i for i, o in enumerate(brk_ev.to_orig)}
+    view = decision_view(inst, result, k)
+    bg, into = view.graph, view.index_map()
     if nxt.vertex not in into:
         return None
     u_hat = into[brk_ev.vertex]
     base = weight(bg, (), {u_hat, into[nxt.vertex]})
     avail_i = [v for v in range(bg.n) if v != bg.root]
-    avail_i2 = [
-        into[o] for o in nxt.to_orig if o in into and into[o] != bg.root
-    ]
+    nxt_view = decision_view(inst, result, j)
+    avail_i2 = [into[o] for o in nxt_view.to_orig if o in into and into[o] != bg.root]
     for x in avail_i:
         for x2 in avail_i2:
             wp = weight(bg, (), {x, x2})
@@ -341,7 +333,7 @@ def _trial_cooldown_quality(rng: random.Random):
 
 @_suite("nonredundant-normalize")
 def _trial_nonredundant(rng: random.Random):
-    inst = _rand_cactus_instance(rng)
+    inst = random_instance(rng, "cactus", 4, 12)
     opt = solve_opt(inst)
     norm = normalize_nonredundant(inst, opt.schedule)
     p_orig, _ = replay(inst, opt.schedule)
@@ -365,7 +357,7 @@ def _trial_nonredundant(rng: random.Random):
 
 @_suite("cycle-respecting")
 def _trial_cycle_respecting(rng: random.Random):
-    inst = _rand_cactus_instance(rng)
+    inst = random_instance(rng, "cactus", 4, 12)
     opt = solve_opt(inst)
     psi = sorted(v for _, v in opt.schedule)
     g = inst.graph
@@ -409,7 +401,7 @@ def _kinds_for(g: Graph) -> list[AlgorithmKind]:
 
 @_suite("opt-dominance")
 def _trial_opt_dominance(rng: random.Random):
-    inst = _rand_cactus_instance(rng)
+    inst = random_instance(rng, "cactus", 4, 12)
     opt = solve_opt(inst)
     if opt.value > opt_upper_bound(inst):
         return False, _describe(
@@ -431,7 +423,7 @@ def _trial_opt_dominance(rng: random.Random):
 
 @_suite("alge-3competitive")
 def _trial_alge_3competitive(rng: random.Random):
-    inst = _rand_cactus_instance(rng, n_max=14, even_only=True)
+    inst = random_instance(rng, "cactus", 4, 14, even=True)
     alg = run_algorithm(inst, AlgorithmKind.ALG_E).profit
     opt = solve_opt(inst).value
     if opt > 3 * alg:
@@ -454,7 +446,7 @@ def _trial_greedy_tree(rng: random.Random):
 
 @_suite("reduction-equivalence")
 def _trial_reduction_equivalence(rng: random.Random):
-    inst = _rand_cactus_instance(rng)
+    inst = random_instance(rng, "cactus", 4, 12)
     for kind in _kinds_for(inst.graph):
         result = run_algorithm(inst, kind)
         # replay the trace, valuing each protection in the live reduced
@@ -483,7 +475,7 @@ def _trial_reduction_equivalence(rng: random.Random):
 
 @_suite("memo-consistency")
 def _trial_memo_consistency(rng: random.Random):
-    inst = _rand_cactus_instance(rng, n_max=10)
+    inst = random_instance(rng, "cactus", 4, 10)
     fast = solve_opt(inst, use_memo=True)
     slow = solve_opt(inst, use_memo=False)
     if fast.value != slow.value:
@@ -501,10 +493,8 @@ def _trial_memo_consistency(rng: random.Random):
 
 @_suite("algc-three-per-cycle")
 def _trial_algc_three_per_cycle(rng: random.Random):
-    inst = _rand_cactus_instance(rng, n_max=14)
-    result = run_algorithm(inst, AlgorithmKind.ALG_C, record=True)
-    assert result.events is not None
-    protected = [ev.vertex for ev in result.events]
+    inst = random_instance(rng, "cactus", 4, 14)
+    protected = [ev.vertex for ev in run_algorithm(inst, AlgorithmKind.ALG_C).events]
     decomp = validate_and_decompose(inst.graph)
     for cyc in decomp.cycles:
         inside = [v for v in protected if v in set(cyc)]

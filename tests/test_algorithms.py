@@ -16,6 +16,7 @@ from firefight.algorithms import (
     WrongGraphClassError,
     alg_c_round,
     alg_e_round,
+    decision_view,
     greedy_tree_round,
     improved_break,
     run_algorithm,
@@ -52,7 +53,7 @@ def test_kind_values():
 def test_tadpole_traces_frozen():
     inst = Instance(make_tadpole(10, 3), (1, 1))
     runs = {
-        kind: run_algorithm(inst, kind, record=True)
+        kind: run_algorithm(inst, kind)
         for kind in (AlgorithmKind.ALG_A, AlgorithmKind.ALG_C, AlgorithmKind.ALG_E)
     }
     for kind in (AlgorithmKind.ALG_A, AlgorithmKind.ALG_C):
@@ -68,7 +69,7 @@ def test_tadpole_traces_frozen():
 
 def test_tadpole_break_event_detail_frozen():
     inst = Instance(make_tadpole(10, 3), (1, 1))
-    r = run_algorithm(inst, AlgorithmKind.ALG_C, record=True)
+    r = run_algorithm(inst, AlgorithmKind.ALG_C)
     brk = r.events[0].brk
     assert brk is not None
     assert brk.vertex == 1
@@ -84,7 +85,7 @@ def test_pair_protection_on_heavy_root_cycle():
     # two firefighters close the cycle at both root neighbors
     inst = Instance(make_tadpole(10, 3), (2,))
     for kind in (AlgorithmKind.ALG_A, AlgorithmKind.ALG_C, AlgorithmKind.ALG_E):
-        r = run_algorithm(inst, kind, record=True)
+        r = run_algorithm(inst, kind)
         assert r.profit == 10
         assert [e.reason for e in r.events] == ["pair", "pair"]
         assert sorted(t.vertex for t in r.trace) == [1, 10]
@@ -174,7 +175,7 @@ def test_run_profit_matches_replay_of_trace(seed):
     tag = validate_and_decompose(inst.graph).class_tag
     for kind in AlgorithmKind:
         try:
-            result = run_algorithm(inst, kind, record=True)
+            result = run_algorithm(inst, kind)
         except WrongGraphClassError:
             assert (kind, tag.value) not in _accepts
             continue
@@ -182,9 +183,9 @@ def test_run_profit_matches_replay_of_trace(seed):
         profit, _ = replay(inst, tuple((t.round, t.vertex) for t in result.trace))
         assert profit == result.profit
         assert len(result.events) == len(result.trace)
-        for event, entry in zip(result.events, result.trace):
+        for k, (event, entry) in enumerate(zip(result.events, result.trace)):
             assert (event.time, event.round, event.vertex) == entry
-            assert event.vertex in event.to_orig
+            assert event.vertex in decision_view(inst, result, k).to_orig
 
 
 _accepts = {
@@ -216,7 +217,7 @@ def test_runs_are_deterministic(seed):
 @given(st.integers(0, 2**20))
 def test_alg_e_never_breaks(seed):
     inst = _random_instance(seed)
-    result = run_algorithm(inst, AlgorithmKind.ALG_E, record=True)
+    result = run_algorithm(inst, AlgorithmKind.ALG_E)
     assert all(e.reason in ("greedy", "pair") for e in result.events)
     assert all(e.brk is None for e in result.events)
 
@@ -249,13 +250,14 @@ def test_golden_traces():
         inst = _golden_instance(seed)
         for kind in AlgorithmKind:
             try:
-                r = run_algorithm(inst, kind, record=True)
+                r = run_algorithm(inst, kind)
             except WrongGraphClassError:
                 continue
             events = [
                 (e.time, e.round, e.vertex, e.reason,
-                 None if e.brk is None else astuple(e.brk), e.to_orig)
-                for e in r.events
+                 None if e.brk is None else astuple(e.brk),
+                 decision_view(inst, r, k).to_orig)
+                for k, e in enumerate(r.events)
             ]
             h.update(repr((seed, kind.value, r.profit, r.trace, events)).encode())
     assert h.hexdigest() == GOLDEN_TRACE_SHA256
@@ -375,7 +377,7 @@ def test_breaks_build_no_subgraph(monkeypatch):
         for kind in breaks:
             if kind is AlgorithmKind.ALG_A and len(validate_and_decompose(inst.graph).cycles) > 1:
                 continue
-            events = run_algorithm(inst, kind, record=True).events
+            events = run_algorithm(inst, kind).events
             breaks[kind] += sum(e.reason == "break" for e in events)
     assert min(breaks.values()) >= 20, breaks
 
@@ -421,3 +423,46 @@ def test_derived_views_equal_rebuilds(monkeypatch):
         for kind in (AlgorithmKind.ALG_C, AlgorithmKind.ALG_E):
             run_algorithm(inst, kind)
     assert counts["views"] >= 700 and counts["strips"] >= 300, counts
+
+
+def test_decision_view_is_the_decided_graph(monkeypatch):
+    """decision_view rebuilds, from the trace alone, the very graph each
+    protection was decided on: round views, strips, pairs and breaks."""
+    decided = []
+    step = algorithms._step
+
+    def spy(g, *args):
+        out = step(g, *args)
+        decided.extend(g for _ in out[0])  # a pair is one decision, two protections
+        return out
+
+    monkeypatch.setattr(algorithms, "_step", spy)
+    seen = {"protections": 0, "pairs": 0, "breaks": 0, "strips": 0}
+    for seed in range(600):
+        rng = random.Random(seed)
+        n = rng.randint(6, 30)
+        kind = (AlgorithmKind.ALG_A, AlgorithmKind.ALG_C, AlgorithmKind.ALG_E)[seed % 3]
+        if kind is AlgorithmKind.ALG_A:
+            g = random_one_almost_tree(n, seed)
+        elif seed % 4 == 1:
+            g = make_tadpole(rng.randint(3, 25), rng.randint(1, 6))
+        else:
+            g = random_cactus(n, rng.uniform(0.5, 1.0), rng.randint(3, 10), seed)
+        if seed % 2:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
+        inst = Instance(g, tuple(rng.choice((0, 1, 1, 1, 2, 3, 4)) for _ in range(rng.randint(1, 6))))
+        decided.clear()
+        r = run_algorithm(inst, kind)
+        assert len(decided) == len(r.events)
+        for k, e in enumerate(r.events):
+            assert decision_view(inst, r, k).graph == decided[k]
+            seen["pairs"] += e.reason == "pair"
+            seen["breaks"] += e.reason == "break"
+            # a later decision in the same round sees the strip the earlier ones left
+            seen["strips"] += k > 0 and r.events[k - 1].round == e.round and (
+                decided[k] is not decided[k - 1]
+            )
+        seen["protections"] += len(r.events)
+    assert seen["pairs"] >= 400 and seen["breaks"] >= 40 and seen["strips"] >= 200, seen

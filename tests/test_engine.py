@@ -27,19 +27,23 @@ def star_graph(k):
     return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
+def _with(state, status):
+    return {v for v, s in enumerate(state.status) if s is status}
+
+
 def test_path_game_frozen():
     inst = Instance(path_graph(5), (1,))
     profit, state = replay(inst, [(1, 1)])
     assert profit == 4
-    assert state.burned() == {0}
-    assert state.protected() == {1}
+    assert _with(state, Status.BURNED) == {0}
+    assert _with(state, Status.PROTECTED) == {1}
 
 
 def test_star_game_frozen():
     inst = Instance(star_graph(4), (1,))
     profit, state = replay(inst, [(1, 2)])
     assert profit == 1
-    assert state.burned() == {0, 1, 3, 4}
+    assert _with(state, Status.BURNED) == {0, 1, 3, 4}
 
 
 def test_round_order_protect_then_spread():
@@ -47,7 +51,7 @@ def test_round_order_protect_then_spread():
     inst = Instance(path_graph(5), (0, 1))
     profit, state = replay(inst, [(2, 2)])
     assert profit == 3
-    assert state.burned() == {0, 1}
+    assert _with(state, Status.BURNED) == {0, 1}
 
 
 def test_firefighters_indexing():
@@ -176,7 +180,7 @@ def test_replay_matches_live_play_and_oracles(seed):
     assert profit == live_profit
     assert profit == oracles.flood_replay(inst, schedule)
     assert profit == oracles.view_profit(inst, schedule)
-    assert profit == profit_of_protections(inst.graph, state.protected())
+    assert profit == profit_of_protections(inst.graph, _with(state, Status.PROTECTED))
 
 
 @given(st.integers(0, 2**20))
@@ -189,11 +193,11 @@ def test_truly_available_is_reachable_and_unprotected(seed):
         assert state.status[v] is Status.AVAILABLE
     # matches a fresh flood from the burned region
     h = oracles.to_nx(inst.graph)
-    h.remove_nodes_from(state.protected())
+    h.remove_nodes_from(_with(state, Status.PROTECTED))
     import networkx as nx
 
     comp = nx.node_connected_component(h, inst.graph.root)
-    assert avail == comp - state.burned()
+    assert avail == comp - _with(state, Status.BURNED)
 
 
 def _edge_set_view(state):
@@ -266,7 +270,7 @@ def test_front_engine_matches_full_scan(seed):
             break
         expected = _full_scan_spread(g, state.status)
         state.spread()
-        assert state.burned() == expected
+        assert _with(state, Status.BURNED) == expected
     schedule = tuple((t.round, t.vertex) for t in state.trace)
     profit, _ = replay(inst, schedule)
     assert profit == state.profit() == oracles.flood_replay(inst, schedule)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from firefight.engine import Instance, replay
+from firefight.engine import Instance, Status, replay
 from firefight.graph import Graph, validate_and_decompose
 from firefight.instances import make_tadpole, random_cactus, random_sequence, random_tree
 from firefight.optimum import (
@@ -121,7 +121,7 @@ def test_normalize_nonredundant_preserves_profit(seed):
     assert profit == res.value
     # at most two protections per cycle survive
     decomp = validate_and_decompose(inst.graph)
-    protected = state.protected()
+    protected = {v for v, s in enumerate(state.status) if s is Status.PROTECTED}
     for cyc in decomp.cycles:
         assert len(protected & set(cyc)) <= 2
     # normalizing twice changes nothing
