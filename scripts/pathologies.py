@@ -2,11 +2,14 @@
 """Time the large slow cases listed on the roadmap.
 
 The cases: `alg-e`, `alg-c` and `alg-a` on a 4001-vertex tadpole with 30
-single firefighters, a replay of no protections on a 3000-vertex path, and
-`alg-c` on that path with 2000 empty rounds.  Each case is run
-``--repeat`` times; the median wall time in seconds is printed as one JSON
-object per case, with the instance size and profit.  Every case's profit
-is pinned: the script exits 1 when one differs.
+single firefighters, a replay of no protections on a 3000-vertex path,
+`alg-c` on that path with 2000 empty rounds, and the `alg-e` adversary run
+at beta 12, whose exact (1,1) solve on a 157-vertex tadpole is the widest
+the solver meets in the adversary sweep.  Each case is run ``--repeat``
+times; the median wall time in seconds is printed as one JSON object per
+case, with the instance size and the pinned results (a profit, or the
+strategy's and the optimum's profits of an adversary run).  The script
+exits 1 when a result differs from its pin.
 
     PYTHONPATH=src python3 scripts/pathologies.py --repeat 3
 """
@@ -17,25 +20,47 @@ import statistics
 import sys
 import time
 
-from firefight import AlgorithmKind, Graph, Instance, make_tadpole, replay, run_algorithm
+from firefight import (
+    AlgorithmKind,
+    Graph,
+    Instance,
+    make_tadpole,
+    replay,
+    run_algorithm,
+    tadpole_adversary_run,
+)
+
+
+def _play(inst, kind):
+    return lambda: {"profit": run_algorithm(inst, kind).profit}
+
+
+def _adversary(kind, beta):
+    def play():
+        report = tadpole_adversary_run(kind, beta)
+        return {"alg": report.alg_profit, "opt": report.opt_profit}
+
+    return play
 
 
 def _cases():
-    """(name, instance, play, expected profit) of every case."""
+    """(name, n, play, expected results) of every case."""
     # a 3937-vertex cycle plus a 63-vertex tail at the root: n = 4001
     tadpole = Instance(make_tadpole(3937, 63), (1,) * 30)
     path = Graph.from_edges(3000, [(i, i + 1) for i in range(2999)])
     return [
-        ("tadpole-30x1/alg-e", tadpole, lambda i: run_algorithm(i, AlgorithmKind.ALG_E).profit, 3997),
-        ("tadpole-30x1/alg-c", tadpole, lambda i: run_algorithm(i, AlgorithmKind.ALG_C).profit, 3997),
-        ("tadpole-30x1/alg-a", tadpole, lambda i: run_algorithm(i, AlgorithmKind.ALG_A).profit, 3997),
-        ("path-replay-none", Instance(path, ()), lambda i: replay(i, ())[0], 0),
+        ("tadpole-30x1/alg-e", 4001, _play(tadpole, AlgorithmKind.ALG_E), {"profit": 3997}),
+        ("tadpole-30x1/alg-c", 4001, _play(tadpole, AlgorithmKind.ALG_C), {"profit": 3997}),
+        ("tadpole-30x1/alg-a", 4001, _play(tadpole, AlgorithmKind.ALG_A), {"profit": 3997}),
+        ("path-replay-none", 3000, lambda: {"profit": replay(Instance(path, ()), ())[0]}, {"profit": 0}),
         (
             "path-empty-rounds/alg-c",
-            Instance(path, (0,) * 2000),
-            lambda i: run_algorithm(i, AlgorithmKind.ALG_C).profit,
-            0,
+            3000,
+            _play(Instance(path, (0,) * 2000), AlgorithmKind.ALG_C),
+            {"profit": 0},
         ),
+        # a 145-vertex cycle plus a 12-vertex tail: n = 157
+        ("adversary/alg-e/b12", 157, _adversary(AlgorithmKind.ALG_E, 12), {"alg": 13, "opt": 144}),
     ]
 
 
@@ -44,22 +69,22 @@ def main(argv=None) -> int:
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args(argv)
     wrong = 0
-    for name, inst, play, expected in _cases():
+    for name, n, play, expected in _cases():
         times = []
-        profits = []
+        results = []
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            profits.append(play(inst))
+            results.append(play())
             times.append(time.perf_counter() - t0)
         record = {
             "case": name,
-            "n": inst.graph.n,
-            "profit": profits[-1],
+            "n": n,
+            **results[-1],
             "median_s": round(statistics.median(times), 4),
         }
         print(json.dumps(record), flush=True)
-        if any(p != expected for p in profits):
-            print(f"error: {name} profit {profits}, expected {expected}", file=sys.stderr)
+        if any(r != expected for r in results):
+            print(f"error: {name} gave {results}, expected {expected}", file=sys.stderr)
             wrong += 1
     return 1 if wrong else 0
 

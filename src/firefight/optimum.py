@@ -1,17 +1,33 @@
 """Exact offline optimum by exhaustive search over protection schedules.
 
-State is a pair of bitmasks (burned, protected) plus the round number, so
-the search only fits small instances; the solver refuses anything larger
-than ``max_n`` up front.  Three prunings keep it exact:
+A search state is the burned set, the region R the fire can still reach
+(everything a flood from the burned set touches without crossing a
+protected vertex) and the round, all as bitmasks, so the search only fits
+small instances; the solver refuses anything larger than ``max_n`` up
+front.  Three prunings keep it exact:
 
-* only truly available vertices are candidates (protecting a vertex the
-  fire can no longer reach never helps),
-* every branch uses exactly ``min(f, available)`` firefighters (protecting
-  more never hurts, so smaller subsets are dominated),
-* a branch stops early once it saves everything not yet burned.
+* **Canonical states.**  Only R's unburned vertices are candidates:
+  protecting a vertex the fire can no longer reach never helps.  For the
+  same reason a protection outside R never matters again, since every
+  vertex on R's boundary is already protected.  Two states with the same
+  burned set and the same R therefore have the same future, and the same
+  best suffix found in the same ascending order, so ``(burned, R, round)``
+  is the memo key and the memoized search returns the plain search's
+  schedule.
+* **Full rounds.**  Every branch uses exactly ``min(f, available)``
+  firefighters: protecting more never hurts, so smaller subsets are
+  dominated.
+* **Strict improvement.**  A child whose burned set already leaves at most
+  the incumbent's value unburned cannot strictly beat it, so it is skipped
+  without a search; the first strictly best schedule is unchanged, and
+  nothing is stored for it.  A branch stops once it saves everything not
+  yet burned.
 
 Once the sequence is exhausted no further protection is possible, so the
-remaining spread collapses into a single reachability closure.
+remaining spread collapses into R.  A last round with one firefighter
+needs no search: protecting v saves v's subtree in the dominator tree of
+R minus the burned set, rooted at the burned set merged into one source,
+so one depth-first pass with low points values every candidate.
 """
 
 from __future__ import annotations
@@ -24,6 +40,9 @@ from .graph import _distances, validate_and_decompose
 
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_MAX_N = 22
+# an entry costs about 260 bytes (measured on a 40-vertex cactus), so the
+# memo stays near 0.25 GB; past it the search ends like the node budget
+MAX_MEMO_ENTRIES = 1_000_000
 
 
 class OptError(Exception):
@@ -43,6 +62,9 @@ class OptResult:
     value: int
     schedule: ProtectionSchedule
     nodes_explored: int
+    memo_hits: int
+    memo_entries: int
+    pruned: int  # children skipped because they cannot strictly improve
 
 
 def solve_opt(
@@ -64,7 +86,6 @@ def solve_opt(
         raise GraphTooLargeError(f"instance has {n} vertices, limit is {max_n}")
     seq = instance.sequence
     rounds = len(seq)
-    full = (1 << n) - 1
     nbr = [0] * n
     for u in range(n):
         m = 0
@@ -81,59 +102,131 @@ def solve_opt(
             mm ^= b
         return out
 
-    def spread_once(burned: int, protected: int) -> int:
-        return grow(burned) & ~protected & full
-
-    def reach(burned: int, protected: int) -> int:
-        # everything the fire can ever touch: one linear-time flood
-        seen = burned
+    def flood(seed: int, allowed: int) -> int:
+        # everything reachable from seed inside allowed: one linear-time flood
+        seen = seed
         stack = []
-        mm = burned
+        mm = seed
         while mm:
             b = mm & -mm
             stack.append(b.bit_length() - 1)
             mm ^= b
         while stack:
             u = stack.pop()
-            mm = nbr[u] & ~seen & ~protected
+            mm = nbr[u] & allowed & ~seen
+            seen |= mm
             while mm:
                 b = mm & -mm
-                seen |= b
                 stack.append(b.bit_length() - 1)
                 mm ^= b
         return seen
 
-    nodes = 0
-    memo: dict[tuple[int, int, int], tuple[int, ProtectionSchedule]] = {}
+    def best_single(burned: int, region: int) -> tuple[int, int]:
+        """(saved, v) of the best lone protection in ``region``.
 
-    def dfs(burned: int, protected: int, rnd: int) -> tuple[int, ProtectionSchedule]:
-        nonlocal nodes
+        A depth-first pass from the burned set, merged into one source with
+        discovery time 0.  Protecting v saves v itself and every DFS subtree
+        below it whose low point does not reach above v: exactly the
+        vertices v dominates.  Ties go to the lowest id, as in the
+        ascending search.  O(n + m) for all candidates together.
+        """
+        avail = region & ~burned
+        disc = [0] * n
+        low = [0] * n
+        size = [1] * n
+        saved = [1] * n
+        t = 0
+        seen = 0
+        stack: list[tuple[int, int]] = []
+        mm = grow(burned) & avail
+        while mm:
+            b = mm & -mm
+            mm ^= b
+            if seen & b:
+                continue
+            seen |= b
+            t += 1
+            c = b.bit_length() - 1
+            disc[c] = low[c] = t
+            stack.append((c, nbr[c] & avail))
+            while stack:
+                u, rest = stack[-1]
+                rest &= ~seen
+                if rest:
+                    b = rest & -rest
+                    stack[-1] = (u, rest ^ b)
+                    seen |= b
+                    t += 1
+                    w = b.bit_length() - 1
+                    disc[w] = low[w] = t
+                    stack.append((w, nbr[w] & avail))
+                    continue
+                stack.pop()
+                lu = 0 if nbr[u] & burned else low[u]
+                nm = nbr[u] & avail
+                while nm:
+                    b = nm & -nm
+                    nm ^= b
+                    d = disc[b.bit_length() - 1]
+                    if d < lu:
+                        lu = d
+                low[u] = lu
+                if stack:
+                    p = stack[-1][0]
+                    size[p] += size[u]
+                    if lu >= disc[p]:
+                        saved[p] += size[u]
+                    if lu < low[p]:
+                        low[p] = lu
+        # max keeps the first of equals, so ties go to the lowest id
+        v = max((u for u in range(n) if (avail >> u) & 1), key=saved.__getitem__)
+        return saved[v], v
+
+    nodes = 0
+    hits = 0
+    pruned = 0
+    memo: dict[int, tuple[int, ProtectionSchedule]] = {}
+
+    def dfs(burned: int, region: int, rnd: int) -> tuple[int, ProtectionSchedule]:
+        # region = what the fire can still reach; its boundary is protected
+        nonlocal nodes, hits, pruned
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceededError(f"node budget {node_budget} exhausted")
-        if rnd > rounds:
-            final = reach(burned, protected)
-            return n - bin(final).count("1"), ()
-        key = (burned, protected, rnd)
-        if use_memo and key in memo:
-            return memo[key]
-        avail_mask = reach(burned, protected) & ~burned
-        avail = [v for v in range(n) if (avail_mask >> v) & 1]
-        k = min(seq[rnd - 1], len(avail))
+        if rnd > rounds or region == burned:
+            return n - region.bit_count(), ()
+        # (burned, region, rnd) packed into one int
+        key = (((rnd << n) | region) << n) | burned
+        if use_memo:
+            hit = memo.get(key)
+            if hit is not None:
+                hits += 1
+                return hit
+        avail_mask = region & ~burned
+        k = min(seq[rnd - 1], avail_mask.bit_count())
         if k == 0:
-            if not avail:
-                result = (n - bin(burned).count("1"), ())
-            else:
-                result = dfs(spread_once(burned, protected), protected, rnd + 1)
+            result = dfs(grow(burned) & region, region, rnd + 1)
+        elif k == 1 and rnd == rounds:
+            nodes += avail_mask.bit_count()
+            if nodes > node_budget:
+                raise SearchBudgetExceededError(f"node budget {node_budget} exhausted")
+            saved, v = best_single(burned, region)
+            result = (n - region.bit_count() + saved, ((rnd, v),))
         else:
-            ub = n - bin(burned).count("1")
+            avail = [v for v in range(n) if (avail_mask >> v) & 1]
+            front = grow(burned) & region
+            ub = n - burned.bit_count()
             best_val = -1
             best_suf: ProtectionSchedule = ()
             for combo in itertools.combinations(avail, k):
-                pm = protected
+                cm = 0
                 for v in combo:
-                    pm |= 1 << v
-                val, suf = dfs(spread_once(burned, pm), pm, rnd + 1)
+                    cm |= 1 << v
+                nb = front & ~cm
+                if n - nb.bit_count() <= best_val:
+                    pruned += 1
+                    continue
+                val, suf = dfs(nb, flood(nb, region & ~cm), rnd + 1)
                 if val > best_val:
                     best_val = val
                     best_suf = tuple((rnd, v) for v in combo) + suf
@@ -141,11 +234,23 @@ def solve_opt(
                         break
             result = (best_val, best_suf)
         if use_memo:
+            if len(memo) >= MAX_MEMO_ENTRIES:
+                raise SearchBudgetExceededError(
+                    f"memo cap of {MAX_MEMO_ENTRIES} entries reached"
+                )
             memo[key] = result
         return result
 
-    value, sched = dfs(1 << g.root, 0, 1)
-    return OptResult(value=value, schedule=sched, nodes_explored=nodes)
+    root = 1 << g.root
+    value, sched = dfs(root, flood(root, (1 << n) - 1), 1)
+    return OptResult(
+        value=value,
+        schedule=sched,
+        nodes_explored=nodes,
+        memo_hits=hits,
+        memo_entries=len(memo),
+        pruned=pruned,
+    )
 
 
 def opt_upper_bound(instance: Instance) -> int:

@@ -5,6 +5,7 @@ library's own BFS and decomposition code, so a bug in firefight.graph or
 firefight.engine cannot hide by agreeing with itself.
 """
 
+import itertools
 from collections import defaultdict
 
 import networkx as nx
@@ -145,3 +146,94 @@ def view_profit(instance, schedule) -> int:
             protected.add(v)
         burned |= {w for u in burned for w in g.adjacency[u]} - protected
     return total
+
+
+
+def solve_opt_reference(instance):
+    """Exact optimum as ``(value, schedule)``: the solver's plain search.
+
+    A frozen copy of the exhaustive solver as it was before its canonical
+    memo key, child cut and one-pass last round: memo on (burned,
+    protected, round), every child searched.  Candidate subsets go in
+    ascending vertex order and only strict improvements replace the
+    incumbent, so its schedule is the one the package must return too.
+    Exponential; small graphs only.
+    """
+    g = instance.graph
+    n = g.n
+    seq = instance.sequence
+    rounds = len(seq)
+    full = (1 << n) - 1
+    nbr = [0] * n
+    for u in range(n):
+        m = 0
+        for v in g.adjacency[u]:
+            m |= 1 << v
+        nbr[u] = m
+
+    def grow(mask):
+        out = mask
+        mm = mask
+        while mm:
+            b = mm & -mm
+            out |= nbr[b.bit_length() - 1]
+            mm ^= b
+        return out
+
+    def spread_once(burned, protected):
+        return grow(burned) & ~protected & full
+
+    def reach(burned, protected):
+        seen = burned
+        stack = []
+        mm = burned
+        while mm:
+            b = mm & -mm
+            stack.append(b.bit_length() - 1)
+            mm ^= b
+        while stack:
+            u = stack.pop()
+            mm = nbr[u] & ~seen & ~protected
+            while mm:
+                b = mm & -mm
+                seen |= b
+                stack.append(b.bit_length() - 1)
+                mm ^= b
+        return seen
+
+    memo = {}
+
+    def dfs(burned, protected, rnd):
+        if rnd > rounds:
+            final = reach(burned, protected)
+            return n - bin(final).count("1"), ()
+        key = (burned, protected, rnd)
+        if key in memo:
+            return memo[key]
+        avail_mask = reach(burned, protected) & ~burned
+        avail = [v for v in range(n) if (avail_mask >> v) & 1]
+        k = min(seq[rnd - 1], len(avail))
+        if k == 0:
+            if not avail:
+                result = (n - bin(burned).count("1"), ())
+            else:
+                result = dfs(spread_once(burned, protected), protected, rnd + 1)
+        else:
+            ub = n - bin(burned).count("1")
+            best_val = -1
+            best_suf = ()
+            for combo in itertools.combinations(avail, k):
+                pm = protected
+                for v in combo:
+                    pm |= 1 << v
+                val, suf = dfs(spread_once(burned, pm), pm, rnd + 1)
+                if val > best_val:
+                    best_val = val
+                    best_suf = tuple((rnd, v) for v in combo) + suf
+                    if best_val >= ub:
+                        break
+            result = (best_val, best_suf)
+        memo[key] = result
+        return result
+
+    return dfs(1 << g.root, 0, 1)

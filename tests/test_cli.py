@@ -199,6 +199,15 @@ def test_node_budget_env(capsys, monkeypatch, tadpole_file):
     assert "budget" in err
 
 
+def test_memo_cap_exits_3(capsys, monkeypatch, tadpole_file):
+    monkeypatch.setattr("firefight.optimum.MAX_MEMO_ENTRIES", 2)
+    code, out, err = run_cli(capsys, "opt", "--instance", str(tadpole_file))
+    assert code == 3
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error:") and "memo" in line
+
+
 def test_table_format_keeps_stdout_machine_readable(capsys, tadpole_file):
     code, out, err = run_cli(
         capsys, "--format", "table", "run", "--instance", str(tadpole_file),

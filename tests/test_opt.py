@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from firefight.engine import Instance, Status, replay
 from firefight.graph import Graph, validate_and_decompose
 from firefight.instances import make_tadpole, random_cactus, random_sequence, random_tree
@@ -13,6 +14,7 @@ from firefight.optimum import (
     opt_upper_bound,
     solve_opt,
 )
+from strategies import connected_graphs, relabelled_cacti
 
 
 def path_graph(n):
@@ -126,3 +128,57 @@ def test_normalize_nonredundant_preserves_profit(seed):
         assert len(protected & set(cyc)) <= 2
     # normalizing twice changes nothing
     assert normalize_nonredundant(inst, norm) == norm
+
+
+@st.composite
+def relabelled_connected_graphs(draw, max_n=9):
+    """Non-cactus graphs too, with the root anywhere."""
+    g = draw(connected_graphs(max_n=max_n, max_extra=6))
+    perm = draw(st.permutations(range(g.n)))
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
+
+
+@given(
+    st.one_of(relabelled_cacti(max_n=10), relabelled_connected_graphs()),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.integers(0, 2),
+)
+def test_solver_matches_reference(g, head, last):
+    # the last entry 0, 1 or 2 exercises the empty, one-pass and searched
+    # last rounds
+    inst = Instance(g, (*head, last))
+    res = solve_opt(inst)
+    assert (res.value, res.schedule) == oracles.solve_opt_reference(inst)
+    assert replay(inst, res.schedule)[0] == res.value
+
+
+@pytest.mark.parametrize(
+    "seq, value, schedule",
+    [((1,), 2, ((1, 1),)), ((0, 1), 1, ((2, 3),))],
+)
+def test_last_round_tie_goes_to_lowest_id(seq, value, schedule):
+    # path 3-1-0-2-4 rooted in the middle: both sides are worth the same
+    g = Graph.from_edges(5, [(3, 1), (1, 0), (0, 2), (2, 4)])
+    inst = Instance(g, seq)
+    res = solve_opt(inst)
+    assert (res.value, res.schedule) == (value, schedule)
+    assert (res.value, res.schedule) == oracles.solve_opt_reference(inst)
+
+
+def test_unreachable_protections_share_a_memo_entry():
+    # protecting {1, 2} or {1, 3} leaves the same fire in 0-4-{5, 6}: vertex
+    # 2 or 3 sits behind 1, so the two states share one entry
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (4, 6)])
+    inst = Instance(g, (2, 1))
+    res = solve_opt(inst)
+    assert res.memo_hits > 0
+    assert (res.value, res.schedule) == (6, ((1, 1), (1, 4)))
+    assert (res.value, res.schedule) == oracles.solve_opt_reference(inst)
+
+
+def test_ratio_sized_instance_prunes_children():
+    inst = Instance(random_cactus(20, 0.5, 6, 1), (2, 1, 1))
+    res = solve_opt(inst)
+    assert res.pruned > 0
+    assert res.memo_entries > 0
+    assert (res.value, res.schedule) == oracles.solve_opt_reference(inst)
