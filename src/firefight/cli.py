@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -37,6 +38,7 @@ from .instances import (
 )
 from .lemmas import SUITES, UnknownSuiteError, run_suite
 from .optimum import (
+    DEFAULT_MAX_N,
     DEFAULT_NODE_BUDGET,
     GraphTooLargeError,
     SearchBudgetExceededError,
@@ -203,6 +205,13 @@ def _check_trials(args) -> None:
         raise BadParamsError(f"--trials must be at least 1, got {args.trials}")
 
 
+def _check_n_max(args) -> None:
+    if args.n_max > DEFAULT_MAX_N:
+        raise BadParamsError(
+            f"--n-max {args.n_max} is above the exact solver's limit of {DEFAULT_MAX_N} vertices"
+        )
+
+
 def cmd_ratio(args) -> int:
     budget = _node_budget()
     kind = AlgorithmKind(args.alg)
@@ -210,6 +219,7 @@ def cmd_ratio(args) -> int:
         instances = [_load_instance(args.instance)]
     elif args.gen is not None:
         _check_trials(args)
+        _check_n_max(args)
         # drawn one at a time, so memory does not grow with --trials
         instances = (
             _gen_trial_instance(args.gen, args.seed * 1_000_003 + i * 7919 + 1, args.n_max, args.even)
@@ -391,7 +401,10 @@ def cmd_check_lemmas(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # built once per process: argparse finds sys.stdout and sys.stderr when
+    # it prints, not when it is built, so the tree is safe to reuse
     top = argparse.ArgumentParser(
         prog="firefight",
         description="Online firefighting on trees, 1-almost trees, and cactus graphs.",
@@ -408,11 +421,11 @@ def _parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="play one instance with an online strategy")
     p_run.add_argument("--instance", required=True)
     p_run.add_argument("--alg", choices=algs, required=True)
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(cmd=cmd_run.__name__)
 
     p_opt = sub.add_parser("opt", help="solve one instance exactly")
     p_opt.add_argument("--instance", required=True)
-    p_opt.set_defaults(func=cmd_opt)
+    p_opt.set_defaults(cmd=cmd_opt.__name__)
 
     p_ratio = sub.add_parser("ratio", help="competitive ratio against the exact optimum")
     p_ratio.add_argument("--instance")
@@ -422,12 +435,12 @@ def _parser() -> argparse.ArgumentParser:
     p_ratio.add_argument("--seed", type=int, default=0)
     p_ratio.add_argument("--n-max", type=int, default=14)
     p_ratio.add_argument("--even", action="store_true", help="even-only firefighter sequences")
-    p_ratio.set_defaults(func=cmd_ratio)
+    p_ratio.set_defaults(cmd=cmd_ratio.__name__)
 
     p_adv = sub.add_parser("adversary", help="adaptive tadpole lower-bound run")
     p_adv.add_argument("--alg", choices=algs, required=True)
     p_adv.add_argument("--beta", type=int, required=True)
-    p_adv.set_defaults(func=cmd_adversary)
+    p_adv.set_defaults(cmd=cmd_adversary.__name__)
 
     p_gen = sub.add_parser("gen", help="write an instance file")
     p_gen.add_argument(
@@ -441,14 +454,14 @@ def _parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--seq", default="", help="firefighter sequence, e.g. '1,0,2'")
     p_gen.add_argument("--out", help="output path (default: print to stderr)")
-    p_gen.set_defaults(func=cmd_gen)
+    p_gen.set_defaults(cmd=cmd_gen.__name__)
 
     p_chk = sub.add_parser("check-lemmas", help="run randomized property suites")
     p_chk.add_argument("--suite", default="all", help="suite name or 'all'")
     p_chk.add_argument("--trials", type=int, default=1000)
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.add_argument("--out", help="counterexample output path")
-    p_chk.set_defaults(func=cmd_check_lemmas)
+    p_chk.set_defaults(cmd=cmd_check_lemmas.__name__)
 
     return top
 
@@ -457,7 +470,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(message)s")
     try:
-        return args.func(args)
+        # the parser keeps the command's name, not the function, and the
+        # module is asked for it per call, so a replaced cmd_* is the one
+        # that runs
+        return getattr(sys.modules[__name__], args.cmd)(args)
     except SearchBudgetExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -4,16 +4,19 @@ A search state is the burned set, the region R the fire can still reach
 (everything a flood from the burned set touches without crossing a
 protected vertex) and the round, all as bitmasks, so the search only fits
 small instances; the solver refuses anything larger than ``max_n`` up
-front.  Three prunings keep it exact:
+front.  A vertex that burned before the last spread has no unburned
+neighbor left in R, so each spread and each flood starts from the ring
+that caught fire last.  Three prunings keep it exact:
 
 * **Canonical states.**  Only R's unburned vertices are candidates:
   protecting a vertex the fire can no longer reach never helps.  For the
   same reason a protection outside R never matters again, since every
-  vertex on R's boundary is already protected.  Two states with the same
-  burned set and the same R therefore have the same future, and the same
-  best suffix found in the same ascending order, so ``(burned, R, round)``
-  is the memo key and the memoized search returns the plain search's
-  schedule.
+  vertex on R's boundary is already protected.  Nothing in R was ever
+  protected, so the burned set is the ball of radius round - 1 around the
+  root inside R: R and the round fix it.  Two states with the same R and
+  the same round therefore have the same future, and the same best suffix
+  found in the same ascending order, so ``(R, round)`` is the memo key and
+  the memoized search returns the plain search's schedule.
 * **Full rounds.**  Every branch uses exactly ``min(f, available)``
   firefighters: protecting more never hurts, so smaller subsets are
   dominated.
@@ -102,26 +105,20 @@ def solve_opt(
             mm ^= b
         return out
 
-    def flood(seed: int, allowed: int) -> int:
-        # everything reachable from seed inside allowed: one linear-time flood
-        seen = seed
-        stack = []
-        mm = seed
-        while mm:
-            b = mm & -mm
-            stack.append(b.bit_length() - 1)
-            mm ^= b
-        while stack:
-            u = stack.pop()
-            mm = nbr[u] & allowed & ~seen
-            seen |= mm
-            while mm:
-                b = mm & -mm
-                stack.append(b.bit_length() - 1)
-                mm ^= b
+    def flood(front: int, seen: int, allowed: int) -> int:
+        # seen plus everything reachable inside allowed from front, a part
+        # of seen: one ring at a time, each vertex expanded once
+        while front:
+            touched = 0
+            while front:
+                b = front & -front
+                touched |= nbr[b.bit_length() - 1]
+                front ^= b
+            front = touched & allowed & ~seen
+            seen |= front
         return seen
 
-    def best_single(burned: int, region: int) -> tuple[int, int]:
+    def best_single(burned: int, ring: int, region: int) -> tuple[int, int]:
         """(saved, v) of the best lone protection in ``region``.
 
         A depth-first pass from the burned set, merged into one source with
@@ -138,7 +135,7 @@ def solve_opt(
         t = 0
         seen = 0
         stack: list[tuple[int, int]] = []
-        mm = grow(burned) & avail
+        mm = grow(ring) & avail
         while mm:
             b = mm & -mm
             mm ^= b
@@ -187,16 +184,18 @@ def solve_opt(
     pruned = 0
     memo: dict[int, tuple[int, ProtectionSchedule]] = {}
 
-    def dfs(burned: int, region: int, rnd: int) -> tuple[int, ProtectionSchedule]:
-        # region = what the fire can still reach; its boundary is protected
+    def dfs(burned: int, ring: int, region: int, rnd: int) -> tuple[int, ProtectionSchedule]:
+        # region = what the fire can still reach; its boundary is protected.
+        # ring = the vertices that caught fire last; the rest of burned has
+        # no unburned neighbor in region
         nonlocal nodes, hits, pruned
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceededError(f"node budget {node_budget} exhausted")
         if rnd > rounds or region == burned:
             return n - region.bit_count(), ()
-        # (burned, region, rnd) packed into one int
-        key = (((rnd << n) | region) << n) | burned
+        # (region, rnd) packed into one int; region and rnd fix burned
+        key = (rnd << n) | region
         if use_memo:
             hit = memo.get(key)
             if hit is not None:
@@ -205,16 +204,17 @@ def solve_opt(
         avail_mask = region & ~burned
         k = min(seq[rnd - 1], avail_mask.bit_count())
         if k == 0:
-            result = dfs(grow(burned) & region, region, rnd + 1)
+            nb = burned | (grow(ring) & region)
+            result = dfs(nb, nb & ~burned, region, rnd + 1)
         elif k == 1 and rnd == rounds:
             nodes += avail_mask.bit_count()
             if nodes > node_budget:
                 raise SearchBudgetExceededError(f"node budget {node_budget} exhausted")
-            saved, v = best_single(burned, region)
+            saved, v = best_single(burned, ring, region)
             result = (n - region.bit_count() + saved, ((rnd, v),))
         else:
             avail = [v for v in range(n) if (avail_mask >> v) & 1]
-            front = grow(burned) & region
+            front = burned | (grow(ring) & region)
             ub = n - burned.bit_count()
             best_val = -1
             best_suf: ProtectionSchedule = ()
@@ -226,7 +226,10 @@ def solve_opt(
                 if n - nb.bit_count() <= best_val:
                     pruned += 1
                     continue
-                val, suf = dfs(nb, flood(nb, region & ~cm), rnd + 1)
+                # a burned vertex's neighbors in region are in front, so only
+                # the newly burned vertices can reach anything new
+                new = nb & ~burned
+                val, suf = dfs(nb, new, flood(new, nb, region & ~cm), rnd + 1)
                 if val > best_val:
                     best_val = val
                     best_suf = tuple((rnd, v) for v in combo) + suf
@@ -242,7 +245,7 @@ def solve_opt(
         return result
 
     root = 1 << g.root
-    value, sched = dfs(root, flood(root, (1 << n) - 1), 1)
+    value, sched = dfs(root, root, flood(root, root, (1 << n) - 1), 1)
     return OptResult(
         value=value,
         schedule=sched,

@@ -1,8 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import firefight
 from firefight import cli
 from firefight.cli import _within_bound, main
 
@@ -256,3 +262,84 @@ def test_generated_sizes_are_capped(capsys):
         code, out, err = run_cli(capsys, "gen", *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_ratio_n_max_beyond_the_solver_is_refused_before_any_draw(capsys, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(cli, "_gen_trial_instance", lambda *a: drawn.append(a))
+    code, out, err = run_cli(
+        capsys, "ratio", "--gen", "tree", "--alg", "alg-c", "--n-max", "40", "--trials", "5"
+    )
+    assert (code, out, drawn) == (2, "", [])
+    assert err.startswith("error: ") and "--n-max" in err and err.count("\n") == 1
+
+
+def test_ratio_n_max_at_the_solver_limit_runs(capsys):
+    code, out, _ = run_cli(
+        capsys, "ratio", "--gen", "tree", "--alg", "alg-c", "--n-max", "22", "--trials", "2"
+    )
+    assert code == 0 and len(records(out)) == 3
+
+
+def _session_commands(tmp_path):
+    path = str(tmp_path / "t.ff")
+    return [
+        ["gen", "tadpole", "--alpha", "10", "--beta", "3", "--seq", "1,1", "--out", path],
+        ["run", "--instance", path, "--alg", "alg-a"],
+        ["opt", "--instance", path],
+        ["ratio", "--instance", path, "--alg", "alg-e"],
+        ["adversary", "--alg", "alg-c", "--beta", "5"],
+        ["ratio", "--alg", "alg-a", "--gen", "tree", "--trials", "3", "--seed", "2"],
+        ["run", "--instance", path, "--alg", "greedy-tree"],  # wrong class: exit 2
+        ["gen", "tree", "--n", "6", "--seed", "4"],
+    ]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, tmp_path):
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def spy(self, **kwargs):  # called once per build of the command tree
+        builds.append(self)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+    cli._parser.cache_clear()
+    try:
+        for argv in _session_commands(tmp_path):
+            run_cli(capsys, *argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_repeated_calls_match_fresh_processes(capsys, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(firefight.__file__).resolve().parent.parent))
+    in_process = [run_cli(capsys, *argv)[:2] for argv in _session_commands(tmp_path)]
+    fresh = []
+    for argv in _session_commands(tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "firefight", *argv], capture_output=True, text=True, env=env
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [0, 0, 0, 0, 0, 0, 2, 0]
+
+
+def test_usage_error_leaves_the_next_call_intact(capsys):
+    argv = ("adversary", "--alg", "alg-e", "--beta", "4")
+    first = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["adversary", "--alg", "alg-e", "--beta", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid int value" in captured.err
+    assert run_cli(capsys, *argv) == first
+    assert first[0] == 0 and first[2] == ""
+
+
+def test_replaced_command_runs_after_a_first_call(capsys, monkeypatch, tadpole_file):
+    argv = ("run", "--instance", str(tadpole_file), "--alg", "alg-a")
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "cmd_run", lambda args: 7)
+    assert run_cli(capsys, *argv) == (7, "", "")

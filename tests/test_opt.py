@@ -182,3 +182,14 @@ def test_ratio_sized_instance_prunes_children():
     assert res.pruned > 0
     assert res.memo_entries > 0
     assert (res.value, res.schedule) == oracles.solve_opt_reference(inst)
+
+
+def test_solves_from_wide_fires_match_reference():
+    # a few rounds before a one-firefighter last round leave the fire's
+    # newest ring spread over several branches; every flood and the
+    # one-pass last round must start from all of it
+    for seed in range(200):
+        base = _random_instance(seed, n_max=12)
+        inst = Instance(base.graph, (*base.sequence[:3], 1))
+        res = solve_opt(inst)
+        assert (res.value, res.schedule) == oracles.solve_opt_reference(inst), seed
