@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .engine import GameState, Instance, TraceEntry
 from .graph import (
@@ -76,6 +76,17 @@ class AlgorithmKind(Enum):
     ALG_A = "alg-a"
     ALG_C = "alg-c"
     ALG_E = "alg-e"
+
+    def accepts(self, cls: GraphClass) -> bool:
+        """Whether this strategy plays on graphs of class ``cls``."""
+        return cls in _KINDS[self].classes
+
+    def bound_for(self, sequence: tuple[int, ...]) -> tuple[int, int] | None:
+        """The proven ratio bound c*sqrt(n) + k as (c, k), or None."""
+        contract = _KINDS[self]
+        if contract.even_only and any(f % 2 for f in sequence):
+            return None
+        return contract.bound
 
 
 @dataclass(frozen=True)
@@ -337,7 +348,7 @@ def greedy_tree_round(view: Graph, f: int) -> list[Choice]:
 
 def alg_a_round(view: Graph, decomp: CactusDecomposition, f: int) -> list[Choice]:
     """One round of the 1-almost-tree strategy on the current view."""
-    if decomp.class_tag is GraphClass.CACTUS:
+    if not AlgorithmKind.ALG_A.accepts(decomp.class_tag):
         raise WrongGraphClassError("this strategy handles at most one cycle")
     return _round(view, decomp, f, _tolerance_break, CooldownState(), view.n)[0]
 
@@ -378,32 +389,52 @@ class RunResult:
     profit: int
     trace: tuple[TraceEntry, ...]
     events: tuple[ProtectEvent, ...]
+    graph_class: GraphClass
 
 
-_ANY_CLASS = {GraphClass.TREE, GraphClass.ONE_ALMOST_TREE, GraphClass.CACTUS}
+class Contract(NamedTuple):
+    """A strategy's contract: the graph classes it plays on, the break
+    policy of its lone firefighter, and its proven ratio bound
+    c*sqrt(n) + k as (c, k), which may hold on even sequences only."""
 
-# kind -> (accepted graph classes, break policy); the kinds differ in nothing else
-_KINDS: dict[AlgorithmKind, tuple[set[GraphClass], BreakPolicy | None]] = {
-    AlgorithmKind.GREEDY_TREE: ({GraphClass.TREE}, None),
-    AlgorithmKind.ALG_A: ({GraphClass.TREE, GraphClass.ONE_ALMOST_TREE}, _tolerance_break),
-    AlgorithmKind.ALG_C: (_ANY_CLASS, _guarded_improved_break),
-    AlgorithmKind.ALG_E: (_ANY_CLASS, None),
+    classes: frozenset[GraphClass]
+    policy: BreakPolicy | None
+    bound: tuple[int, int]
+    even_only: bool = False
+
+
+# the kinds differ in nothing else; the bounds are 2 for the tree greedy,
+# O(sqrt(n)) for alg-a and alg-c, and 3 for alg-e on even sequences
+_KINDS: dict[AlgorithmKind, Contract] = {
+    AlgorithmKind.GREEDY_TREE: Contract(frozenset({GraphClass.TREE}), None, (0, 2)),
+    AlgorithmKind.ALG_A: Contract(
+        frozenset({GraphClass.TREE, GraphClass.ONE_ALMOST_TREE}), _tolerance_break, (6, 1)
+    ),
+    AlgorithmKind.ALG_C: Contract(frozenset(GraphClass), _guarded_improved_break, (15, 1)),
+    AlgorithmKind.ALG_E: Contract(frozenset(GraphClass), None, (0, 3), even_only=True),
 }
+
+
+def within_bound(bound: tuple[int, int], n: int, opt: int, alg: int) -> bool:
+    """opt <= (c*sqrt(n) + k) * alg, decided in integers."""
+    c, k = bound
+    excess = opt - k * alg
+    return excess <= 0 or excess * excess <= c * c * alg * alg * n
 
 
 def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
     """Play a whole game with the chosen strategy.
 
     Every protection is recorded as a :class:`ProtectEvent`.  The graph is
-    decomposed once; each round's view and its decomposition derive from
-    that.  Rounds without firefighters only tick the cool-down.
+    decomposed once, and its class is returned as ``graph_class``; each
+    round's view and its decomposition derive from that.  Rounds without
+    firefighters only tick the cool-down.
     """
-    classes, policy = _KINDS[kind]
     decomp0 = validate_and_decompose(instance.graph)
-    if decomp0.class_tag not in classes:
-        raise WrongGraphClassError(
-            f"{kind.value} does not accept a {decomp0.class_tag.value} instance"
-        )
+    tag = decomp0.class_tag
+    if not kind.accepts(tag):
+        raise WrongGraphClassError(f"{kind.value} does not accept a {tag.value} instance")
+    policy = _KINDS[kind].policy
     state = GameState(instance)
     cd = CooldownState()
     n_orig = instance.graph.n
@@ -421,7 +452,7 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
             state.protect(orig)
             events.append(ProtectEvent(len(state.trace), state.round, orig, ch.reason, ch.brk))
         state.spread()
-    return RunResult(state.profit(), tuple(state.trace), tuple(events))
+    return RunResult(state.profit(), tuple(state.trace), tuple(events), tag)
 
 
 def decision_view(instance: Instance, result: RunResult, k: int) -> Subgraph:

@@ -22,10 +22,10 @@ import sys
 import time
 from fractions import Fraction
 
-from .algorithms import AlgorithmError, AlgorithmKind, run_algorithm
+from .algorithms import AlgorithmError, AlgorithmKind, run_algorithm, within_bound
 from .engine import GameError, Instance
 from .fileformat import ParseError, parse_instance, serialize_instance
-from .graph import GraphClass, GraphError, validate_and_decompose
+from .graph import GraphError
 from .instances import (
     BadParamsError,
     make_alge_tight,
@@ -35,6 +35,7 @@ from .instances import (
     random_one_almost_tree,
     random_tree,
     tadpole_adversary_run,
+    trial_seed,
 )
 from .lemmas import SUITES, UnknownSuiteError, run_suite
 from .optimum import (
@@ -50,8 +51,17 @@ log = logging.getLogger("firefight")
 BUDGET_ENV = "FIREFIGHT_NODE_BUDGET"
 
 
-def _emit(record: dict) -> None:
+def _emit(args, record: dict) -> None:
+    """Print ``record`` as one JSON line; in table mode also keep it as a
+    row of its type's table, with the wall time since the previous record
+    (or since the command started) as ``runtime_ms``."""
     sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
+    if args.format == "table":
+        now = time.perf_counter()
+        row = {k: v for k, v in record.items() if k != "record"}
+        row["runtime_ms"] = f"{(now - args.t_last) * 1000:.1f}"
+        args.t_last = now
+        args.tables.setdefault(record["record"], []).append(row)
 
 
 def _table(rows: list[dict]) -> None:
@@ -81,64 +91,30 @@ def _load_instance(path: str) -> Instance:
         return parse_instance(fh.read())
 
 
-def _bound_for(kind: AlgorithmKind, sequence: tuple[int, ...]) -> tuple[int, int] | None:
-    """The proven ratio bound c*sqrt(n) + k as (c, k), or None."""
-    if kind is AlgorithmKind.GREEDY_TREE:
-        return 0, 2
-    if kind is AlgorithmKind.ALG_A:
-        return 6, 1
-    if kind is AlgorithmKind.ALG_C:
-        return 15, 1
-    if all(f % 2 == 0 for f in sequence):
-        return 0, 3
-    return None
-
-
-def _within_bound(bound: tuple[int, int], n: int, opt: int, alg: int) -> bool:
-    """opt <= (c*sqrt(n) + k) * alg, decided in integers."""
-    c, k = bound
-    excess = opt - k * alg
-    return excess <= 0 or excess * excess <= c * c * alg * alg * n
-
-
 def cmd_run(args) -> int:
     inst = _load_instance(args.instance)
     kind = AlgorithmKind(args.alg)
-    t0 = time.perf_counter()
     result = run_algorithm(inst, kind)
-    ms = (time.perf_counter() - t0) * 1000
-    tag = validate_and_decompose(inst.graph).class_tag.value
     _emit(
+        args,
         {
             "record": "run",
             "name": inst.name or "",
             "n": inst.graph.n,
-            "class": tag,
+            "class": result.graph_class.value,
             "alg": kind.value,
             "profit": result.profit,
             "trace": [[t.round, t.vertex] for t in result.trace],
-        }
+        },
     )
-    if args.format == "table":
-        _table(
-            [
-                {
-                    "alg": kind.value,
-                    "profit": result.profit,
-                    "protections": " ".join(f"r{t.round}:v{t.vertex}" for t in result.trace),
-                    "runtime_ms": f"{ms:.1f}",
-                }
-            ]
-        )
     return 0
 
 
 def cmd_opt(args) -> int:
     inst = _load_instance(args.instance)
-    t0 = time.perf_counter()
     result = solve_opt(inst, node_budget=_node_budget())
-    ms = (time.perf_counter() - t0) * 1000
     _emit(
+        args,
         {
             "record": "opt",
             "name": inst.name or "",
@@ -146,27 +122,15 @@ def cmd_opt(args) -> int:
             "value": result.value,
             "schedule": [[r, v] for r, v in result.schedule],
             "nodes": result.nodes_explored,
-        }
+        },
     )
-    if args.format == "table":
-        _table(
-            [
-                {
-                    "value": result.value,
-                    "schedule": " ".join(f"r{r}:v{v}" for r, v in result.schedule),
-                    "nodes": result.nodes_explored,
-                    "runtime_ms": f"{ms:.1f}",
-                }
-            ]
-        )
     return 0
 
 
-def _ratio_row(inst: Instance, kind: AlgorithmKind, budget: int):
-    t0 = time.perf_counter()
-    alg_profit = run_algorithm(inst, kind).profit
+def _ratio_row(inst: Instance, kind: AlgorithmKind, budget: int) -> dict:
+    result = run_algorithm(inst, kind)
+    alg_profit = result.profit
     opt = solve_opt(inst, node_budget=budget)
-    ms = (time.perf_counter() - t0) * 1000
     if alg_profit > 0:
         exact = Fraction(opt.value, alg_profit)
         ratio: object = float(exact)
@@ -174,25 +138,22 @@ def _ratio_row(inst: Instance, kind: AlgorithmKind, budget: int):
         ratio = 1.0
     else:
         ratio = "inf"
-    terms = _bound_for(kind, inst.sequence)
+    terms = kind.bound_for(inst.sequence)
     bound = None if terms is None else terms[0] * math.sqrt(inst.graph.n) + terms[1]
-    if opt.value == 0 or terms is None:
-        satisfied = True
-    else:
-        satisfied = _within_bound(terms, inst.graph.n, opt.value, alg_profit)
-    record = {
+    return {
         "record": "ratio",
         "name": inst.name or "",
         "n": inst.graph.n,
-        "class": validate_and_decompose(inst.graph).class_tag.value,
+        "class": result.graph_class.value,
         "alg": kind.value,
         "alg_profit": alg_profit,
         "opt_profit": opt.value,
         "ratio": ratio,
         "bound": bound,
-        "bound_satisfied": satisfied,
+        "bound_satisfied": (
+            terms is None or within_bound(terms, inst.graph.n, opt.value, alg_profit)
+        ),
     }
-    return record, ms
 
 
 def _gen_trial_instance(gen: str, rng_seed: int, n_max: int, even: bool) -> Instance:
@@ -222,37 +183,32 @@ def cmd_ratio(args) -> int:
         _check_n_max(args)
         # drawn one at a time, so memory does not grow with --trials
         instances = (
-            _gen_trial_instance(args.gen, args.seed * 1_000_003 + i * 7919 + 1, args.n_max, args.even)
+            _gen_trial_instance(args.gen, trial_seed(args.seed, i), args.n_max, args.even)
             for i in range(args.trials)
         )
     else:
         raise BadParamsError("ratio needs --instance or --gen")
     worst = 0.0
     trials = failures = 0
-    shown = []
     for inst in instances:
-        record, ms = _ratio_row(inst, kind, budget)
-        _emit(record)
+        record = _ratio_row(inst, kind, budget)
+        _emit(args, record)
         trials += 1
         if isinstance(record["ratio"], float):
             worst = max(worst, record["ratio"])
         if not record["bound_satisfied"]:
             failures += 1
-        if args.format == "table":
-            shown.append({k: v for k, v in record.items() if k != "record"})
-            shown[-1]["runtime_ms"] = f"{ms:.1f}"
     if trials > 1:
         _emit(
+            args,
             {
                 "record": "ratio-summary",
                 "alg": kind.value,
                 "trials": trials,
                 "max_ratio": worst,
                 "bound_failures": failures,
-            }
+            },
         )
-    if args.format == "table":
-        _table(shown)
     return 1 if failures else 0
 
 
@@ -269,6 +225,7 @@ def cmd_adversary(args) -> int:
         ratio_num = "inf"
         met = True
     _emit(
+        args,
         {
             "record": "adversary",
             "alg": report.kind.value,
@@ -281,22 +238,8 @@ def cmd_adversary(args) -> int:
             "ratio_exact": ratio_str,
             "bound": float(report.bound),
             "bound_met": met,
-        }
+        },
     )
-    if args.format == "table":
-        _table(
-            [
-                {
-                    "alg": report.kind.value,
-                    "beta": report.beta,
-                    "case": report.case,
-                    "alg_profit": report.alg_profit,
-                    "opt_profit": report.opt_profit,
-                    "ratio": ratio_str,
-                    "bound": f"{float(report.bound):.4f}",
-                }
-            ]
-        )
     return 0 if met else 1
 
 
@@ -343,6 +286,7 @@ def cmd_gen(args) -> int:
     else:
         sys.stderr.write(text)
     _emit(
+        args,
         {
             "record": "gen",
             "generator": args.generator,
@@ -351,7 +295,7 @@ def cmd_gen(args) -> int:
             "edges": inst.graph.edge_count(),
             "sequence": list(inst.sequence),
             "out": args.out or "",
-        }
+        },
     )
     return 0
 
@@ -365,11 +309,8 @@ def cmd_check_lemmas(args) -> int:
                 f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
             )
     failures = 0
-    rows = []
     for name in names:
-        t0 = time.perf_counter()
         result = run_suite(name, args.trials, args.seed)
-        ms = (time.perf_counter() - t0) * 1000
         ce_path = ""
         if result.counterexample is not None:
             ce_path = args.out or f"counterexample-{name}.txt"
@@ -377,6 +318,7 @@ def cmd_check_lemmas(args) -> int:
                 fh.write(result.counterexample + "\n")
             failures += 1
         _emit(
+            args,
             {
                 "record": "lemma-suite",
                 "suite": name,
@@ -385,19 +327,8 @@ def cmd_check_lemmas(args) -> int:
                 "failures": result.failures,
                 "passed": result.passed,
                 "counterexample": ce_path,
-            }
+            },
         )
-        rows.append(
-            {
-                "suite": name,
-                "trials": result.trials,
-                "checked": result.checked,
-                "status": "pass" if result.passed else f"FAIL ({ce_path})",
-                "runtime_ms": f"{ms:.0f}",
-            }
-        )
-    if args.format == "table":
-        _table(rows)
     return 1 if failures else 0
 
 
@@ -468,12 +399,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # table rows live on this call's args, so calls in one process share none
+    args.tables, args.t_last = {}, time.perf_counter()
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(message)s")
     try:
         # the parser keeps the command's name, not the function, and the
         # module is asked for it per call, so a replaced cmd_* is the one
         # that runs
-        return getattr(sys.modules[__name__], args.cmd)(args)
+        code = getattr(sys.modules[__name__], args.cmd)(args)
     except SearchBudgetExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
@@ -489,6 +422,9 @@ def main(argv=None) -> int:
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    for rows in args.tables.values():  # one table per record type, first seen first
+        _table(rows)
+    return code
 
 
 if __name__ == "__main__":

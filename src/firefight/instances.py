@@ -252,6 +252,11 @@ def random_sequence(
     return tuple(seq)
 
 
+def trial_seed(seed: int, i: int) -> int:
+    """The seed of trial ``i`` in a run seeded with ``seed``."""
+    return seed * 1_000_003 + i * 7919 + 1
+
+
 def random_instance(
     rng: random.Random, gen: str, n_min: int, n_max: int, even: bool = False
 ) -> Instance:

@@ -26,7 +26,6 @@ from .engine import GameState, Instance, profit_of_protections, replay
 from .fileformat import serialize_instance
 from .graph import (
     Graph,
-    GraphClass,
     Subgraph,
     break_subgraph,
     covered_set,
@@ -41,6 +40,7 @@ from .instances import (
     random_one_almost_tree,
     random_sequence,
     random_tree,
+    trial_seed,
 )
 from .optimum import normalize_nonredundant, opt_upper_bound, solve_opt
 
@@ -72,7 +72,7 @@ def _suite(name: str):
         def runner(trials: int, seed: int) -> SuiteResult:
             checked = 0
             for i in range(trials):
-                rng = random.Random(seed * 1_000_003 + i * 7919 + 1)
+                rng = random.Random(trial_seed(seed, i))
                 outcome = trial(rng)
                 if outcome is None:
                     continue
@@ -391,12 +391,7 @@ def _trial_cycle_respecting(rng: random.Random):
 
 def _kinds_for(g: Graph) -> list[AlgorithmKind]:
     tag = validate_and_decompose(g).class_tag
-    kinds = [AlgorithmKind.ALG_C, AlgorithmKind.ALG_E]
-    if tag in (GraphClass.TREE, GraphClass.ONE_ALMOST_TREE):
-        kinds.append(AlgorithmKind.ALG_A)
-    if tag is GraphClass.TREE:
-        kinds.append(AlgorithmKind.GREEDY_TREE)
-    return kinds
+    return [kind for kind in AlgorithmKind if kind.accepts(tag)]
 
 
 @_suite("opt-dominance")

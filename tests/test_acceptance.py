@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st  # noqa: F401  (kept for parity with suite style)
 
 import oracles
-from firefight.algorithms import AlgorithmKind, run_algorithm
+from firefight.algorithms import AlgorithmKind, run_algorithm, within_bound
 from firefight.engine import GameState, Instance, replay
 from firefight.graph import covered_set
 from firefight.instances import (
@@ -144,12 +144,13 @@ def test_criterion_4_sqrt_bounds_on_general_sequences():
     t0 = time.perf_counter()
     checks = []
     ok = True
-    for kind, maker, label, factor in (
+    # the bounds are spelled out here, not read from the strategy table
+    for kind, maker, label, bound in (
         (
             AlgorithmKind.ALG_A,
             lambda rng: random_one_almost_tree(rng.randint(4, 14), rng.randrange(2**30)),
             "one-almost trees vs 6*sqrt(n)+1",
-            6.0,
+            (6, 1),
         ),
         (
             AlgorithmKind.ALG_C,
@@ -157,7 +158,7 @@ def test_criterion_4_sqrt_bounds_on_general_sequences():
                 rng.randint(4, 14), rng.uniform(0.3, 0.9), 6, rng.randrange(2**30)
             ),
             "cacti vs 15*sqrt(n)+1",
-            15.0,
+            (15, 1),
         ),
     ):
         worst = 0.0
@@ -169,9 +170,8 @@ def test_criterion_4_sqrt_bounds_on_general_sequences():
             inst = Instance(g, seq)
             alg = run_algorithm(inst, kind).profit
             opt = solve_opt(inst).value
-            ratio = float(_exact_ratio(opt, alg))
-            worst = max(worst, ratio)
-            if ratio > factor * (g.n**0.5) + 1.0:
+            worst = max(worst, float(_exact_ratio(opt, alg)))
+            if not within_bound(bound, g.n, opt, alg):
                 bad += 1
         ok = ok and bad == 0
         checks.append(f"{label}: max_ratio={worst:.3f}, violations={bad}")

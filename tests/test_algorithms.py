@@ -14,6 +14,7 @@ from firefight.algorithms import (
     NoEligibleCycleError,
     NotATreeError,
     WrongGraphClassError,
+    alg_a_round,
     alg_c_round,
     alg_e_round,
     decision_view,
@@ -24,6 +25,7 @@ from firefight.algorithms import (
 from firefight.engine import Instance, replay
 from firefight.graph import (
     Graph,
+    GraphClass,
     ceil_sqrt,
     contract,
     covered_set,
@@ -131,10 +133,23 @@ def test_class_gating():
         run_algorithm(Instance(two_cycles, (1,)), AlgorithmKind.ALG_A)
     with pytest.raises(WrongGraphClassError):
         run_algorithm(Instance(two_cycles, (1,)), AlgorithmKind.GREEDY_TREE)
+    with pytest.raises(WrongGraphClassError):
+        alg_a_round(two_cycles, validate_and_decompose(two_cycles), 1)
+    cactus_run = run_algorithm(Instance(two_cycles, (1,)), AlgorithmKind.ALG_C)
+    assert cactus_run.graph_class is GraphClass.CACTUS
     # trees are accepted by every strategy
     tree = random_tree(8, 5)
     for kind in AlgorithmKind:
-        run_algorithm(Instance(tree, (1, 1)), kind)
+        assert run_algorithm(Instance(tree, (1, 1)), kind).graph_class is GraphClass.TREE
+    # the proven bounds c*sqrt(n) + k; alg-e's holds on even sequences only
+    assert {kind: kind.bound_for((2, 4)) for kind in AlgorithmKind} == {
+        AlgorithmKind.GREEDY_TREE: (0, 2),
+        AlgorithmKind.ALG_A: (6, 1),
+        AlgorithmKind.ALG_C: (15, 1),
+        AlgorithmKind.ALG_E: (0, 3),
+    }
+    assert AlgorithmKind.ALG_E.bound_for((2, 1)) is None
+    assert AlgorithmKind.ALG_C.bound_for((2, 1)) == (15, 1)
 
 
 def test_cooldown_state_tick():

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import firefight
-from firefight import cli
-from firefight.cli import _within_bound, main
+from firefight import algorithms, cli
+from firefight.algorithms import within_bound
+from firefight.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +226,45 @@ def test_table_format_keeps_stdout_machine_readable(capsys, tadpole_file):
     assert "profit" in err  # the human table goes to stderr
 
 
+@pytest.mark.parametrize("command", [("run", "--alg", "alg-a"), ("ratio", "--alg", "alg-e")])
+def test_one_decomposition_per_command(capsys, monkeypatch, tadpole_file, command):
+    calls = []
+    decompose = algorithms.validate_and_decompose
+
+    def spy(g):
+        calls.append(g)
+        return decompose(g)
+
+    monkeypatch.setattr(algorithms, "validate_and_decompose", spy)
+    if hasattr(cli, "validate_and_decompose"):
+        monkeypatch.setattr(cli, "validate_and_decompose", spy)
+    code, out, _ = run_cli(capsys, command[0], "--instance", str(tadpole_file), *command[1:])
+    assert code == 0
+    assert records(out)[0]["class"] == "one-almost-tree"
+    assert len(calls) == 1
+
+
+def _stderr_tables(err):
+    """(header fields, row count) of every table on stderr, in order."""
+    lines = err.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("-") and set(line) <= {"-", " "}]
+    heads = [i - 1 for i in rules]
+    ends = heads[1:] + [len(lines)]
+    return [(lines[h].split(), e - h - 2) for h, e in zip(heads, ends)]
+
+
+def test_table_lists_every_record_field(capsys):
+    argv = ("ratio", "--gen", "tree", "--alg", "alg-a", "--trials", "3")
+    plain = run_cli(capsys, *argv)
+    table = run_cli(capsys, "--format", "table", *argv)
+    again = run_cli(capsys, "--format", "table", *argv)
+    assert table[:2] == plain[:2] == again[:2] and plain[2] == ""
+    recs = records(plain[1])
+    fields = [[k for k in rec if k != "record"] + ["runtime_ms"] for rec in recs]
+    assert _stderr_tables(table[2]) == [(fields[0], 3), (fields[-1], 1)]
+    assert _stderr_tables(again[2]) == _stderr_tables(table[2])  # no rows carried over
+
+
 def test_ratio_gen_one_almost_tree_default_trials(capsys):
     # the generator draws n = 3 for some trials; those must not abort the run
     code, out, _ = run_cli(capsys, "ratio", "--gen", "one-almost-tree", "--alg", "alg-a")
@@ -237,11 +277,11 @@ def test_ratio_gen_one_almost_tree_default_trials(capsys):
 def test_bound_check_is_exact():
     # 383120/40391 = 9.4852813746 lies just above 6*sqrt(2) + 1 = 9.4852813742,
     # inside the reach of a 1e-9 float tolerance
-    assert not _within_bound((6, 1), 2, 383120, 40391)
-    assert _within_bound((6, 1), 2, 383119, 40391)
-    assert _within_bound((0, 3), 5, 9, 3)
-    assert not _within_bound((0, 3), 5, 10, 3)
-    assert not _within_bound((15, 1), 9, 1, 0)
+    assert not within_bound((6, 1), 2, 383120, 40391)
+    assert within_bound((6, 1), 2, 383119, 40391)
+    assert within_bound((0, 3), 5, 9, 3)
+    assert not within_bound((0, 3), 5, 10, 3)
+    assert not within_bound((15, 1), 9, 1, 0)
 
 
 def test_generated_sizes_are_capped(capsys):
