@@ -12,6 +12,11 @@ makes per-placement weights add up to the final profit.  A game decomposes
 its graph once; every view and every strip derives its graph and its
 decomposition from that one (:func:`~firefight.graph.contract`).
 
+``_round`` protects each decision straight into the game state, which
+validates it, and records it as a :class:`ProtectEvent`; the ``*_round``
+functions play round one of a game on their view, so their events are in
+the view's ids.  The cool-down is an int, the rounds left.
+
 Square-root comparisons are done in exact integer arithmetic throughout:
 ``w >= sqrt(W)`` becomes ``w*w >= W`` and population targets use
 ``ceil_sqrt``.  Ties between equally good vertices go to the lowest id.
@@ -44,7 +49,6 @@ from .graph import (
     contract,
     covered_set,
     dominator_tree,
-    tolerance,
     validate_and_decompose,
 )
 
@@ -110,23 +114,15 @@ class BreakDetail:
 
 
 @dataclass(frozen=True)
-class CooldownState:
-    """Break aftermath timer: while positive, stay greedy on heavy cycles."""
+class ProtectEvent:
+    """A recorded protection: what was done and why.  ``brk`` is in the ids
+    of the decision's view, which :func:`decision_view` rebuilds."""
 
-    remaining: int = 0
-
-    def tick(self) -> "CooldownState":
-        return CooldownState(max(self.remaining - 1, 0))
-
-
-@dataclass(frozen=True)
-class Choice:
-    """One protection and why: ``vertex`` is an id of the round's input
-    view; ``brk`` is in the ids of the graph the decision was made on."""
-
+    time: int
+    round: int
     vertex: int
     reason: str
-    brk: BreakDetail | None = None
+    brk: BreakDetail | None
 
 
 def _strip_covered(
@@ -143,6 +139,31 @@ def _strip_covered(
     return contract(g, decomp, index)
 
 
+def _deepest_cut(
+    g: Graph, decomp: CactusDecomposition, anchors: list[tuple[int, int]], target: int,
+    at_edge: bool,
+) -> tuple[int, int, int, dict[int, int]] | None:
+    """The deepest cut among candidate anchors, ties to the lower anchor.
+
+    ``anchors`` holds (root cycle index, root neighbor) pairs; the cut is
+    the anchor, or its root edge when ``at_edge``, and its depth is the
+    largest fire travel distance that keeps ``target`` opened vertices safe.
+    Returns (depth, anchor, cycle index, distances), or None if none does.
+    """
+    best = None
+    for ci, u in anchors:
+        dist = break_distances(g, decomp, ci, (g.root, u) if at_edge else u)
+        t = break_depth(dist, target)
+        if t is not None and (best is None or (t, -u) > (best[0], -best[1])):
+            best = (t, u, ci, dist)
+    return best
+
+
+def _from_anchor(cycle: tuple[int, ...], anchor: int) -> tuple[int, ...]:
+    """A root cycle (root first) oriented to run (root, anchor, ...)."""
+    return cycle if cycle[1] == anchor else (cycle[0],) + tuple(reversed(cycle[1:]))
+
+
 def improved_break(
     g: Graph, decomp: CactusDecomposition, dom: DominatorTree, eta_sq: int
 ) -> BreakDetail:
@@ -156,7 +177,6 @@ def improved_break(
     protected vertex, the first along the opened cycle covering territory
     at depth ``depth`` or beyond, and its cool-down.
     """
-    root = g.root
     eligible: list[tuple[int, int]] = []
     for i in decomp.root_cycle_indices:
         w = dom.cycle_weight(decomp.cycles[i])
@@ -166,26 +186,18 @@ def improved_break(
         raise NoEligibleCycleError("no root cycle reaches the weight threshold")
     heaviest = max(w for _, w in eligible)
     target = ceil_sqrt(heaviest)
-    best: tuple[int, int, int, dict[int, int]] | None = None  # (depth, -u, cycle, distances)
+    anchors = []
     for i, w in eligible:
         cyc = decomp.cycles[i]
         for u in (cyc[1], cyc[-1]):
             rest = w - dom.size[u]
-            if rest < 0 or rest * rest < heaviest:
-                continue
-            dist = break_distances(g, decomp, i, (root, u))
-            t = break_depth(dist, target)
-            if t is None:
-                continue
-            if best is None or (t, -u) > (best[0], best[1]):
-                best = (t, -u, i, dist)
+            if rest >= 0 and rest * rest >= heaviest:
+                anchors.append((i, u))
+    best = _deepest_cut(g, decomp, anchors, target, at_edge=True)
     if best is None:
         raise NoEligibleBreakVertexError("no root neighbor leaves enough territory")
-    depth, neg_u, ci, dmap = best
-    anchor = -neg_u
-    cyc = decomp.cycles[ci]
-    if cyc[1] != anchor:
-        cyc = (cyc[0],) + tuple(reversed(cyc[1:]))
+    depth, anchor, ci, dmap = best
+    cyc = _from_anchor(decomp.cycles[ci], anchor)
     # reach[v]: the farthest opened distance in v's territory (dominator subtree)
     reach = [-1] * g.n
     for v, d in dmap.items():
@@ -213,53 +225,40 @@ RootCycle = tuple[int, tuple[int, ...], int]  # (cycle index, cycle, weight)
 # A break policy answers a lone firefighter facing a root cycle heavier than
 # the best single pick squared: a break, or None to stay greedy.
 BreakPolicy = Callable[
-    [Graph, CactusDecomposition, DominatorTree, RootCycle, CooldownState, int],
+    [Graph, CactusDecomposition, DominatorTree, RootCycle, int, int],
     BreakDetail | None,
 ]
 
 
 def _tolerance_break(
-    g: Graph,
-    decomp: CactusDecomposition,
-    dom: DominatorTree,
-    heaviest: RootCycle,
-    cooldown: CooldownState,
-    n_original: int,
+    g: Graph, decomp: CactusDecomposition, dom: DominatorTree, heaviest: RootCycle,
+    cooldown: int, n_original: int,
 ) -> BreakDetail | None:
     """1-almost-tree break: the more tolerant root neighbor of the cycle."""
     ci, cyc, w_cyc = heaviest
     target = ceil_sqrt(w_cyc)
-    best = None
-    for u in (cyc[1], cyc[-1]):
-        t = tolerance(g, decomp, u, ci, target)
-        if t is None:
-            continue
-        if best is None or (t, -u) > (best[0], -best[1]):
-            best = (t, u)
+    best = _deepest_cut(g, decomp, [(ci, cyc[1]), (ci, cyc[-1])], target, at_edge=False)
     if best is None:  # cannot happen for a break-branch cycle; stay safe
         return None
+    depth, anchor = best[:2]
     return BreakDetail(
-        vertex=best[1],
-        anchor=best[1],
-        depth=best[0],
+        vertex=anchor,
+        anchor=anchor,
+        depth=depth,
         cooldown=0,
-        cycle=cyc if cyc[1] == best[1] else (cyc[0],) + tuple(reversed(cyc[1:])),
+        cycle=_from_anchor(cyc, anchor),
         target=target,
         cycle_weight=w_cyc,
     )
 
 
 def _guarded_improved_break(
-    g: Graph,
-    decomp: CactusDecomposition,
-    dom: DominatorTree,
-    heaviest: RootCycle,
-    cooldown: CooldownState,
-    n_original: int,
+    g: Graph, decomp: CactusDecomposition, dom: DominatorTree, heaviest: RootCycle,
+    cooldown: int, n_original: int,
 ) -> BreakDetail | None:
     """Cactus break: only on cycles of weight above sqrt(n), never in a cool-down."""
     w_cyc = heaviest[2]
-    if w_cyc * w_cyc <= n_original or cooldown.remaining > 0:
+    if w_cyc * w_cyc <= n_original or cooldown > 0:
         return None
     try:
         return improved_break(g, decomp, dom, n_original)
@@ -274,9 +273,9 @@ def _step(
     decomp: CactusDecomposition,
     f_left: int,
     policy: BreakPolicy | None,
-    cooldown: CooldownState,
+    cooldown: int,
     n_original: int,
-) -> tuple[list[int], str, BreakDetail | None, CooldownState]:
+) -> tuple[list[int], str, BreakDetail | None, int]:
     """The next protection(s): greedy, a pair sealing a root cycle, or a break.
 
     Candidates are the root neighbors plus every root-cycle vertex.  With
@@ -304,84 +303,78 @@ def _step(
     if w1 * w1 < w_cyc and policy is not None:
         brk = policy(g, decomp, dom, cycles[0], cooldown, n_original)
     if brk is None:
-        return [v1], "greedy", None, CooldownState()
-    return [brk.vertex], "break", brk, CooldownState(brk.cooldown)
+        return [v1], "greedy", None, 0
+    return [brk.vertex], "break", brk, brk.cooldown
 
 
 def _round(
-    view: Graph,
-    decomp: CactusDecomposition,
-    f: int,
-    policy: BreakPolicy | None,
-    cooldown: CooldownState,
-    n_original: int,
-) -> tuple[list[Choice], CooldownState]:
-    """Place a round's f firefighters one decision at a time.
+    state: GameState, view: Subgraph, decomp: CactusDecomposition,
+    policy: BreakPolicy | None, cooldown: int, n_original: int,
+) -> tuple[list[ProtectEvent], int]:
+    """Protect the current round's firefighters one decision at a time.
 
-    The cool-down elapses once per round; after each decision the covered
+    ``view`` is the round's reduced view of ``state``; each decision is
+    protected straight into ``state``, which validates it.  The cool-down
+    (rounds left) elapses once per round; after each decision the covered
     territory is stripped, and the rest's decomposition is derived from the
-    current one.  ``to_view`` maps the strip's ids back to the view's.
+    current one.  ``to_orig`` maps the strip's ids back to ``state``'s.
     """
-    cd = cooldown.tick()
-    g, dec = view, decomp
-    to_view = tuple(range(view.n))
-    out: list[Choice] = []
+    cd = max(cooldown - 1, 0)
+    f = state.instance.firefighters(state.round)
+    g, dec, to_orig = view.graph, decomp, view.to_orig
+    events: list[ProtectEvent] = []
     while f > 0 and g.n > 1:
         locs, reason, brk, cd = _step(g, dec, f, policy, cd, n_original)
         locs = locs[:f]
-        out.extend(Choice(to_view[lv], reason, brk) for lv in locs)
+        for lv in locs:
+            state.protect(to_orig[lv])
+            events.append(ProtectEvent(len(state.trace), state.round, to_orig[lv], reason, brk))
         f -= len(locs)
         if f <= 0:
             break
         sub, dec = _strip_covered(g, dec, locs)
-        to_view = tuple(to_view[o] for o in sub.to_orig)
+        to_orig = tuple(to_orig[o] for o in sub.to_orig)
         g = sub.graph
-    return out, cd
+    return events, cd
 
 
-def greedy_tree_round(view: Graph, f: int) -> list[Choice]:
+def _first_round(
+    kind: AlgorithmKind, view: Graph, decomp: CactusDecomposition,
+    f: int, cooldown: int, n_original: int,
+) -> tuple[list[ProtectEvent], int]:
+    """Round one of a game of ``kind`` on ``view`` with f firefighters."""
+    policy = _checked_policy(kind, decomp)
+    state = GameState(Instance(view, (f,)))
+    whole = Subgraph(view, tuple(range(view.n)))
+    return _round(state, whole, decomp, policy, cooldown, n_original)
+
+
+def greedy_tree_round(view: Graph, f: int) -> list[ProtectEvent]:
     """Protect the f heaviest root neighbors of a tree, one at a time."""
     if view.edge_count() != view.n - 1:
         raise NotATreeError("greedy baseline only plays on trees")
-    return _round(view, validate_and_decompose(view), f, None, CooldownState(), view.n)[0]
+    decomp = validate_and_decompose(view)
+    return _first_round(AlgorithmKind.GREEDY_TREE, view, decomp, f, 0, view.n)[0]
 
 
-def alg_a_round(view: Graph, decomp: CactusDecomposition, f: int) -> list[Choice]:
+def alg_a_round(view: Graph, decomp: CactusDecomposition, f: int) -> list[ProtectEvent]:
     """One round of the 1-almost-tree strategy on the current view."""
-    if not AlgorithmKind.ALG_A.accepts(decomp.class_tag):
-        raise WrongGraphClassError("this strategy handles at most one cycle")
-    return _round(view, decomp, f, _tolerance_break, CooldownState(), view.n)[0]
+    return _first_round(AlgorithmKind.ALG_A, view, decomp, f, 0, view.n)[0]
 
 
-def alg_e_round(view: Graph, decomp: CactusDecomposition, f: int) -> list[Choice]:
+def alg_e_round(view: Graph, decomp: CactusDecomposition, f: int) -> list[ProtectEvent]:
     """One round of the plain cactus strategy (no cycle breaking)."""
-    return _round(view, decomp, f, None, CooldownState(), view.n)[0]
+    return _first_round(AlgorithmKind.ALG_E, view, decomp, f, 0, view.n)[0]
 
 
 def alg_c_round(
-    view: Graph,
-    decomp: CactusDecomposition,
-    f: int,
-    cooldown: CooldownState,
-    n_original: int,
-) -> tuple[list[Choice], CooldownState]:
-    """One round of the full cactus strategy.
+    view: Graph, decomp: CactusDecomposition, f: int, cooldown: int, n_original: int
+) -> tuple[list[ProtectEvent], int]:
+    """One round of the full cactus strategy; returns the new cool-down.
 
     The cool-down timer elapses once per round, firefighters or not.
     """
-    return _round(view, decomp, f, _guarded_improved_break, cooldown, n_original)
-
-
-@dataclass(frozen=True)
-class ProtectEvent:
-    """A recorded protection: what was done and why.  ``brk`` is in the ids
-    of the decision's view, which :func:`decision_view` rebuilds."""
-
-    time: int
-    round: int
-    vertex: int
-    reason: str
-    brk: BreakDetail | None
+    return _first_round(AlgorithmKind.ALG_C, view, decomp, f, cooldown, n_original)
 
 
 @dataclass(frozen=True)
@@ -415,6 +408,14 @@ _KINDS: dict[AlgorithmKind, Contract] = {
 }
 
 
+def _checked_policy(kind: AlgorithmKind, decomp: CactusDecomposition) -> BreakPolicy | None:
+    """``kind``'s break policy, once it accepts the class of ``decomp``'s graph."""
+    tag = decomp.class_tag
+    if not kind.accepts(tag):
+        raise WrongGraphClassError(f"{kind.value} does not accept a {tag.value} instance")
+    return _KINDS[kind].policy
+
+
 def within_bound(bound: tuple[int, int], n: int, opt: int, alg: int) -> bool:
     """opt <= (c*sqrt(n) + k) * alg, decided in integers."""
     c, k = bound
@@ -431,28 +432,19 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
     firefighters only tick the cool-down.
     """
     decomp0 = validate_and_decompose(instance.graph)
-    tag = decomp0.class_tag
-    if not kind.accepts(tag):
-        raise WrongGraphClassError(f"{kind.value} does not accept a {tag.value} instance")
-    policy = _KINDS[kind].policy
+    policy = _checked_policy(kind, decomp0)
     state = GameState(instance)
-    cd = CooldownState()
-    n_orig = instance.graph.n
+    cd = 0
     events: list[ProtectEvent] = []
     while not state.is_finished():
-        f = instance.firefighters(state.round)
-        choices: list[Choice] = []
-        if f > 0:
-            sub, dec = contract(instance.graph, decomp0, state.view_index())
-            choices, cd = _round(sub.graph, dec, f, policy, cd, n_orig)
+        if instance.firefighters(state.round) > 0:
+            view, dec = contract(instance.graph, decomp0, state.view_index())
+            placed, cd = _round(state, view, dec, policy, cd, instance.graph.n)
+            events.extend(placed)
         else:
-            cd = cd.tick()
-        for ch in choices:
-            orig = sub.to_orig[ch.vertex]
-            state.protect(orig)
-            events.append(ProtectEvent(len(state.trace), state.round, orig, ch.reason, ch.brk))
+            cd = max(cd - 1, 0)
         state.spread()
-    return RunResult(state.profit(), tuple(state.trace), tuple(events), tag)
+    return RunResult(state.profit(), tuple(state.trace), tuple(events), decomp0.class_tag)
 
 
 def decision_view(instance: Instance, result: RunResult, k: int) -> Subgraph:

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 from .algorithms import (
     AlgorithmKind,
-    CooldownState,
     alg_a_round,
     alg_c_round,
     decision_view,
@@ -242,7 +241,7 @@ def _algc_break_context(rng: random.Random):
     n = rng.randint(6, 13)
     g = random_cactus(n, rng.uniform(0.5, 1.0), rng.randint(4, max(4, n)), _seed(rng))
     decomp = validate_and_decompose(g)
-    (choice,), _ = alg_c_round(g, decomp, 1, CooldownState(), g.n)
+    (choice,), _ = alg_c_round(g, decomp, 1, 0, g.n)
     if choice.brk is None:
         return None
     return g, decomp, choice.brk

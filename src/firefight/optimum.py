@@ -42,7 +42,7 @@ from .engine import Instance, ProtectionSchedule
 from .graph import _distances, validate_and_decompose
 
 DEFAULT_NODE_BUDGET = 50_000_000
-DEFAULT_MAX_N = 22
+DEFAULT_MAX_N = 30
 # an entry costs about 260 bytes (measured on a 40-vertex cactus), so the
 # memo stays near 0.25 GB; past it the search ends like the node budget
 MAX_MEMO_ENTRIES = 1_000_000

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import random
 from dataclasses import astuple
 
@@ -9,7 +10,6 @@ from firefight import algorithms, graph
 from firefight.algorithms import (
     AlgorithmKind,
     BreakDetail,
-    CooldownState,
     NoEligibleBreakVertexError,
     NoEligibleCycleError,
     NotATreeError,
@@ -153,21 +153,34 @@ def test_class_gating():
 
 
 def test_cooldown_state_tick():
-    assert CooldownState(0).tick() == CooldownState(0)
-    assert CooldownState(3).tick() == CooldownState(2)
-    assert CooldownState(1).tick() == CooldownState(0)
+    # the cool-down is the rounds left; an empty round only ticks it
+    g = make_tadpole(10, 3)
+    d = validate_and_decompose(g)
+    assert [alg_c_round(g, d, 0, c, g.n) for c in (0, 1, 3)] == [([], 0), ([], 0), ([], 2)]
 
 
 def test_alg_c_round_reports_cooldown():
     g = make_tadpole(10, 3)
     decomp = validate_and_decompose(g)
-    choices, cd = alg_c_round(g, decomp, 1, CooldownState(0), g.n)
+    choices, cd = alg_c_round(g, decomp, 1, 0, g.n)
     assert [c.reason for c in choices] == ["break"]
-    assert cd.remaining == 10
+    assert cd == 10
     # an active cool-down forces one greedy protection, then clears
-    choices2, cd2 = alg_c_round(g, decomp, 1, CooldownState(5), g.n)
+    choices2, cd2 = alg_c_round(g, decomp, 1, 5, g.n)
     assert [c.reason for c in choices2] == ["greedy"]
-    assert cd2 == CooldownState(0)
+    assert cd2 == 0
+
+
+def test_break_without_eligible_vertex_falls_back_to_greedy(caplog):
+    # a triangle's cycle outweighs the best pick squared, but cutting either
+    # root edge leaves too little territory behind
+    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    with caplog.at_level(logging.WARNING, logger="firefight.algorithms"):
+        r = run_algorithm(Instance(triangle, (1,)), AlgorithmKind.ALG_C)
+    warnings = [m for m in caplog.messages if "cycle break found no eligible vertex" in m]
+    assert len(warnings) == 1
+    assert [(e.vertex, e.reason, e.brk) for e in r.events] == [(1, "greedy", None)]
+    assert r.profit == 1
 
 
 def _random_instance(seed):
@@ -281,7 +294,7 @@ def test_golden_traces():
 def test_empty_round_only_ticks_cooldown():
     g = make_tadpole(10, 3)
     dec = validate_and_decompose(g)
-    assert alg_c_round(g, dec, 0, CooldownState(5), g.n) == ([], CooldownState(4))
+    assert alg_c_round(g, dec, 0, 5, g.n) == ([], 4)
 
 
 def test_root_cycle_ties_fall_to_decomposition_order():
@@ -369,6 +382,45 @@ def test_improved_break_matches_covered_set_reference():
         assert improved_break(g, d, dom, eta_sq) == expected
         breaks += 1
     assert breaks >= 200
+
+
+def _reference_tolerance_break(g, decomp):
+    """alg-a's break on g's root cycle with weights from covered_set: the
+    more tolerant root neighbor, ties to the lower one."""
+    root = g.root
+    (ci,) = decomp.root_cycle_indices
+    cyc = decomp.cycles[ci]
+    w = len(covered_set(g, frozenset(), frozenset(cyc) - {root}))
+    target = ceil_sqrt(w)
+    scored = [
+        (t, -u)
+        for u in (cyc[1], cyc[-1])
+        if (t := graph.tolerance(g, decomp, u, ci, target)) is not None
+    ]
+    depth, neg_u = max(scored)
+    anchor = -neg_u
+    if cyc[1] != anchor:
+        cyc = (cyc[0],) + tuple(reversed(cyc[1:]))
+    return BreakDetail(anchor, anchor, depth, 0, cyc, target, w)
+
+
+def test_alg_a_break_matches_tolerance_reference():
+    breaks = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(4, 30)
+        g = random_one_almost_tree(n, seed, through_root=True)
+        if seed % 2:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
+        d = validate_and_decompose(g)
+        (event,) = alg_a_round(g, d, 1)
+        if event.reason != "break":
+            continue
+        assert event.brk == _reference_tolerance_break(g, d)
+        breaks += 1
+    assert breaks >= 50, breaks
 
 
 def test_breaks_build_no_subgraph(monkeypatch):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import firefight
 from firefight import algorithms, cli
 from firefight.algorithms import within_bound
 from firefight.cli import main
+from firefight.graph import GraphClass
 
 
 def run_cli(capsys, *argv):
@@ -316,7 +318,7 @@ def test_ratio_n_max_beyond_the_solver_is_refused_before_any_draw(capsys, monkey
 
 def test_ratio_n_max_at_the_solver_limit_runs(capsys):
     code, out, _ = run_cli(
-        capsys, "ratio", "--gen", "tree", "--alg", "alg-c", "--n-max", "22", "--trials", "2"
+        capsys, "ratio", "--gen", "tree", "--alg", "alg-c", "--n-max", "30", "--trials", "2"
     )
     assert code == 0 and len(records(out)) == 3
 
@@ -383,3 +385,31 @@ def test_replaced_command_runs_after_a_first_call(capsys, monkeypatch, tadpole_f
     assert run_cli(capsys, *argv)[0] == 0
     monkeypatch.setattr(cli, "cmd_run", lambda args: 7)
     assert run_cli(capsys, *argv) == (7, "", "")
+
+
+# sha256 over argv, exit code and stdout of the commands below: a changed
+# byte of any record they print changes it
+CLI_STDOUT_SHA256 = "633591f77c0c59a5cb4fbb206a754ae09927cb06d5884b7b8ab36e065461446c"
+
+
+def test_cli_stdout_digest(capsys):
+    common = ("--trials", "30", "--n-max", "12", "--seed", "1")
+    commands = [
+        ("ratio", "--gen", cls.value, "--alg", kind.value, *common)
+        for cls in GraphClass
+        for kind in algorithms.AlgorithmKind
+        if kind.accepts(cls)
+    ]
+    commands.append(("ratio", "--gen", "cactus", "--alg", "alg-e", "--even", *common))
+    commands += [
+        ("adversary", "--alg", alg, "--beta", str(beta))
+        for alg in ("alg-a", "alg-c", "alg-e")
+        for beta in range(2, 7)
+    ]
+    commands.append(("check-lemmas", "--suite", "all", "--trials", "20"))
+    assert len(commands) == 26
+    h = hashlib.sha256()
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        h.update(repr((argv, code, out)).encode())
+    assert h.hexdigest() == CLI_STDOUT_SHA256
