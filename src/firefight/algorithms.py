@@ -5,12 +5,17 @@ root-cycle vertices and protects greedily or seals a heavy root cycle with
 a pair; they differ only in the break policy a lone firefighter consults
 against a heavy root cycle (none for ``greedy-tree`` and ``alg-e``).
 
-All deciders are pure functions of the current reduced view.  Within a
-round a strategy may place several firefighters; after each placement the
-view is re-derived (the newly covered territory disappears), which is what
-makes per-placement weights add up to the final profit.  A game decomposes
-its graph once; every view and every strip derives its graph and its
-decomposition from that one (:func:`~firefight.graph.contract`).
+Every decision weighs the reduced view of the position: the burned region
+merged into a root, the truly available vertices kept.  A game does not
+rebuild that view per round or per placement; it keeps the residual game
+(``_Residual``) in its own ids from round to round: one decomposition and
+one dominator pass per game, then O(log n) per candidate change as the fire
+spreads and firefighters are placed.  Within a round a strategy may place
+several firefighters; each placement drops the territory it covers from
+the residual, which is what makes per-placement weights add up to the final
+profit.  Only a break builds the view itself
+(:func:`~firefight.graph.contract`), and only once its policy's cheap guard
+passes.
 
 ``_round`` protects each decision straight into the game state, which
 validates it, and records it as a :class:`ProtectEvent`; the ``*_round``
@@ -24,9 +29,9 @@ Root cycles are ranked by weight, then by the canonical ``decomp.cycles``
 order, ``(min(c), c)``; in a reduced view every root cycle holds the root,
 id 0, so ties between root cycles go to the smaller root neighbor.
 
-Weights come from one dominator-tree pass per decision
-(:func:`~firefight.graph.dominator_tree`): a vertex is worth its dominator
-subtree, a root cycle the subtrees of its non-root vertices.
+A vertex is worth its dominator subtree
+(:func:`~firefight.graph.dominator_tree`), a root cycle the subtrees of its
+non-root vertices.
 """
 
 from __future__ import annotations
@@ -34,9 +39,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
-from .engine import GameState, Instance, TraceEntry
+from .engine import GameState, Instance, Status, TraceEntry
 from .graph import (
     CactusDecomposition,
     DominatorTree,
@@ -47,7 +54,7 @@ from .graph import (
     break_distances,
     ceil_sqrt,
     contract,
-    covered_set,
+    covered_set,  # unused here, but the benchmark's tests wrap it under this module's name
     dominator_tree,
     validate_and_decompose,
 )
@@ -123,20 +130,6 @@ class ProtectEvent:
     vertex: int
     reason: str
     brk: BreakDetail | None
-
-
-def _strip_covered(
-    g: Graph, decomp: CactusDecomposition, chosen: list[int]
-) -> tuple[Subgraph, CactusDecomposition]:
-    """What stays in play once ``chosen`` is protected: the root (id 0) and
-    the vertices it still reaches, with their decomposition."""
-    cov = covered_set(g, (), chosen)
-    kept = [v for v in range(g.n) if v not in cov and v != g.root]
-    index = [-1] * g.n
-    index[g.root] = 0
-    for i, v in enumerate(kept, 1):
-        index[v] = i
-    return contract(g, decomp, index)
 
 
 def _deepest_cut(
@@ -220,24 +213,34 @@ def improved_break(
     raise NoEligibleBreakVertexError("no cycle vertex covers the required depth")
 
 
-RootCycle = tuple[int, tuple[int, ...], int]  # (cycle index, cycle, weight)
+class BreakView(NamedTuple):
+    """What a break is decided on: the decision's view, its decomposition
+    and dominator tree, and the index of its heaviest root cycle."""
 
-# A break policy answers a lone firefighter facing a root cycle heavier than
-# the best single pick squared: a break, or None to stay greedy.
-BreakPolicy = Callable[
-    [Graph, CactusDecomposition, DominatorTree, RootCycle, int, int],
-    BreakDetail | None,
-]
+    sub: Subgraph
+    decomp: CactusDecomposition
+    dom: DominatorTree
+    heaviest: int
+
+
+# A break policy answers a lone firefighter facing a root cycle of weight
+# w_cyc heavier than the best single pick squared: a break, or None to stay
+# greedy.  It gets (w_cyc, cooldown, n_original, view) and calls ``view()``,
+# which builds the decision's view, only once its cheap guard passes.
+BreakPolicy = Callable[[int, int, int, Callable[[], BreakView]], BreakDetail | None]
 
 
 def _tolerance_break(
-    g: Graph, decomp: CactusDecomposition, dom: DominatorTree, heaviest: RootCycle,
-    cooldown: int, n_original: int,
+    w_cyc: int, cooldown: int, n_original: int, view: Callable[[], BreakView]
 ) -> BreakDetail | None:
     """1-almost-tree break: the more tolerant root neighbor of the cycle."""
-    ci, cyc, w_cyc = heaviest
+    bv = view()
+    ci = bv.heaviest
+    cyc = bv.decomp.cycles[ci]
     target = ceil_sqrt(w_cyc)
-    best = _deepest_cut(g, decomp, [(ci, cyc[1]), (ci, cyc[-1])], target, at_edge=False)
+    best = _deepest_cut(
+        bv.sub.graph, bv.decomp, [(ci, cyc[1]), (ci, cyc[-1])], target, at_edge=False
+    )
     if best is None:  # cannot happen for a break-branch cycle; stay safe
         return None
     depth, anchor = best[:2]
@@ -253,28 +256,176 @@ def _tolerance_break(
 
 
 def _guarded_improved_break(
-    g: Graph, decomp: CactusDecomposition, dom: DominatorTree, heaviest: RootCycle,
-    cooldown: int, n_original: int,
+    w_cyc: int, cooldown: int, n_original: int, view: Callable[[], BreakView]
 ) -> BreakDetail | None:
     """Cactus break: only on cycles of weight above sqrt(n), never in a cool-down."""
-    w_cyc = heaviest[2]
     if w_cyc * w_cyc <= n_original or cooldown > 0:
         return None
+    bv = view()
     try:
-        return improved_break(g, decomp, dom, n_original)
+        return improved_break(bv.sub.graph, bv.decomp, bv.dom, n_original)
     except (NoEligibleCycleError, NoEligibleBreakVertexError) as exc:
         # the guard makes this unreachable except on tiny cycles; fall back
         log.warning("cycle break found no eligible vertex (%s); protecting greedily", exc)
         return None
 
 
+class _Residual:
+    """The live part of a game, in the game's own ids, kept across rounds.
+
+    Live vertices are the truly available ones; the burned region plays the
+    reduced view's root.  ``size[v]`` is live v's dominator-subtree size in
+    the view.  A spread changes no live size: a live vertex keeps
+    dominating what it dominated.  A protection inside a root cycle opens
+    it into two paths, whose sizes become chain sums, once per cycle.  The
+    territory a protection covers needs no walk: the fire never reaches it.
+
+    Candidates (root neighbors and live root-cycle members) sit in a lazy
+    heap keyed (-size, id, stamp); an entry is current while it carries its
+    vertex's stamp.  A root cycle is its live arc, ``arcs[i] = [start,
+    length, weight]`` with positions in ``decomp.cycles[i]``, ranked in a
+    second lazy heap by (-weight, smaller end).  View ids keep the original
+    order, so both rankings agree with a view rebuilt from scratch.
+    """
+
+    def __init__(self, state: GameState, decomp: CactusDecomposition, keep_ids: bool = False):
+        g = state.instance.graph
+        self.state, self.decomp = state, decomp
+        # round functions decide on the view they were given, in its ids, until it changes
+        self.keep_ids = keep_ids
+        self.size = list(dominator_tree(g, decomp).size)
+        self.stamp = [0] * g.n
+        self.cand = bytearray(g.n)
+        self.heap: list[tuple[int, int, int]] = []
+        self.on_cycle = [-1] * g.n  # the root cycle v is a live member of
+        self.touched = bytearray(len(decomp.cycles))  # has been a root cycle
+        self.arcs: dict[int, list[int]] = {}
+        self.cycle_heap: list[tuple[int, int, int, int, int]] = []
+        self.burn([g.root])
+
+    def _push(self, v: int) -> None:
+        self.stamp[v] += 1
+        self.cand[v] = 1
+        heappush(self.heap, (-self.size[v], v, self.stamp[v]))
+
+    def _drop(self, v: int) -> None:
+        self.stamp[v] += 1
+        self.cand[v] = 0
+
+    def best(self) -> tuple[int, int] | None:
+        """(size, vertex) of the heaviest candidate, ties to the lower id."""
+        heap, stamp = self.heap, self.stamp
+        while heap:
+            w, v, s = heap[0]
+            if s == stamp[v]:
+                return -w, v
+            heappop(heap)
+        return None
+
+    def second(self) -> int:
+        """The second largest candidate size."""
+        top = heappop(self.heap)
+        w2 = self.best()[0]
+        heappush(self.heap, top)
+        return w2
+
+    def _rank(self, i: int) -> None:
+        start, length, w = self.arcs[i]
+        cyc = self.decomp.cycles[i]
+        a, b = sorted((cyc[start], cyc[(start + length - 1) % len(cyc)]))
+        heappush(self.cycle_heap, (-w, a, b, i, length))
+
+    def heaviest(self) -> tuple[int, tuple[int, int]] | None:
+        """(weight, sorted ends) of the top root cycle, ties to the smaller end."""
+        heap = self.cycle_heap
+        while heap:
+            w, a, b, i, length = heap[0]
+            arc = self.arcs.get(i)
+            if arc is not None and arc[1] == length:  # an arc only ever shrinks
+                return -w, (a, b)
+            heappop(heap)
+        return None
+
+    def _members(self, i: int) -> list[int]:
+        start, length, _ = self.arcs[i]
+        cyc = self.decomp.cycles[i]
+        return [cyc[(start + t) % len(cyc)] for t in range(length)]
+
+    def burn(self, burned: list[int]) -> None:
+        """The fire took ``burned``: they leave, their live neighbors join."""
+        adj = self.state.instance.graph.adjacency
+        status = self.state.status
+        for v in burned:
+            if self.cand[v]:
+                self._drop(v)
+            i = self.on_cycle[v]
+            if i >= 0:  # an end of a root cycle's live arc
+                self.on_cycle[v] = -1
+                arc = self.arcs[i]
+                cyc = self.decomp.cycles[i]
+                if cyc[arc[0]] == v:
+                    arc[0] = (arc[0] + 1) % len(cyc)
+                arc[1] -= 1
+                arc[2] -= self.size[v]
+                if arc[1] >= 2:
+                    self._rank(i)
+                else:  # dissolved: a lone member is just a root neighbor
+                    for u in self._members(i):
+                        self.on_cycle[u] = -1
+                    del self.arcs[i]
+            for i in self.decomp.vertex_cycles[v]:
+                if not self.touched[i]:  # v was the top of cycle i
+                    self.touched[i] = 1
+                    cyc = self.decomp.cycles[i]
+                    self.arcs[i] = arc = [(cyc.index(v) + 1) % len(cyc), len(cyc) - 1, 0]
+                    members = self._members(i)
+                    arc[2] = sum(self.size[u] for u in members)
+                    for u in members:
+                        self.on_cycle[u] = i
+                        if not self.cand[u]:
+                            self._push(u)
+                    self._rank(i)
+            for u in adj[v]:
+                if status[u] is Status.AVAILABLE and not self.cand[u]:
+                    self._push(u)
+
+    def protect(self, v: int) -> None:
+        """v is protected: it leaves, and a root cycle through it opens."""
+        self._drop(v)
+        i = self.on_cycle[v]
+        if i < 0:
+            return
+        members = self._members(i)
+        del self.arcs[i]
+        j = members.index(v)
+        size = self.size
+        # each side is a path from its end at the fire to v: sizes become chain sums
+        for side in (members[:j][::-1], members[j + 1:]):
+            acc = 0
+            for u in side:
+                acc += size[u]
+                size[u] = acc
+                self.on_cycle[u] = -1
+                self._drop(u)
+            if side:
+                self._push(side[-1])
+        self.on_cycle[v] = -1
+
+    def view(self, end: int) -> BreakView:
+        """The decision's view, whose heaviest root cycle has smaller end ``end``."""
+        state = self.state
+        g = state.instance.graph
+        if self.keep_ids and not state.trace:
+            sub, dec = Subgraph(g, tuple(range(g.n))), self.decomp
+        else:
+            sub, dec = contract(g, self.decomp, state.view_index())
+        u = sub.to_orig.index(end)
+        ci = next(i for i in dec.root_cycle_indices if dec.cycles[i][1] == u)
+        return BreakView(sub, dec, dominator_tree(sub.graph, dec), ci)
+
+
 def _step(
-    g: Graph,
-    decomp: CactusDecomposition,
-    f_left: int,
-    policy: BreakPolicy | None,
-    cooldown: int,
-    n_original: int,
+    res: _Residual, f_left: int, policy: BreakPolicy | None, cooldown: int, n_original: int
 ) -> tuple[list[int], str, BreakDetail | None, int]:
     """The next protection(s): greedy, a pair sealing a root cycle, or a break.
 
@@ -285,56 +436,44 @@ def _step(
     squared.  A one-firefighter decision on a root cycle restarts the
     cool-down: at the break's value after a break, at zero otherwise.
     """
-    dom = dominator_tree(g, decomp)
-    cycles = [(i, decomp.cycles[i]) for i in decomp.root_cycle_indices]
-    cycles = [(i, c, dom.cycle_weight(c)) for i, c in cycles]
-    cycles.sort(key=lambda t: -t[2])  # stable: ties keep decomp.cycles order
-    pool = set(g.adjacency[g.root]).union(*(c[1:] for _, c, _ in cycles))
-    order = sorted(((dom.size[v], v) for v in pool), key=lambda t: (-t[0], t[1]))
-    w1, v1 = order[0]
-    if not cycles:
+    w1, v1 = res.best()
+    top = res.heaviest()
+    if top is None:
         return [v1], "greedy", None, cooldown
-    _, cyc1, w_cyc = cycles[0]
+    w_cyc, ends = top
     if f_left >= 2:
-        if w1 + order[1][0] >= w_cyc:
+        if w1 + res.second() >= w_cyc:
             return [v1], "greedy", None, cooldown
-        return sorted((cyc1[1], cyc1[-1])), "pair", None, cooldown
+        return list(ends), "pair", None, cooldown
     brk = None
     if w1 * w1 < w_cyc and policy is not None:
-        brk = policy(g, decomp, dom, cycles[0], cooldown, n_original)
+        view = cache(lambda: res.view(ends[0]))
+        brk = policy(w_cyc, cooldown, n_original, view)
     if brk is None:
         return [v1], "greedy", None, 0
-    return [brk.vertex], "break", brk, brk.cooldown
+    return [view().sub.to_orig[brk.vertex]], "break", brk, brk.cooldown
 
 
 def _round(
-    state: GameState, view: Subgraph, decomp: CactusDecomposition,
-    policy: BreakPolicy | None, cooldown: int, n_original: int,
+    res: _Residual, policy: BreakPolicy | None, cooldown: int, n_original: int
 ) -> tuple[list[ProtectEvent], int]:
     """Protect the current round's firefighters one decision at a time.
 
-    ``view`` is the round's reduced view of ``state``; each decision is
-    protected straight into ``state``, which validates it.  The cool-down
-    (rounds left) elapses once per round; after each decision the covered
-    territory is stripped, and the rest's decomposition is derived from the
-    current one.  ``to_orig`` maps the strip's ids back to ``state``'s.
+    Each decision is protected straight into the game state, which
+    validates it, and into the residual game.  The cool-down (rounds left)
+    elapses once per round.
     """
+    state = res.state
     cd = max(cooldown - 1, 0)
     f = state.instance.firefighters(state.round)
-    g, dec, to_orig = view.graph, decomp, view.to_orig
     events: list[ProtectEvent] = []
-    while f > 0 and g.n > 1:
-        locs, reason, brk, cd = _step(g, dec, f, policy, cd, n_original)
-        locs = locs[:f]
-        for lv in locs:
-            state.protect(to_orig[lv])
-            events.append(ProtectEvent(len(state.trace), state.round, to_orig[lv], reason, brk))
+    while f > 0 and res.best() is not None:
+        locs, reason, brk, cd = _step(res, f, policy, cd, n_original)
+        for v in locs:
+            state.protect(v)
+            res.protect(v)
+            events.append(ProtectEvent(len(state.trace), state.round, v, reason, brk))
         f -= len(locs)
-        if f <= 0:
-            break
-        sub, dec = _strip_covered(g, dec, locs)
-        to_orig = tuple(to_orig[o] for o in sub.to_orig)
-        g = sub.graph
     return events, cd
 
 
@@ -345,8 +484,7 @@ def _first_round(
     """Round one of a game of ``kind`` on ``view`` with f firefighters."""
     policy = _checked_policy(kind, decomp)
     state = GameState(Instance(view, (f,)))
-    whole = Subgraph(view, tuple(range(view.n)))
-    return _round(state, whole, decomp, policy, cooldown, n_original)
+    return _round(_Residual(state, decomp, keep_ids=True), policy, cooldown, n_original)
 
 
 def greedy_tree_round(view: Graph, f: int) -> list[ProtectEvent]:
@@ -427,23 +565,27 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
     """Play a whole game with the chosen strategy.
 
     Every protection is recorded as a :class:`ProtectEvent`.  The graph is
-    decomposed once, and its class is returned as ``graph_class``; each
-    round's view and its decomposition derive from that.  Rounds without
+    decomposed once, and its class is returned as ``graph_class``; the
+    residual game is built once and kept up to date until the last round
+    with firefighters, after which the fire only spreads.  Rounds without
     firefighters only tick the cool-down.
     """
     decomp0 = validate_and_decompose(instance.graph)
     policy = _checked_policy(kind, decomp0)
     state = GameState(instance)
+    last = max((r for r, f in enumerate(instance.sequence, 1) if f), default=0)
+    res = _Residual(state, decomp0) if last else None
     cd = 0
     events: list[ProtectEvent] = []
     while not state.is_finished():
         if instance.firefighters(state.round) > 0:
-            view, dec = contract(instance.graph, decomp0, state.view_index())
-            placed, cd = _round(state, view, dec, policy, cd, instance.graph.n)
+            placed, cd = _round(res, policy, cd, instance.graph.n)
             events.extend(placed)
         else:
             cd = max(cd - 1, 0)
-        state.spread()
+        burned = state.spread()
+        if state.round <= last:
+            res.burn(burned)
     return RunResult(state.profit(), tuple(state.trace), tuple(events), decomp0.class_tag)
 
 

@@ -9,6 +9,7 @@ cannot spread any more, and the profit is the number of unburned vertices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -109,8 +110,9 @@ class GameState:
         self._placed_this_round += 1
         self.trace.append(TraceEntry(len(self.trace) + 1, self.round, v))
 
-    def spread(self) -> None:
-        """Advance the fire one step and start the next round."""
+    def spread(self) -> list[int]:
+        """Advance the fire one step and start the next round; returns the
+        vertices that caught fire, the new front."""
         adj = self.instance.graph.adjacency
         status = self.status
         newly = []
@@ -122,6 +124,7 @@ class GameState:
         self._front = newly
         self.round += 1
         self._placed_this_round = 0
+        return newly
 
     def is_finished(self) -> bool:
         adj = self.instance.graph.adjacency
@@ -183,7 +186,7 @@ def replay(instance: Instance, schedule: Iterable[tuple[int, int]]) -> tuple[int
     last = 0
     for entry in schedule:
         try:
-            r, v = entry
+            r, v = map(operator.index, entry)
         except (TypeError, ValueError) as exc:
             raise InvalidScheduleError(f"malformed entry {entry!r}") from exc
         if r < 1:

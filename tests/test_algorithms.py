@@ -22,10 +22,11 @@ from firefight.algorithms import (
     improved_break,
     run_algorithm,
 )
-from firefight.engine import Instance, replay
+from firefight.engine import Instance, Status, replay
 from firefight.graph import (
     Graph,
     GraphClass,
+    Subgraph,
     ceil_sqrt,
     contract,
     covered_set,
@@ -449,13 +450,67 @@ def test_breaks_build_no_subgraph(monkeypatch):
     assert min(breaks.values()) >= 20, breaks
 
 
-def test_derived_views_equal_rebuilds(monkeypatch):
-    """Every view and strip a game derives equals a from-scratch rebuild."""
-    derived = contract
-    game = {}
-    counts = {"views": 0, "strips": 0}
+def _expected_residual(sub):
+    """What a decision on view ``sub`` weighs, read off a fresh dominator
+    tree, in original ids: each candidate's size, and the root cycles as
+    (smaller end, weight) in rank order."""
+    g, orig = sub.graph, sub.to_orig
+    d = validate_and_decompose(g)
+    dom = dominator_tree(g, d)
+    cycles = [d.cycles[i] for i in d.root_cycle_indices]
+    pool = set(g.adjacency[0]).union(*(c[1:] for c in cycles))
+    ranked = sorted((-dom.cycle_weight(c), orig[c[1]]) for c in cycles)
+    return {orig[v]: dom.size[v] for v in pool}, [(end, -w) for w, end in ranked]
 
-    def checked(g, decomp, index):
+
+def _residual_now(res):
+    """The same two things as the residual game holds them."""
+    sizes = {v: res.size[v] for v in range(len(res.cand)) if res.cand[v]}
+    cycles = []
+    for i, (start, length, w) in res.arcs.items():
+        cyc = res.decomp.cycles[i]
+        cycles.append((-w, min(cyc[start], cyc[(start + length - 1) % len(cyc)])))
+    return sizes, [(end, -w) for w, end in sorted(cycles)]
+
+
+def _live_view(state):
+    """The reduced view of ``state`` built from scratch: the burned region
+    merged into a root, the truly available vertices kept in id order."""
+    g = state.instance.graph
+    live = sorted(state.truly_available())
+    index = {v: i for i, v in enumerate(live, 1)}
+    for v, s in enumerate(state.status):
+        if s is Status.BURNED:
+            index[v] = 0
+    edges = {
+        (min(index[u], index[v]), max(index[u], index[v]))
+        for u, v in g.edges()
+        if u in index and v in index and index[u] + index[v] > 0
+    }
+    return Subgraph(Graph.from_edges(len(live) + 1, sorted(edges), 0), (g.root, *live))
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
+
+
+def test_derived_views_equal_rebuilds(monkeypatch):
+    """The residual game a game keeps across rounds equals, at every
+    decision, a from-scratch rebuild of the live position: at a round's
+    first decision (a view) and after earlier ones (a strip).  Every view a
+    break builds equals a from-scratch rebuild too."""
+    counts = {"views": 0, "strips": 0, "break views": 0}
+    step, derived = algorithms._step, contract
+
+    def checked_step(res, *args):
+        state = res.state
+        assert _residual_now(res) == _expected_residual(_live_view(state))
+        counts["strips" if state.trace and state.trace[-1].round == state.round else "views"] += 1
+        return step(res, *args)
+
+    def checked_contract(g, decomp, index):
         sub, dec = derived(g, decomp, index)
         view = sub.graph
         contracted = {
@@ -468,11 +523,12 @@ def test_derived_views_equal_rebuilds(monkeypatch):
         assert all(sub.to_orig[i] == v for v, i in enumerate(index) if i > 0)
         assert Graph.from_edges(view.n, view.edges(), 0) == view
         assert dec == validate_and_decompose(view)
-        counts["views" if g is game["graph"] else "strips"] += 1
+        counts["break views"] += 1
         return sub, dec
 
-    monkeypatch.setattr(algorithms, "contract", checked)
-    for seed in range(300):
+    monkeypatch.setattr(algorithms, "_step", checked_step)
+    monkeypatch.setattr(algorithms, "contract", checked_contract)
+    for seed in range(450):
         rng = random.Random(seed)
         if seed % 2:
             inst = _golden_instance(seed)
@@ -481,29 +537,36 @@ def test_derived_views_equal_rebuilds(monkeypatch):
             seq = random_sequence(rng.randint(2, 6), rng.randint(2, 12), False, seed + 1)
             inst = Instance(g, seq)
         if seed % 3:
-            g = inst.graph
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
-            inst = Instance(g, inst.sequence)
-        game["graph"] = inst.graph
+            inst = Instance(_relabelled(inst.graph, rng), inst.sequence)
         for kind in (AlgorithmKind.ALG_C, AlgorithmKind.ALG_E):
             run_algorithm(inst, kind)
     assert counts["views"] >= 700 and counts["strips"] >= 300, counts
+    assert counts["break views"] >= 20, counts
 
 
 def test_decision_view_is_the_decided_graph(monkeypatch):
-    """decision_view rebuilds, from the trace alone, the very graph each
-    protection was decided on: round views, strips, pairs and breaks."""
+    """decision_view rebuilds, from the trace alone, what each protection
+    was decided on: the residual game's candidates with their sizes and its
+    root cycles with their weights, and a break's view.  Covers round
+    views, strips, pairs and breaks."""
     decided = []
-    step = algorithms._step
+    break_views = []
+    step, view = algorithms._step, algorithms._Residual.view
 
-    def spy(g, *args):
-        out = step(g, *args)
-        decided.extend(g for _ in out[0])  # a pair is one decision, two protections
+    def spy(res, *args):
+        before = _residual_now(res)
+        out = step(res, *args)
+        # a pair is one decision, two protections
+        decided.extend((len(decided), before) for _ in out[0])
         return out
 
+    def spy_view(res, end):
+        bv = view(res, end)
+        break_views.append(bv.sub)
+        return bv
+
     monkeypatch.setattr(algorithms, "_step", spy)
+    monkeypatch.setattr(algorithms._Residual, "view", spy_view)
     seen = {"protections": 0, "pairs": 0, "breaks": 0, "strips": 0}
     for seed in range(600):
         rng = random.Random(seed)
@@ -516,20 +579,70 @@ def test_decision_view_is_the_decided_graph(monkeypatch):
         else:
             g = random_cactus(n, rng.uniform(0.5, 1.0), rng.randint(3, 10), seed)
         if seed % 2:
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
+            g = _relabelled(g, rng)
         inst = Instance(g, tuple(rng.choice((0, 1, 1, 1, 2, 3, 4)) for _ in range(rng.randint(1, 6))))
         decided.clear()
+        break_views.clear()
         r = run_algorithm(inst, kind)
         assert len(decided) == len(r.events)
+        breaks = iter(break_views)
         for k, e in enumerate(r.events):
-            assert decision_view(inst, r, k).graph == decided[k]
+            sub = decision_view(inst, r, k)
+            assert decided[k][1] == _expected_residual(sub)
+            if e.reason == "break":
+                assert next(breaks) == sub
+                assert e.brk.vertex in range(1, sub.graph.n)
+                assert sub.to_orig[e.brk.vertex] == e.vertex
             seen["pairs"] += e.reason == "pair"
             seen["breaks"] += e.reason == "break"
-            # a later decision in the same round sees the strip the earlier ones left
+            # a later decision in the same round sees what the earlier ones left
             seen["strips"] += k > 0 and r.events[k - 1].round == e.round and (
-                decided[k] is not decided[k - 1]
+                decided[k][0] != decided[k - 1][0]
             )
         seen["protections"] += len(r.events)
     assert seen["pairs"] >= 400 and seen["breaks"] >= 40 and seen["strips"] >= 200, seen
+
+
+def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
+    """A game runs one dominator pass up front and builds a view, with its
+    own dominator pass, only for a break policy that gets past its guard:
+    never once per round, however many rounds have firefighters."""
+    calls = {"contract": 0, "dominator_tree": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(algorithms, "contract", counted("contract", contract))
+    monkeypatch.setattr(algorithms, "dominator_tree", counted("dominator_tree", dominator_tree))
+    games = [Instance(make_tadpole(a, b), (1,) * 12) for a in range(3, 60, 7) for b in (1, 4, 9)]
+    for s in range(2, 21):
+        spider = [(0 if i % s == 0 else i, i + 1) for i in range(s * s)]
+        games.append(Instance(Graph.from_edges(s * s + 1, spider), (1,) * s))
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(10, 60)
+        seq = tuple(rng.choice((0, 1, 1, 2)) for _ in range(rng.randint(4, 12)))
+        games.append(Instance(_relabelled(random_cactus(n, 0.8, 12, seed), rng), seq))
+        games.append(Instance(random_one_almost_tree(n, seed), seq))
+    played = {"games": 0, "long games": 0, "consulted": 0}
+    with caplog.at_level(logging.WARNING, logger="firefight.algorithms"):
+        for inst in games:
+            for kind in AlgorithmKind:
+                calls.update(contract=0, dominator_tree=0)
+                caplog.clear()
+                try:
+                    r = run_algorithm(inst, kind)
+                except WrongGraphClassError:
+                    continue
+                # a consulted policy breaks, or logs that it found nothing to break
+                consulted = sum(e.reason == "break" for e in r.events) + len(caplog.records)
+                assert calls["contract"] <= consulted, (kind, calls, consulted)
+                assert calls["dominator_tree"] <= 1 + consulted, (kind, calls, consulted)
+                played["games"] += 1
+                played["long games"] += len({t.round for t in r.trace}) >= 5
+                played["consulted"] += consulted
+    assert played["long games"] >= 60, played
+    assert played["consulted"] >= 40, played

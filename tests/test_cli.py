@@ -413,3 +413,14 @@ def test_cli_stdout_digest(capsys):
         code, out, _ = run_cli(capsys, *argv)
         h.update(repr((argv, code, out)).encode())
     assert h.hexdigest() == CLI_STDOUT_SHA256
+
+
+# sha256 of ``check-lemmas --suite all --trials 300`` stdout: all 16 suites'
+# records, pinned across changes to the strategies, the solver and the engine
+CHECK_LEMMAS_SHA256 = "81398a001eb9445916040f620ddbd3e060532012abe3a09088ac4adae4384774"
+
+
+def test_check_lemmas_stdout_digest(capsys):
+    code, out, _ = run_cli(capsys, "check-lemmas", "--suite", "all", "--trials", "300")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_LEMMAS_SHA256

@@ -127,6 +127,9 @@ def test_trace_numbering():
         [(0, 1)],               # rounds start at 1
         [(1, 0)],               # protects the fire source
         [(1,)],                 # malformed entry
+        [(1.5, 2)],             # a round must be an integer
+        [(1, 2.0)],             # so must a vertex
+        [("1", 1)],
     ],
 )
 def test_replay_rejects_bad_schedules(schedule):
