@@ -8,7 +8,9 @@ at beta 12, whose exact (1,1) solve on a 157-vertex tadpole is the widest
 the solver meets in the adversary sweep, and `greedy-tree` and `alg-c` on
 ``spider-160``, 160 legs of 160 vertices (n = 25601) with one firefighter
 in each of 160 rounds, which takes time n * rounds unless a game keeps its
-residual across rounds.  Each case is run ``--repeat``
+residual across rounds, and on ``spider-4x50000``, 4 legs of 50000
+vertices (n = 200001) with one firefighter and then about 50000 rounds of
+burning, which a game must play in one pass.  Each case is run ``--repeat``
 times; the median wall time in seconds is printed as one JSON object per
 case, with the instance size and the pinned results (a profit, or the
 strategy's and the optimum's profits of an adversary run).  The script
@@ -58,6 +60,7 @@ def _cases():
     tadpole = Instance(make_tadpole(3937, 63), (1,) * 30)
     path = Graph.from_edges(3000, [(i, i + 1) for i in range(2999)])
     spider = Instance(_spider(160, 160), (1,) * 160)
+    long_spider = Instance(_spider(4, 50000), (1,))
     return [
         ("tadpole-30x1/alg-e", 4001, _play(tadpole, AlgorithmKind.ALG_E), {"profit": 3997}),
         ("tadpole-30x1/alg-c", 4001, _play(tadpole, AlgorithmKind.ALG_C), {"profit": 3997}),
@@ -73,6 +76,8 @@ def _cases():
         ("adversary/alg-e/b12", 157, _adversary(AlgorithmKind.ALG_E, 12), {"alg": 13, "opt": 144}),
         ("spider-160/greedy-tree", 25601, _play(spider, AlgorithmKind.GREEDY_TREE), {"profit": 12880}),
         ("spider-160/alg-c", 25601, _play(spider, AlgorithmKind.ALG_C), {"profit": 12880}),
+        ("spider-4x50000/greedy-tree", 200001, _play(long_spider, AlgorithmKind.GREEDY_TREE), {"profit": 50000}),
+        ("spider-4x50000/alg-c", 200001, _play(long_spider, AlgorithmKind.ALG_C), {"profit": 50000}),
     ]
 
 

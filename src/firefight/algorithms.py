@@ -19,8 +19,8 @@ passes.
 
 ``_round`` protects each decision straight into the game state, which
 validates it, and records it as a :class:`ProtectEvent`; the ``*_round``
-functions play round one of a game on their view, so their events are in
-the view's ids.  The cool-down is an int, the rounds left.
+functions play round one of a game on their view, so their events and
+breaks are in the view's ids.  The cool-down is an int, the rounds left.
 
 Square-root comparisons are done in exact integer arithmetic throughout:
 ``w >= sqrt(W)`` becomes ``w*w >= W`` and population targets use
@@ -37,7 +37,7 @@ non-root vertices.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
 from heapq import heappop, heappush
@@ -122,8 +122,10 @@ class BreakDetail:
 
 @dataclass(frozen=True)
 class ProtectEvent:
-    """A recorded protection: what was done and why.  ``brk`` is in the ids
-    of the decision's view, which :func:`decision_view` rebuilds."""
+    """A recorded protection: what was done and why.  In a game of
+    :func:`run_algorithm`, ``brk`` is in the ids of the decision's view,
+    which :func:`decision_view` rebuilds; the ``*_round`` functions give it
+    in the ids of the view they were given, like their events."""
 
     time: int
     round: int
@@ -291,7 +293,8 @@ class _Residual:
     def __init__(self, state: GameState, decomp: CactusDecomposition, keep_ids: bool = False):
         g = state.instance.graph
         self.state, self.decomp = state, decomp
-        # round functions decide on the view they were given, in its ids, until it changes
+        # round functions report breaks in the ids of the view they were given,
+        # which is their first decision's view
         self.keep_ids = keep_ids
         self.size = list(dominator_tree(g, decomp).size)
         self.stamp = [0] * g.n
@@ -451,7 +454,13 @@ def _step(
         brk = policy(w_cyc, cooldown, n_original, view)
     if brk is None:
         return [v1], "greedy", None, 0
-    return [view().sub.to_orig[brk.vertex]], "break", brk, brk.cooldown
+    to_orig = view().sub.to_orig
+    v = to_orig[brk.vertex]
+    if res.keep_ids:
+        brk = replace(
+            brk, vertex=v, anchor=to_orig[brk.anchor], cycle=tuple(map(to_orig.__getitem__, brk.cycle))
+        )
+    return [v], "break", brk, brk.cooldown
 
 
 def _round(
@@ -565,10 +574,11 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
     """Play a whole game with the chosen strategy.
 
     Every protection is recorded as a :class:`ProtectEvent`.  The graph is
-    decomposed once, and its class is returned as ``graph_class``; the
-    residual game is built once and kept up to date until the last round
-    with firefighters, after which the fire only spreads.  Rounds without
-    firefighters only tick the cool-down.
+    decomposed once, from the BFS it keeps, and its class is returned as
+    ``graph_class``; the residual game is built once and kept up to date
+    until the last round with firefighters.  Rounds without firefighters
+    before it only tick the cool-down; after it the fire burns out in one
+    pass (:meth:`GameState.burn_out`).
     """
     decomp0 = validate_and_decompose(instance.graph)
     policy = _checked_policy(kind, decomp0)
@@ -577,7 +587,7 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
     res = _Residual(state, decomp0) if last else None
     cd = 0
     events: list[ProtectEvent] = []
-    while not state.is_finished():
+    while state.round <= last and not state.is_finished():
         if instance.firefighters(state.round) > 0:
             placed, cd = _round(res, policy, cd, instance.graph.n)
             events.extend(placed)
@@ -586,6 +596,7 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
         burned = state.spread()
         if state.round <= last:
             res.burn(burned)
+    state.burn_out()
     return RunResult(state.profit(), tuple(state.trace), tuple(events), decomp0.class_tag)
 
 

@@ -86,6 +86,10 @@ class GameState:
     that caught fire last (initially the root).  Spreading, the finished
     test and the search for reachable vertices look at the front only,
     which makes a round cost time proportional to the burning front.
+    Once no firefighter is left to place, :meth:`burn_out` plays the
+    remaining rounds in one pass, so the fire costs O(n + m) over a whole
+    game.  The state counts its burned vertices, so :meth:`profit` needs
+    no scan of the statuses.
     """
 
     def __init__(self, instance: Instance):
@@ -97,6 +101,7 @@ class GameState:
         self.trace: list[TraceEntry] = []
         self._placed_this_round = 0
         self._front: list[int] = [root]
+        self._burned = 1
 
     def protect(self, v: int) -> None:
         """Place one firefighter on v during the current round."""
@@ -113,6 +118,22 @@ class GameState:
     def spread(self) -> list[int]:
         """Advance the fire one step and start the next round; returns the
         vertices that caught fire, the new front."""
+        newly = self._ignite()
+        self._next_round(newly)
+        return newly
+
+    def burn_out(self) -> None:
+        """Spread until the fire stops, with no firefighter placed meanwhile.
+
+        Leaves the statuses, the round and the front as calling
+        :meth:`spread` until :meth:`is_finished` would: a round passes for
+        every ring that catches fire, none for the empty last one.
+        """
+        while newly := self._ignite():
+            self._next_round(newly)
+
+    def _ignite(self) -> list[int]:
+        """Set the front's available neighbors on fire; returns them."""
         adj = self.instance.graph.adjacency
         status = self.status
         newly = []
@@ -121,10 +142,13 @@ class GameState:
                 if status[v] is Status.AVAILABLE:
                     status[v] = Status.BURNED
                     newly.append(v)
-        self._front = newly
+        return newly
+
+    def _next_round(self, front: list[int]) -> None:
+        self._front = front
+        self._burned += len(front)
         self.round += 1
         self._placed_this_round = 0
-        return newly
 
     def is_finished(self) -> bool:
         adj = self.instance.graph.adjacency
@@ -136,7 +160,7 @@ class GameState:
     def profit(self) -> int:
         if not self.is_finished():
             raise GameNotFinishedError("fire can still spread")
-        return sum(1 for s in self.status if s is not Status.BURNED)
+        return self.instance.graph.n - self._burned
 
     def truly_available(self) -> frozenset[int]:
         """Vertices the fire can still reach: unburned, unprotected, and
@@ -201,8 +225,7 @@ def replay(instance: Instance, schedule: Iterable[tuple[int, int]]) -> tuple[int
             except GameError as exc:
                 raise InvalidScheduleError(f"round {r}, vertex {v}: {exc}") from exc
         state.spread()
-    while not state.is_finished():
-        state.spread()
+    state.burn_out()
     return state.profit(), state
 
 

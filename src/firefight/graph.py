@@ -4,16 +4,16 @@ Vertices are dense integer ids 0..n-1 with a designated fire source (the
 root).  A cactus is a connected graph in which every edge lies on at most
 one cycle; trees (no cycle) and 1-almost trees (at most one cycle) are the
 special cases the restricted strategies need.  All structures here are
-immutable after construction.
+immutable after construction; a graph only fills in its BFS on first use.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(Exception):
@@ -68,11 +68,15 @@ class Graph:
     ``adjacency[v]`` is the sorted tuple of v's neighbors.  Build through
     :meth:`from_edges`, which validates simplicity and connectivity; the
     views :func:`contract` builds are valid by construction and skip it.
+    The graph keeps its BFS from the root (:attr:`bfs`), which
+    :meth:`from_edges` runs for the connectivity check and a view runs on
+    first use; decompositions and dominator trees read it.
     """
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     root: int
+    _bfs_tree: BfsTree | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], root: int = 0) -> "Graph":
@@ -95,9 +99,18 @@ class Graph:
             adj[v].append(u)
         g = cls(n, tuple(tuple(sorted(nb)) for nb in adj), root)
         # connectivity is part of the construction contract: every vertex must matter
-        if len(_distances(g, frozenset(), root)) != n:
+        if len(g.bfs.order) != n:
             raise DisconnectedError("graph is not connected")
         return g
+
+    @property
+    def bfs(self) -> BfsTree:
+        """The FIFO BFS from the root over the sorted adjacency, run once."""
+        if self._bfs_tree is None:
+            # not a functools.cached_property: on CPython 3.11 its write to
+            # __dict__ slows every later attribute read of the graph
+            object.__setattr__(self, "_bfs_tree", _bfs(self))
+        return self._bfs_tree
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -113,6 +126,32 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
+
+
+class BfsTree(NamedTuple):
+    """A BFS from the root: the reached vertices in visiting order, each
+    vertex's BFS parent (-1 for the root and when unreached) and depth
+    (-1 when unreached)."""
+
+    order: tuple[int, ...]
+    parent: tuple[int, ...]
+    depth: tuple[int, ...]
+
+
+def _bfs(g: Graph) -> BfsTree:
+    root, adj = g.root, g.adjacency
+    parent = [-1] * g.n
+    depth = [-1] * g.n
+    depth[root] = 0
+    order = [root]
+    for u in order:  # the list grows behind the loop: a FIFO queue
+        d = depth[u] + 1
+        for v in adj[u]:
+            if depth[v] < 0:
+                depth[v] = d
+                parent[v] = u
+                order.append(v)
+    return BfsTree(tuple(order), tuple(parent), tuple(depth))
 
 
 @dataclass(frozen=True)
@@ -286,25 +325,17 @@ def _decomposition(n: int, root: int, cycles: list[tuple[int, ...]]) -> CactusDe
 
 
 def validate_and_decompose(g: Graph) -> CactusDecomposition:
-    """Check the cactus property and extract every cycle, with one BFS.
+    """Check the cactus property and extract every cycle of g's BFS tree.
 
-    Each non-tree edge of the BFS tree closes one cycle, found by walking
-    both ends up to their lowest common ancestor.  A graph is a cactus iff
-    these fundamental cycles are edge-disjoint, so a tree edge walked twice
-    raises :class:`NotCactusError`; :class:`DisconnectedError` is raised
-    when the graph is not connected.
+    Reads the BFS the graph keeps (:attr:`Graph.bfs`).  Each non-tree edge
+    closes one cycle, found by walking both ends up to their lowest common
+    ancestor.  A graph is a cactus iff these fundamental cycles are
+    edge-disjoint, so a tree edge walked twice raises
+    :class:`NotCactusError`; :class:`DisconnectedError` is raised when the
+    graph is not connected.
     """
     root, adj = g.root, g.adjacency
-    parent = [-1] * g.n
-    depth = [-1] * g.n
-    depth[root] = 0
-    order = [root]
-    for u in order:  # the list grows behind the loop: a FIFO queue
-        for v in adj[u]:
-            if depth[v] < 0:
-                depth[v] = depth[u] + 1
-                parent[v] = u
-                order.append(v)
+    order, parent, depth = g.bfs
     if len(order) != g.n:
         raise DisconnectedError("graph is not connected")
     walked = [False] * g.n  # tree edge (parent[v], v), keyed by v
@@ -399,33 +430,28 @@ class DominatorTree:
 
 
 def dominator_tree(g: Graph, decomp: CactusDecomposition) -> DominatorTree:
-    """Immediate dominators and subtree sizes of a validated cactus, one BFS.
+    """Immediate dominators and subtree sizes of a validated cactus.
 
-    A vertex's BFS tree edge lies in its parent block.  When that block is
-    a cycle, the vertex is dominated by the cycle's top (its vertex closest
+    One O(n) pass over the BFS the graph keeps (:attr:`Graph.bfs`).  A
+    vertex's BFS tree edge lies in its parent block.  When that block is a
+    cycle, the vertex is dominated by the cycle's top (its vertex closest
     to the root); otherwise by its BFS parent.  Sizes are summed in reverse
     BFS order.
     """
-    root = g.root
+    order, parent, _ = g.bfs
     idom = [-1] * g.n
     via: list[int | None] = [None] * g.n  # cycle of each vertex's BFS tree edge
-    seen = [False] * g.n
-    seen[root] = True
-    order = [root]
     edge_cycle = decomp.edge_cycle
-    for u in order:  # the list grows behind the loop: a FIFO queue
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                c = edge_cycle.get((u, v) if u < v else (v, u))
-                via[v] = c
-                # below the top of its cycle, u already hangs off that top
-                idom[v] = idom[u] if c is not None and via[u] == c else u
-                order.append(v)
+    for v in order[1:]:
+        u = parent[v]
+        c = edge_cycle.get((u, v) if u < v else (v, u))
+        via[v] = c
+        # below the top of its cycle, u already hangs off that top
+        idom[v] = idom[u] if c is not None and via[u] == c else u
     size = [1] * g.n
     for v in reversed(order[1:]):
         size[idom[v]] += size[v]
-    return DominatorTree(tuple(idom), tuple(order), tuple(size))
+    return DominatorTree(tuple(idom), order, tuple(size))
 
 
 def _cycle_for_break(decomp: CactusDecomposition, g: Graph, c: int, cut) -> tuple[int, ...]:

@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 
 from .engine import Instance, ProtectionSchedule
-from .graph import _distances, validate_and_decompose
+from .graph import validate_and_decompose
 
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_MAX_N = 30
@@ -261,7 +261,7 @@ def opt_upper_bound(instance: Instance) -> int:
     before the fire can, i.e. the budget prefix up to its depth is zero.
     """
     g = instance.graph
-    dd = _distances(g, frozenset(), g.root)
+    dd = g.bfs.depth
     prefix = list(itertools.accumulate(instance.sequence))
 
     def cum(d: int) -> int:
@@ -289,7 +289,7 @@ def normalize_nonredundant(
     entries = list(schedule)
     if not decomp.cycles:
         return tuple(entries)
-    dd = _distances(g, frozenset(), g.root)
+    dd = g.bfs.depth
     changed = True
     while changed:
         changed = False

@@ -35,6 +35,7 @@ from firefight.graph import (
     validate_and_decompose,
     _distances,
 )
+from firefight.optimum import normalize_nonredundant, opt_upper_bound
 from firefight.instances import (
     make_tadpole,
     random_cactus,
@@ -170,6 +171,36 @@ def test_alg_c_round_reports_cooldown():
     choices2, cd2 = alg_c_round(g, decomp, 1, 5, g.n)
     assert [c.reason for c in choices2] == ["greedy"]
     assert cd2 == 0
+
+
+def test_round_functions_report_breaks_in_their_graph_ids():
+    """A break decided after earlier decisions of the round is reported in
+    the given graph's ids, like the events, not in the ids of the view the
+    round rebuilt for it (root 0 there)."""
+    rng = random.Random(0)
+    g = _relabelled(random_cactus(rng.randint(8, 40), rng.uniform(0.5, 1.0), rng.randint(4, 16), 0), rng)
+    assert g.root == 7
+    d = validate_and_decompose(g)
+    events, _ = alg_c_round(g, d, 3, 0, g.n)
+    assert [(e.vertex, e.reason) for e in events] == [(17, "pair"), (19, "pair"), (0, "break")]
+    brk = events[2].brk
+    assert (brk.vertex, brk.anchor) == (0, 0)
+    assert brk.cycle == (7, 0, 27, 20, 10, 5, 21, 13, 1)
+    late = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        g = _relabelled(random_cactus(rng.randint(8, 40), rng.uniform(0.5, 1.0), rng.randint(4, 16), seed), rng)
+        d = validate_and_decompose(g)
+        events, _ = alg_c_round(g, d, rng.randint(2, 4), 0, g.n)
+        for k, e in enumerate(events):
+            if e.brk is None:
+                continue
+            late += k > 0
+            cyc = e.brk.cycle
+            assert (e.brk.vertex, cyc[0], cyc[1]) == (e.vertex, g.root, e.brk.anchor)
+            assert set(cyc) in [set(c) for c in d.cycles]
+            assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+    assert late >= 10, late
 
 
 def test_break_without_eligible_vertex_falls_back_to_greedy(caplog):
@@ -646,3 +677,37 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
                 played["consulted"] += consulted
     assert played["long games"] >= 60, played
     assert played["consulted"] >= 40, played
+
+
+def test_one_bfs_per_graph(monkeypatch):
+    """A graph BFSes once, when from_edges checks that it is connected;
+    games, decompositions, dominator passes and the solver's bounds read
+    that BFS.  A contract view BFSes on first use, at most once."""
+    bfsed = []
+    real = graph._bfs
+
+    def counted(g):
+        bfsed.append(g)  # holds the graph, so ids stay unique
+        return real(g)
+
+    shapes = [make_tadpole(10, 3), make_tadpole(30, 6)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        shapes.append(_relabelled(random_cactus(rng.randint(10, 40), 0.8, 12, seed), rng))
+    monkeypatch.setattr(graph, "_bfs", counted)
+    views = 0
+    for shape in shapes:
+        bfsed.clear()
+        g = Graph.from_edges(shape.n, list(shape.edges()), shape.root)
+        assert bfsed == [g]
+        inst = Instance(g, (1, 1, 0, 2, 1))
+        for kind in AlgorithmKind:
+            if kind.accepts(validate_and_decompose(g).class_tag):
+                run_algorithm(inst, kind)
+        dominator_tree(g, validate_and_decompose(g))
+        opt_upper_bound(inst)
+        normalize_nonredundant(inst, ())
+        assert sum(x is g for x in bfsed) == 1
+        assert len({id(x) for x in bfsed}) == len(bfsed)
+        views += len(bfsed) - 1
+    assert views >= 5, views

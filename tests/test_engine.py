@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -252,6 +253,14 @@ def _full_scan_finished(g, status):
     )
 
 
+def _fork(state):
+    """An independent copy of a game position."""
+    twin = copy.copy(state)
+    twin.status = list(state.status)
+    twin.trace = list(state.trace)
+    return twin
+
+
 @given(st.integers(0, 2**20))
 def test_front_engine_matches_full_scan(seed):
     rng = random.Random(seed)
@@ -269,6 +278,19 @@ def test_front_engine_matches_full_scan(seed):
         # protecting the front's last neighbours can end the game right here
         finished = state.is_finished()
         assert finished == _full_scan_finished(g, state.status)
+        if not finished:
+            with pytest.raises(GameNotFinishedError):
+                state.profit()
+        burnt, stepped = _fork(state), _fork(state)
+        burnt.burn_out()
+        while not stepped.is_finished():
+            stepped.spread()
+        assert (burnt.status, burnt.round, burnt._front) == (stepped.status, stepped.round, stepped._front)
+        assert burnt.profit() == stepped.profit() == sum(s is not Status.BURNED for s in burnt.status)
+        # burning out a finished game changes nothing
+        before = (list(burnt.status), burnt.round, burnt._front)
+        burnt.burn_out()
+        assert (burnt.status, burnt.round, burnt._front) == before
         if finished:
             break
         expected = _full_scan_spread(g, state.status)
