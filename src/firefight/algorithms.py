@@ -40,10 +40,10 @@ import logging
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple
 
-from .engine import GameState, Instance, Status, TraceEntry
+from .engine import AVAILABLE, GameState, Instance, TraceEntry
 from .graph import (
     CactusDecomposition,
     DominatorTree,
@@ -349,21 +349,50 @@ class _Residual:
             heappop(heap)
         return None
 
-    def _members(self, i: int) -> list[int]:
+    def _members(self, i: int) -> tuple[int, ...]:
         start, length, _ = self.arcs[i]
         cyc = self.decomp.cycles[i]
-        return [cyc[(start + t) % len(cyc)] for t in range(length)]
+        end = start + length
+        return cyc[start:end] if end <= len(cyc) else cyc[start:] + cyc[:end - len(cyc)]
+
+    def _open(self, i: int, top: int) -> None:
+        """Cycle i becomes a root cycle, its top ``top`` having burned: its
+        other members join the candidates in one pass, one heapify when
+        they outnumber the heap."""
+        self.touched[i] = 1
+        cyc = self.decomp.cycles[i]
+        self.arcs[i] = arc = [(cyc.index(top) + 1) % len(cyc), len(cyc) - 1, 0]
+        members = self._members(i)
+        size, stamp, cand, on_cycle = self.size, self.stamp, self.cand, self.on_cycle
+        arc[2] = sum(map(size.__getitem__, members))
+        entries = []
+        for u in members:
+            on_cycle[u] = i
+            if not cand[u]:
+                stamp[u] += 1
+                cand[u] = 1
+                entries.append((-size[u], u, stamp[u]))
+        heap = self.heap
+        if len(entries) > len(heap):
+            heap += entries
+            heapify(heap)
+        else:
+            for e in entries:
+                heappush(heap, e)
+        self._rank(i)
 
     def burn(self, burned: list[int]) -> None:
         """The fire took ``burned``: they leave, their live neighbors join."""
         adj = self.state.instance.graph.adjacency
         status = self.state.status
+        cand, on_cycle, touched = self.cand, self.on_cycle, self.touched
+        vertex_cycles = self.decomp.vertex_cycles
         for v in burned:
-            if self.cand[v]:
+            if cand[v]:
                 self._drop(v)
-            i = self.on_cycle[v]
+            i = on_cycle[v]
             if i >= 0:  # an end of a root cycle's live arc
-                self.on_cycle[v] = -1
+                on_cycle[v] = -1
                 arc = self.arcs[i]
                 cyc = self.decomp.cycles[i]
                 if cyc[arc[0]] == v:
@@ -374,22 +403,13 @@ class _Residual:
                     self._rank(i)
                 else:  # dissolved: a lone member is just a root neighbor
                     for u in self._members(i):
-                        self.on_cycle[u] = -1
+                        on_cycle[u] = -1
                     del self.arcs[i]
-            for i in self.decomp.vertex_cycles[v]:
-                if not self.touched[i]:  # v was the top of cycle i
-                    self.touched[i] = 1
-                    cyc = self.decomp.cycles[i]
-                    self.arcs[i] = arc = [(cyc.index(v) + 1) % len(cyc), len(cyc) - 1, 0]
-                    members = self._members(i)
-                    arc[2] = sum(self.size[u] for u in members)
-                    for u in members:
-                        self.on_cycle[u] = i
-                        if not self.cand[u]:
-                            self._push(u)
-                    self._rank(i)
+            for i in vertex_cycles[v]:
+                if not touched[i]:  # v was the top of cycle i
+                    self._open(i, v)
             for u in adj[v]:
-                if status[u] is Status.AVAILABLE and not self.cand[u]:
+                if status[u] is AVAILABLE and not cand[u]:
                     self._push(u)
 
     def protect(self, v: int) -> None:
@@ -401,18 +421,20 @@ class _Residual:
         members = self._members(i)
         del self.arcs[i]
         j = members.index(v)
-        size = self.size
-        # each side is a path from its end at the fire to v: sizes become chain sums
+        size, stamp, cand, on_cycle = self.size, self.stamp, self.cand, self.on_cycle
+        # each side is a path from its end at the fire to v: sizes become
+        # chain sums, and its members leave the candidates
         for side in (members[:j][::-1], members[j + 1:]):
             acc = 0
             for u in side:
                 acc += size[u]
                 size[u] = acc
-                self.on_cycle[u] = -1
-                self._drop(u)
+                on_cycle[u] = -1
+                stamp[u] += 1
+                cand[u] = 0
             if side:
                 self._push(side[-1])
-        self.on_cycle[v] = -1
+        on_cycle[v] = -1
 
     def view(self, end: int) -> BreakView:
         """The decision's view, whose heaviest root cycle has smaller end ``end``."""

@@ -43,6 +43,11 @@ class Status(Enum):
     BURNED = "burned"
 
 
+# the members as plain module names: loading Status.X looks the member up
+# each time, so the per-vertex loops here and in the strategies use these
+AVAILABLE, PROTECTED, BURNED = Status.AVAILABLE, Status.PROTECTED, Status.BURNED
+
+
 class TraceEntry(NamedTuple):
     time: int
     round: int
@@ -95,8 +100,8 @@ class GameState:
     def __init__(self, instance: Instance):
         self.instance = instance
         root = instance.graph.root
-        self.status: list[Status] = [Status.AVAILABLE] * instance.graph.n
-        self.status[root] = Status.BURNED
+        self.status: list[Status] = [AVAILABLE] * instance.graph.n
+        self.status[root] = BURNED
         self.round = 1
         self.trace: list[TraceEntry] = []
         self._placed_this_round = 0
@@ -107,11 +112,11 @@ class GameState:
         """Place one firefighter on v during the current round."""
         if not 0 <= v < self.instance.graph.n:
             raise VertexUnavailableError(f"vertex {v} does not exist")
-        if self.status[v] is not Status.AVAILABLE:
+        if self.status[v] is not AVAILABLE:
             raise VertexUnavailableError(f"vertex {v} is {self.status[v].value}")
         if self._placed_this_round >= self.instance.firefighters(self.round):
             raise NoFirefighterLeftError(f"round {self.round} budget exhausted")
-        self.status[v] = Status.PROTECTED
+        self.status[v] = PROTECTED
         self._placed_this_round += 1
         self.trace.append(TraceEntry(len(self.trace) + 1, self.round, v))
 
@@ -125,12 +130,34 @@ class GameState:
     def burn_out(self) -> None:
         """Spread until the fire stops, with no firefighter placed meanwhile.
 
-        Leaves the statuses, the round and the front as calling
-        :meth:`spread` until :meth:`is_finished` would: a round passes for
-        every ring that catches fire, none for the empty last one.
+        One loop over local names, ring by ring; the state's counters are
+        written once at the end.  Leaves the statuses, the round, the front
+        and the burned count as calling :meth:`spread` until
+        :meth:`is_finished` would: a round passes for every ring that
+        catches fire, none for the empty last one, so a finished state is
+        left as it was.
         """
-        while newly := self._ignite():
-            self._next_round(newly)
+        adj = self.instance.graph.adjacency
+        status = self.status
+        front = self._front
+        burned = rounds = 0
+        while True:
+            newly = []
+            for u in front:
+                for v in adj[u]:
+                    if status[v] is AVAILABLE:
+                        status[v] = BURNED
+                        newly.append(v)
+            if not newly:
+                break
+            front = newly
+            burned += len(newly)
+            rounds += 1
+        if rounds:
+            self._front = front
+            self._burned += burned
+            self.round += rounds
+            self._placed_this_round = 0
 
     def _ignite(self) -> list[int]:
         """Set the front's available neighbors on fire; returns them."""
@@ -139,8 +166,8 @@ class GameState:
         newly = []
         for u in self._front:
             for v in adj[u]:
-                if status[v] is Status.AVAILABLE:
-                    status[v] = Status.BURNED
+                if status[v] is AVAILABLE:
+                    status[v] = BURNED
                     newly.append(v)
         return newly
 
@@ -153,9 +180,11 @@ class GameState:
     def is_finished(self) -> bool:
         adj = self.instance.graph.adjacency
         status = self.status
-        return not any(
-            status[v] is Status.AVAILABLE for u in self._front for v in adj[u]
-        )
+        for u in self._front:
+            for v in adj[u]:
+                if status[v] is AVAILABLE:
+                    return False
+        return True
 
     def profit(self) -> int:
         if not self.is_finished():
@@ -175,7 +204,7 @@ class GameState:
         queue = list(self._front)
         for u in queue:  # the list grows behind the loop: a FIFO queue
             for v in adj[u]:
-                if not seen[v] and status[v] is Status.AVAILABLE:
+                if not seen[v] and status[v] is AVAILABLE:
                     seen[v] = 1
                     queue.append(v)
         return queue[len(self._front):]
@@ -184,7 +213,7 @@ class GameState:
         """Each vertex's id in :meth:`reduced_view`: 0 when burned, -1 when
         protected or cut off from the fire, 1..k for the truly available
         vertices in increasing order.  The index :func:`contract` takes."""
-        index = [0 if s is Status.BURNED else -1 for s in self.status]
+        index = [0 if s is BURNED else -1 for s in self.status]
         for i, v in enumerate(sorted(self._live()), 1):
             index[v] = i
         return index

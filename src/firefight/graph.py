@@ -131,11 +131,14 @@ class Graph:
 class BfsTree(NamedTuple):
     """A BFS from the root: the reached vertices in visiting order, each
     vertex's BFS parent (-1 for the root and when unreached) and depth
-    (-1 when unreached)."""
+    (-1 when unreached), and the chords, the edges between reached vertices
+    that are not tree edges (parent[v], v), each once as (u, v) with u < v,
+    in the order the BFS met them."""
 
     order: tuple[int, ...]
     parent: tuple[int, ...]
     depth: tuple[int, ...]
+    chords: tuple[tuple[int, int], ...]
 
 
 def _bfs(g: Graph) -> BfsTree:
@@ -144,14 +147,18 @@ def _bfs(g: Graph) -> BfsTree:
     depth = [-1] * g.n
     depth[root] = 0
     order = [root]
+    chords = []
     for u in order:  # the list grows behind the loop: a FIFO queue
         d = depth[u] + 1
+        p = parent[u]
         for v in adj[u]:
             if depth[v] < 0:
                 depth[v] = d
                 parent[v] = u
                 order.append(v)
-    return BfsTree(tuple(order), tuple(parent), tuple(depth))
+            elif v != p and u < v:  # met from both ends: kept from the smaller
+                chords.append((u, v))
+    return BfsTree(tuple(order), tuple(parent), tuple(depth), tuple(chords))
 
 
 @dataclass(frozen=True)
@@ -327,38 +334,34 @@ def _decomposition(n: int, root: int, cycles: list[tuple[int, ...]]) -> CactusDe
 def validate_and_decompose(g: Graph) -> CactusDecomposition:
     """Check the cactus property and extract every cycle of g's BFS tree.
 
-    Reads the BFS the graph keeps (:attr:`Graph.bfs`).  Each non-tree edge
-    closes one cycle, found by walking both ends up to their lowest common
-    ancestor.  A graph is a cactus iff these fundamental cycles are
-    edge-disjoint, so a tree edge walked twice raises
-    :class:`NotCactusError`; :class:`DisconnectedError` is raised when the
-    graph is not connected.
+    Reads the BFS the graph keeps (:attr:`Graph.bfs`) and walks only its
+    chords, so a tree needs no walk.  Each chord closes one cycle, found
+    by walking both ends up to their lowest common ancestor.  A graph is a
+    cactus iff these fundamental cycles are edge-disjoint, so a tree edge
+    walked twice raises :class:`NotCactusError`;
+    :class:`DisconnectedError` is raised when the graph is not connected.
     """
-    root, adj = g.root, g.adjacency
-    order, parent, depth = g.bfs
+    order, parent, depth, chords = g.bfs
     if len(order) != g.n:
         raise DisconnectedError("graph is not connected")
+    root = g.root
     walked = [False] * g.n  # tree edge (parent[v], v), keyed by v
     cycles = []
-    for u in range(g.n):
-        for v in adj[u]:
-            if u > v or parent[v] == u or parent[u] == v:
-                continue
-            a, b = u, v
-            up: list[int] = []
-            down: list[int] = []
-            while a != b:
-                if depth[a] >= depth[b]:
-                    x, a = a, parent[a]
-                    up.append(x)
-                else:
-                    x, b = b, parent[b]
-                    down.append(x)
-                if walked[x]:
-                    raise NotCactusError("a biconnected component is denser than one cycle")
-                walked[x] = True
-            cyc = up + [a] + down[::-1]
-            cycles.append(_orient(cyc, len(up) if a == root else cyc.index(min(cyc))))
+    for a, b in chords:
+        up: list[int] = []
+        down: list[int] = []
+        while a != b:
+            if depth[a] >= depth[b]:
+                x, a = a, parent[a]
+                up.append(x)
+            else:
+                x, b = b, parent[b]
+                down.append(x)
+            if walked[x]:
+                raise NotCactusError("a biconnected component is denser than one cycle")
+            walked[x] = True
+        cyc = up + [a] + down[::-1]
+        cycles.append(_orient(cyc, len(up) if a == root else cyc.index(min(cyc))))
     return _decomposition(g.n, root, cycles)
 
 
@@ -432,22 +435,21 @@ class DominatorTree:
 def dominator_tree(g: Graph, decomp: CactusDecomposition) -> DominatorTree:
     """Immediate dominators and subtree sizes of a validated cactus.
 
-    One O(n) pass over the BFS the graph keeps (:attr:`Graph.bfs`).  A
-    vertex's BFS tree edge lies in its parent block.  When that block is a
-    cycle, the vertex is dominated by the cycle's top (its vertex closest
-    to the root); otherwise by its BFS parent.  Sizes are summed in reverse
-    BFS order.
+    Read off the BFS the graph keeps (:attr:`Graph.bfs`) and the cycles,
+    in O(n).  A vertex whose BFS tree edge is a bridge is dominated by its
+    BFS parent.  Every other vertex lies below the top of exactly one
+    cycle, the one holding that edge, and is dominated by that top, the
+    cycle's member of least BFS depth, through which every path from the
+    root enters the cycle.  Sizes are summed in reverse BFS order.
     """
-    order, parent, _ = g.bfs
-    idom = [-1] * g.n
-    via: list[int | None] = [None] * g.n  # cycle of each vertex's BFS tree edge
-    edge_cycle = decomp.edge_cycle
-    for v in order[1:]:
-        u = parent[v]
-        c = edge_cycle.get((u, v) if u < v else (v, u))
-        via[v] = c
-        # below the top of its cycle, u already hangs off that top
-        idom[v] = idom[u] if c is not None and via[u] == c else u
+    order, parent, depth, _ = g.bfs
+    idom = list(parent)
+    depth_of = depth.__getitem__
+    for cyc in decomp.cycles:
+        top = min(cyc, key=depth_of)
+        for v in cyc:
+            if v != top:
+                idom[v] = top
     size = [1] * g.n
     for v in reversed(order[1:]):
         size[idom[v]] += size[v]

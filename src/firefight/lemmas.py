@@ -92,9 +92,12 @@ def _seed(rng: random.Random) -> int:
 
 
 def _count_fn(sub: Subgraph) -> Callable[[int], int]:
-    """count(., d) for one break view: alive minus those closer than d."""
-    dd = _distances(sub.graph, frozenset(), sub.graph.root)
-    dists = sorted(dd.values())
+    """count(., d) for one break view: alive minus those closer than d.
+
+    The view comes from :meth:`Graph.from_edges`, which keeps the BFS it
+    ran to check connectivity, so every vertex has its root distance.
+    """
+    dists = sorted(sub.graph.bfs.depth)
     alive = sub.graph.n
 
     def count(d: int) -> int:

@@ -1,10 +1,13 @@
+import ast
 import copy
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from firefight import algorithms, engine
 from firefight.engine import (
     GameNotFinishedError,
     GameState,
@@ -253,6 +256,11 @@ def _full_scan_finished(g, status):
     )
 
 
+def _position(state):
+    """Everything the fire's moves write to a game state."""
+    return (list(state.status), state.round, state._front, state._burned, state._placed_this_round)
+
+
 def _fork(state):
     """An independent copy of a game position."""
     twin = copy.copy(state)
@@ -285,12 +293,12 @@ def test_front_engine_matches_full_scan(seed):
         burnt.burn_out()
         while not stepped.is_finished():
             stepped.spread()
-        assert (burnt.status, burnt.round, burnt._front) == (stepped.status, stepped.round, stepped._front)
+        assert _position(burnt) == _position(stepped)
         assert burnt.profit() == stepped.profit() == sum(s is not Status.BURNED for s in burnt.status)
         # burning out a finished game changes nothing
-        before = (list(burnt.status), burnt.round, burnt._front)
+        before = _position(burnt)
         burnt.burn_out()
-        assert (burnt.status, burnt.round, burnt._front) == before
+        assert _position(burnt) == before
         if finished:
             break
         expected = _full_scan_spread(g, state.status)
@@ -299,3 +307,57 @@ def test_front_engine_matches_full_scan(seed):
     schedule = tuple((t.round, t.vertex) for t in state.trace)
     profit, _ = replay(inst, schedule)
     assert profit == state.profit() == oracles.flood_replay(inst, schedule)
+
+
+def _per_iteration(tree):
+    """The expressions and statements of ``tree`` evaluated once per
+    iteration of a loop or a comprehension."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            yield from node.body
+        elif isinstance(node, ast.While):
+            yield node.test
+            yield from node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            yield from (node.key, node.value) if isinstance(node, ast.DictComp) else (node.elt,)
+            for i, comp in enumerate(node.generators):
+                if i:  # the first iterable is evaluated once
+                    yield comp.iter
+                yield from comp.ifs
+
+
+def _status_loads_in_loops(source):
+    """Lines that load a ``Status`` member once per loop iteration."""
+    members = set(Status.__members__)
+    return sorted({
+        node.lineno
+        for part in _per_iteration(ast.parse(source))
+        for node in ast.walk(part)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "Status"
+        and node.attr in members
+    })
+
+
+def test_status_loads_in_loops_are_found():
+    source = (
+        "a = [s is Status.BURNED for s in xs]\n"
+        "for u in xs:\n"
+        "    if u is Status.AVAILABLE:\n"
+        "        pass\n"
+        "while x is not Status.PROTECTED:\n"
+        "    pass\n"
+        "b = [Status.BURNED] * n\n"
+        "for u in Status.AVAILABLE, Status.BURNED:\n"
+        "    pass\n"
+    )
+    assert _status_loads_in_loops(source) == [1, 3, 5]
+
+
+@pytest.mark.parametrize("module", [engine, algorithms], ids=lambda m: m.__name__)
+def test_per_vertex_loops_use_the_status_constants(module):
+    # loading an enum member costs several times a module constant, and
+    # these loops run once per vertex the fire reaches
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    assert _status_loads_in_loops(source) == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from firefight.engine import GameState, Instance
 from firefight.graph import (
     CactusDecomposition,
     DisconnectedError,
@@ -20,6 +21,7 @@ from firefight.graph import (
     break_subgraph,
     break_subgraph_edge,
     ceil_sqrt,
+    contract,
     count_safe,
     covered_set,
     dist,
@@ -285,6 +287,15 @@ def _tarjan_decompose(g):
     )
 
 
+def _assert_chords_are_non_tree_edges(g):
+    """The BFS keeps every edge but the tree edges (parent[v], v), each once."""
+    _, parent, _, chords = g.bfs
+    tree = {(min(p, v), max(p, v)) for v, p in enumerate(parent) if p >= 0}
+    assert all(u < v for u, v in chords)
+    assert len(set(chords)) == len(chords)
+    assert set(chords) == set(g.edges()) - tree
+
+
 @given(relabelled_cacti(), st.integers(0, 3), st.data())
 def test_decompose_matches_tarjan_oracle(g, chords, data):
     edges = set(g.edges())
@@ -293,12 +304,33 @@ def test_decompose_matches_tarjan_oracle(g, chords, data):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     g = Graph.from_edges(g.n, edges, g.root)
+    _assert_chords_are_non_tree_edges(g)
     if not oracles.is_cactus(oracles.to_nx(g)):
         # some biconnected component has more edges than vertices
         with pytest.raises(NotCactusError):
             validate_and_decompose(g)
         return
     assert validate_and_decompose(g) == _tarjan_decompose(g)
+
+
+@given(st.one_of(cacti(), root_cycle_cacti()))
+def test_bfs_chords_of_cacti(g):
+    _assert_chords_are_non_tree_edges(g)
+    assert len(g.bfs.chords) == len(validate_and_decompose(g).cycles)
+
+
+def test_tree_has_no_chords():
+    tree = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (0, 4)], 1)
+    assert tree.bfs.chords == ()
+    assert validate_and_decompose(tree).cycles == ()
+
+
+def test_decompose_rejects_disconnected_and_skips_unreached_chords():
+    # built directly, as contract builds views: no connectivity check yet
+    g = Graph(6, ((1,), (0,), (3, 4), (2, 4), (2, 3), ()), 0)
+    assert g.bfs.order == (0, 1) and g.bfs.chords == ()
+    with pytest.raises(DisconnectedError):
+        validate_and_decompose(g)
 
 
 @given(cacti())
@@ -419,7 +451,30 @@ def test_induced_subgraph_drop_edge_and_mapping():
 
 @given(relabelled_cacti())
 def test_dominator_tree_matches_covered_sets(g):
+    _assert_dominators_match_networkx(g, validate_and_decompose(g))
+
+
+@given(st.one_of(relabelled_cacti(), root_cycle_cacti()), st.data())
+def test_dominator_tree_of_views_matches_networkx(g, data):
+    """Views taken at random positions of random games: their BFS and chords
+    are computed on first use, their decomposition comes from contract."""
     d = validate_and_decompose(g)
+    seq = tuple(data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=5)))
+    state = GameState(Instance(g, seq))
+    while not state.is_finished():
+        for _ in range(state.instance.firefighters(state.round)):
+            live = sorted(state.truly_available())
+            if live and data.draw(st.booleans()):
+                state.protect(data.draw(st.sampled_from(live)))
+        sub, vd = contract(g, d, state.view_index())
+        assert sub.graph._bfs_tree is None
+        _assert_chords_are_non_tree_edges(sub.graph)
+        assert vd == validate_and_decompose(sub.graph)
+        _assert_dominators_match_networkx(sub.graph, vd)
+        state.spread()
+
+
+def _assert_dominators_match_networkx(g, d):
     dom = dominator_tree(g, d)
     assert dom.order[0] == g.root
     assert sorted(dom.order) == list(range(g.n))
