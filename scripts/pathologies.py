@@ -10,11 +10,14 @@ the solver meets in the adversary sweep, and `greedy-tree` and `alg-c` on
 in each of 160 rounds, which takes time n * rounds unless a game keeps its
 residual across rounds, and on ``spider-4x50000``, 4 legs of 50000
 vertices (n = 200001) with one firefighter and then about 50000 rounds of
-burning, which a game must play in one pass.  Each case is run ``--repeat``
-times; the median wall time in seconds is printed as one JSON object per
-case, with the instance size and the pinned results (a profit, or the
-strategy's and the optimum's profits of an adversary run).  The script
-exits 1 when a result differs from its pin.
+burning, which a game must play in one pass, and `alg-c` and `alg-e` on
+``flower-80``, 80 root cycles of 320 vertices each (n = 25521) with one
+firefighter in each of 25600 rounds, where `alg-c` breaks 40 cycles and
+so builds and decomposes 40 reduced views of a large position.  Each case
+is run ``--repeat`` times; the median wall time in seconds is printed as
+one JSON object per case, with the instance size and the pinned results (a
+profit, or the strategy's and the optimum's profits of an adversary run).
+The script exits 1 when a result differs from its pin.
 
     PYTHONPATH=src python3 scripts/pathologies.py --repeat 3
 """
@@ -54,6 +57,15 @@ def _spider(legs, length):
     return Graph.from_edges(legs * length + 1, edges)
 
 
+def _flower(petals, size):
+    """``petals`` cycles of ``size`` vertices sharing only the root, vertex 0."""
+    edges = []
+    for p in range(petals):
+        first, last = 1 + p * (size - 1), (p + 1) * (size - 1)
+        edges += [(0, first), (last, 0)] + [(i, i + 1) for i in range(first, last)]
+    return Graph.from_edges(1 + petals * (size - 1), edges)
+
+
 def _cases():
     """(name, n, play, expected results) of every case."""
     # a 3937-vertex cycle plus a 63-vertex tail at the root: n = 4001
@@ -61,6 +73,7 @@ def _cases():
     path = Graph.from_edges(3000, [(i, i + 1) for i in range(2999)])
     spider = Instance(_spider(160, 160), (1,) * 160)
     long_spider = Instance(_spider(4, 50000), (1,))
+    flower = Instance(_flower(80, 320), (1,) * 25600)
     return [
         ("tadpole-30x1/alg-e", 4001, _play(tadpole, AlgorithmKind.ALG_E), {"profit": 3997}),
         ("tadpole-30x1/alg-c", 4001, _play(tadpole, AlgorithmKind.ALG_C), {"profit": 3997}),
@@ -78,6 +91,8 @@ def _cases():
         ("spider-160/alg-c", 25601, _play(spider, AlgorithmKind.ALG_C), {"profit": 12880}),
         ("spider-4x50000/greedy-tree", 200001, _play(long_spider, AlgorithmKind.GREEDY_TREE), {"profit": 50000}),
         ("spider-4x50000/alg-c", 200001, _play(long_spider, AlgorithmKind.ALG_C), {"profit": 50000}),
+        ("flower-80/alg-c", 25521, _play(flower, AlgorithmKind.ALG_C), {"profit": 12800}),
+        ("flower-80/alg-e", 25521, _play(flower, AlgorithmKind.ALG_E), {"profit": 12800}),
     ]
 
 

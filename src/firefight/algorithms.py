@@ -13,9 +13,10 @@ one dominator pass per game, then O(log n) per candidate change as the fire
 spreads and firefighters are placed.  Within a round a strategy may place
 several firefighters; each placement drops the territory it covers from
 the residual, which is what makes per-placement weights add up to the final
-profit.  Only a break builds the view itself
-(:func:`~firefight.graph.contract`), and only once its policy's cheap guard
-passes.
+profit.  Only a break builds the view itself, and only once its policy's
+cheap guard passes: the position's reduced view
+(:meth:`~firefight.engine.GameState.reduced_view`), decomposed by
+:func:`~firefight.graph.validate_and_decompose`.
 
 ``_round`` protects each decision straight into the game state, which
 validates it, and records it as a :class:`ProtectEvent`; the ``*_round``
@@ -53,7 +54,6 @@ from .graph import (
     break_depth,
     break_distances,
     ceil_sqrt,
-    contract,
     covered_set,  # unused here, but the benchmark's tests wrap it under this module's name
     dominator_tree,
     validate_and_decompose,
@@ -288,13 +288,17 @@ class _Residual:
     length, weight]`` with positions in ``decomp.cycles[i]``, ranked in a
     second lazy heap by (-weight, smaller end).  View ids keep the original
     order, so both rankings agree with a view rebuilt from scratch.
+
+    A break's view (:meth:`view`) is that rebuild: the position's reduced
+    view, decomposed by :func:`validate_and_decompose`, with its own
+    dominator tree.
     """
 
     def __init__(self, state: GameState, decomp: CactusDecomposition, keep_ids: bool = False):
         g = state.instance.graph
         self.state, self.decomp = state, decomp
-        # round functions report breaks in the ids of the view they were given,
-        # which is their first decision's view
+        # round functions report breaks in the ids of the graph they were
+        # given: _step maps a break back through its view's to_orig
         self.keep_ids = keep_ids
         self.size = list(dominator_tree(g, decomp).size)
         self.stamp = [0] * g.n
@@ -438,12 +442,8 @@ class _Residual:
 
     def view(self, end: int) -> BreakView:
         """The decision's view, whose heaviest root cycle has smaller end ``end``."""
-        state = self.state
-        g = state.instance.graph
-        if self.keep_ids and not state.trace:
-            sub, dec = Subgraph(g, tuple(range(g.n))), self.decomp
-        else:
-            sub, dec = contract(g, self.decomp, state.view_index())
+        sub = self.state.reduced_view()
+        dec = validate_and_decompose(sub.graph)
         u = sub.to_orig.index(end)
         ci = next(i for i in dec.root_cycle_indices if dec.cycles[i][1] == u)
         return BreakView(sub, dec, dominator_tree(sub.graph, dec), ci)

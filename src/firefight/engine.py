@@ -226,7 +226,7 @@ class GameState:
         from the contraction collapse.  View id 0 is the contracted root and
         maps back to the fire source; other ids keep the original order.
         """
-        return contract(self.instance.graph, None, self.view_index())[0]
+        return contract(self.instance.graph, self.view_index())
 
 
 def replay(instance: Instance, schedule: Iterable[tuple[int, int]]) -> tuple[int, GameState]:

@@ -285,7 +285,6 @@ class CactusDecomposition:
     """
 
     cycles: tuple[tuple[int, ...], ...]
-    edge_cycle: dict[tuple[int, int], int]
     vertex_cycles: tuple[tuple[int, ...], ...]
     class_tag: GraphClass
     root_cycle_indices: tuple[int, ...]
@@ -293,42 +292,11 @@ class CactusDecomposition:
     def is_cycle_vertex(self, v: int) -> bool:
         return bool(self.vertex_cycles[v])
 
-    def cycle_of_edge(self, u: int, v: int) -> int | None:
-        return self.edge_cycle.get((min(u, v), max(u, v)))
-
 
 def _orient(cyc: list[int], start: int) -> tuple[int, ...]:
     """The cycle read from position ``start`` toward its smaller neighbor."""
     r = cyc[start:] + cyc[:start]
     return tuple(r) if r[1] < r[-1] else (r[0], *reversed(r[1:]))
-
-
-def _decomposition(n: int, root: int, cycles: list[tuple[int, ...]]) -> CactusDecomposition:
-    """Index oriented cycles (root cycles starting at the root) canonically."""
-    cycles.sort(key=lambda c: (min(c), c))
-    edge_cycle: dict[tuple[int, int], int] = {}
-    vertex_cycles: list[tuple[int, ...]] = [()] * n
-    root_idx = []
-    for i, cyc in enumerate(cycles):
-        for v in cyc:
-            vertex_cycles[v] += (i,)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            edge_cycle[(a, b) if a < b else (b, a)] = i
-        if cyc[0] == root:
-            root_idx.append(i)
-    if not cycles:
-        tag = GraphClass.TREE
-    elif len(cycles) == 1:
-        tag = GraphClass.ONE_ALMOST_TREE
-    else:
-        tag = GraphClass.CACTUS
-    return CactusDecomposition(
-        cycles=tuple(cycles),
-        edge_cycle=edge_cycle,
-        vertex_cycles=tuple(vertex_cycles),
-        class_tag=tag,
-        root_cycle_indices=tuple(root_idx),
-    )
 
 
 def validate_and_decompose(g: Graph) -> CactusDecomposition:
@@ -362,23 +330,33 @@ def validate_and_decompose(g: Graph) -> CactusDecomposition:
             walked[x] = True
         cyc = up + [a] + down[::-1]
         cycles.append(_orient(cyc, len(up) if a == root else cyc.index(min(cyc))))
-    return _decomposition(g.n, root, cycles)
+    cycles.sort(key=lambda c: (min(c), c))
+    vertex_cycles: list[tuple[int, ...]] = [()] * g.n
+    for i, cyc in enumerate(cycles):
+        for v in cyc:
+            vertex_cycles[v] += (i,)
+    if not cycles:
+        tag = GraphClass.TREE
+    elif len(cycles) == 1:
+        tag = GraphClass.ONE_ALMOST_TREE
+    else:
+        tag = GraphClass.CACTUS
+    return CactusDecomposition(
+        cycles=tuple(cycles),
+        vertex_cycles=tuple(vertex_cycles),
+        class_tag=tag,
+        root_cycle_indices=tuple(i for i, c in enumerate(cycles) if c[0] == root),
+    )
 
 
-def contract(
-    g: Graph, decomp: CactusDecomposition | None, index: list[int]
-) -> tuple[Subgraph, CactusDecomposition | None]:
+def contract(g: Graph, index: list[int]) -> Subgraph:
     """The view of g that merges, drops and keeps vertices as ``index`` says.
 
     ``index[v]`` is 0 for the root and every vertex merged into it, -1 for
     a dropped vertex, and 1..k for the kept vertices in increasing order of
     v.  The merged vertices must form a connected set, and every kept
     vertex must reach it avoiding dropped ones.  The view is read off
-    ``g.adjacency`` with parallel root edges collapsed; its decomposition,
-    when ``decomp`` (g's) is given, is read off ``decomp.cycles``: a cycle
-    with a dropped member is gone, the merged arc of a cycle collapses to
-    the root and leaves a cycle only if at least two kept vertices remain,
-    and every other cycle is re-oriented in view ids.
+    ``g.adjacency`` with parallel root edges collapsed.
     """
     adj = g.adjacency
     view_id = index.__getitem__
@@ -394,23 +372,7 @@ def contract(
             nbrs = tuple([j for j in nbrs if j > 0])
         adjacency.append(nbrs)
     adjacency[0] = tuple(root_nbrs)
-    view = Subgraph(Graph(len(adjacency), tuple(adjacency), 0), (g.root, *kept))
-    if decomp is None:
-        return view, None
-    cycles = []
-    for cyc in decomp.cycles:
-        m = [index[v] for v in cyc]
-        if -1 in m:
-            continue
-        if 0 in m:
-            k = len(m) - m.count(0)
-            if k >= 2:
-                # the merged members form one arc; the kept ones run from its end
-                s = next(p for p in range(len(m)) if m[p] and not m[p - 1])
-                cycles.append(_orient([0, *(m[s:] + m[:s])[:k]], 0))
-        else:
-            cycles.append(_orient(m, m.index(min(m))))
-    return view, _decomposition(len(adjacency), 0, cycles)
+    return Subgraph(Graph(len(adjacency), tuple(adjacency), 0), (g.root, *kept))
 
 
 @dataclass(frozen=True)
@@ -464,7 +426,8 @@ def _cycle_for_break(decomp: CactusDecomposition, g: Graph, c: int, cut) -> tupl
     if g.root not in cyc:
         raise NotRootCycleError("operation only defined for cycles through the root")
     if isinstance(cut, tuple):
-        if decomp.cycle_of_edge(*cut) != c:
+        pairs = set(zip(cyc, cyc[1:] + cyc[:1]))
+        if cut not in pairs and cut[::-1] not in pairs:
             raise EdgeNotOnCycleError(f"edge {cut} is not on cycle {c}")
     elif cut == g.root:
         raise RootInSetError("cannot break a cycle at the root")

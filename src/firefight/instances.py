@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algorithms import AlgorithmKind, run_algorithm
 from .engine import Instance, ProtectionSchedule
 from .graph import MAX_VERTICES, Graph
-from .optimum import DEFAULT_NODE_BUDGET, solve_opt
+from .optimum import DEFAULT_NODE_BUDGET, check_mask_budget, solve_opt
 
 
 class BadParamsError(ValueError):
@@ -117,6 +117,7 @@ def tadpole_adversary_run(
     if beta < 2:
         raise BadParamsError("need beta >= 2")
     alpha = beta * beta + 1
+    check_mask_budget(alpha + beta + 1)  # the tadpole's n, before any game is played
     g = make_tadpole(alpha, beta)
     name = f"tadpole-{alpha}-{beta}"
     probe = run_algorithm(Instance(g, (1,), name=name), kind)

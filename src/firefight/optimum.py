@@ -3,10 +3,11 @@
 A search state is the burned set, the region R the fire can still reach
 (everything a flood from the burned set touches without crossing a
 protected vertex) and the round, all as bitmasks, so the search only fits
-small instances; the solver refuses anything larger than ``max_n`` up
-front.  A vertex that burned before the last spread has no unburned
-neighbor left in R, so each spread and each flood starts from the ring
-that caught fire last.  Three prunings keep it exact:
+small instances; the solver refuses anything larger than ``max_n``, or
+whose bitmasks would pass ``MAX_MASK_BYTES``, up front.  A vertex that
+burned before the last spread has no unburned neighbor left in R, so each
+spread and each flood starts from the ring that caught fire last.  Three
+prunings keep it exact:
 
 * **Canonical states.**  Only R's unburned vertices are candidates:
   protecting a vertex the fire can no longer reach never helps.  For the
@@ -46,6 +47,9 @@ DEFAULT_MAX_N = 30
 # an entry costs about 260 bytes (measured on a 40-vertex cactus), so the
 # memo stays near 0.25 GB; past it the search ends like the node budget
 MAX_MEMO_ENTRIES = 1_000_000
+# the search keeps one n-bit neighbour mask per vertex, up to n*n/8 bytes;
+# a graph whose masks would pass this budget is refused up front
+MAX_MASK_BYTES = 1 << 28
 
 
 class OptError(Exception):
@@ -58,6 +62,15 @@ class SearchBudgetExceededError(OptError):
 
 class GraphTooLargeError(OptError):
     pass
+
+
+def check_mask_budget(n: int) -> None:
+    """Refuse a graph of n vertices whose n-bit masks pass ``MAX_MASK_BYTES``."""
+    if n * n // 8 > MAX_MASK_BYTES:
+        raise GraphTooLargeError(
+            f"instance has {n} vertices, too many for the exact solver's bitmasks "
+            f"({n * n // 8} bytes, limit {MAX_MASK_BYTES})"
+        )
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,7 @@ def solve_opt(
     n = g.n
     if n > max_n:
         raise GraphTooLargeError(f"instance has {n} vertices, limit is {max_n}")
+    check_mask_budget(n)
     seq = instance.sequence
     rounds = len(seq)
     nbr = [0] * n

@@ -22,13 +22,12 @@ from firefight.algorithms import (
     improved_break,
     run_algorithm,
 )
-from firefight.engine import Instance, Status, replay
+from firefight.engine import GameState, Instance, Status, replay
 from firefight.graph import (
     Graph,
     GraphClass,
     Subgraph,
     ceil_sqrt,
-    contract,
     covered_set,
     dominator_tree,
     induced_subgraph,
@@ -533,7 +532,7 @@ def test_derived_views_equal_rebuilds(monkeypatch):
     first decision (a view) and after earlier ones (a strip).  Every view a
     break builds equals a from-scratch rebuild too."""
     counts = {"views": 0, "strips": 0, "break views": 0}
-    step, derived = algorithms._step, contract
+    step, reduced_view = algorithms._step, GameState.reduced_view
 
     def checked_step(res, *args):
         state = res.state
@@ -541,9 +540,9 @@ def test_derived_views_equal_rebuilds(monkeypatch):
         counts["strips" if state.trace and state.trace[-1].round == state.round else "views"] += 1
         return step(res, *args)
 
-    def checked_contract(g, decomp, index):
-        sub, dec = derived(g, decomp, index)
-        view = sub.graph
+    def checked_view(state):
+        sub = reduced_view(state)
+        g, view, index = state.instance.graph, sub.graph, state.view_index()
         contracted = {
             (min(index[u], index[v]), max(index[u], index[v]))
             for u, v in g.edges()
@@ -553,12 +552,11 @@ def test_derived_views_equal_rebuilds(monkeypatch):
         assert sub.to_orig[0] == g.root
         assert all(sub.to_orig[i] == v for v, i in enumerate(index) if i > 0)
         assert Graph.from_edges(view.n, view.edges(), 0) == view
-        assert dec == validate_and_decompose(view)
         counts["break views"] += 1
-        return sub, dec
+        return sub
 
     monkeypatch.setattr(algorithms, "_step", checked_step)
-    monkeypatch.setattr(algorithms, "contract", checked_contract)
+    monkeypatch.setattr(GameState, "reduced_view", checked_view)
     for seed in range(450):
         rng = random.Random(seed)
         if seed % 2:
@@ -638,7 +636,7 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
     """A game runs one dominator pass up front and builds a view, with its
     own dominator pass, only for a break policy that gets past its guard:
     never once per round, however many rounds have firefighters."""
-    calls = {"contract": 0, "dominator_tree": 0}
+    calls = {"reduced_view": 0, "dominator_tree": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -646,7 +644,7 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(algorithms, "contract", counted("contract", contract))
+    monkeypatch.setattr(GameState, "reduced_view", counted("reduced_view", GameState.reduced_view))
     monkeypatch.setattr(algorithms, "dominator_tree", counted("dominator_tree", dominator_tree))
     games = [Instance(make_tadpole(a, b), (1,) * 12) for a in range(3, 60, 7) for b in (1, 4, 9)]
     for s in range(2, 21):
@@ -662,7 +660,7 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="firefight.algorithms"):
         for inst in games:
             for kind in AlgorithmKind:
-                calls.update(contract=0, dominator_tree=0)
+                calls.update(reduced_view=0, dominator_tree=0)
                 caplog.clear()
                 try:
                     r = run_algorithm(inst, kind)
@@ -670,7 +668,7 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
                     continue
                 # a consulted policy breaks, or logs that it found nothing to break
                 consulted = sum(e.reason == "break" for e in r.events) + len(caplog.records)
-                assert calls["contract"] <= consulted, (kind, calls, consulted)
+                assert calls["reduced_view"] <= consulted, (kind, calls, consulted)
                 assert calls["dominator_tree"] <= 1 + consulted, (kind, calls, consulted)
                 played["games"] += 1
                 played["long games"] += len({t.round for t in r.trace}) >= 5
@@ -682,7 +680,7 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
 def test_one_bfs_per_graph(monkeypatch):
     """A graph BFSes once, when from_edges checks that it is connected;
     games, decompositions, dominator passes and the solver's bounds read
-    that BFS.  A contract view BFSes on first use, at most once."""
+    that BFS.  A reduced view BFSes on first use, at most once."""
     bfsed = []
     real = graph._bfs
 

@@ -20,8 +20,8 @@ from firefight.graph import (
     VertexNotOnCycleError,
     break_subgraph,
     break_subgraph_edge,
+    _cycle_for_break,
     ceil_sqrt,
-    contract,
     count_safe,
     covered_set,
     dist,
@@ -182,8 +182,6 @@ def test_root_cycle_order_convention():
     assert d.cycles == ((0, 2, 3, 4),)
     assert d.root_cycle_indices == (0,)
     assert d.is_cycle_vertex(2) and not d.is_cycle_vertex(1)
-    assert d.cycle_of_edge(3, 2) == 0
-    assert d.cycle_of_edge(0, 1) is None
 
 
 def test_nonroot_cycle_starts_at_smallest_member():
@@ -265,13 +263,10 @@ def _tarjan_decompose(g):
             order.append(nxt)
         cycles.append(tuple(order))
     cycles.sort(key=lambda c: (min(c), c))
-    edge_cycle = {}
     vertex_cycles = [[] for _ in range(g.n)]
     for i, cyc in enumerate(cycles):
         for v in cyc:
             vertex_cycles[v].append(i)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            edge_cycle[(min(a, b), max(a, b))] = i
     if not cycles:
         tag = GraphClass.TREE
     elif len(cycles) == 1:
@@ -280,7 +275,6 @@ def _tarjan_decompose(g):
         tag = GraphClass.CACTUS
     return CactusDecomposition(
         cycles=tuple(cycles),
-        edge_cycle=edge_cycle,
         vertex_cycles=tuple(tuple(c) for c in vertex_cycles),
         class_tag=tag,
         root_cycle_indices=tuple(i for i, c in enumerate(cycles) if g.root in c),
@@ -390,6 +384,23 @@ def test_break_guards():
         tolerance_edge(off_root, d2, (1, 2), 0, 1)
 
 
+def test_break_edge_must_join_consecutive_cycle_members():
+    # root cycles (0, 1, 2, 3) and (0, 4, 5, 6), a bridge (2, 7)
+    g = Graph.from_edges(
+        8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0), (2, 7)]
+    )
+    d = validate_and_decompose(g)
+    cyc = d.cycles[0]
+    assert cyc == (0, 1, 2, 3)
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        assert _cycle_for_break(d, g, 0, (a, b)) == cyc
+        assert _cycle_for_break(d, g, 0, (b, a)) == cyc
+    # a bridge, an edge of the other root cycle, non-adjacent members
+    for e in ((2, 7), (7, 2), (0, 4), (5, 4), (0, 2), (3, 1)):
+        with pytest.raises(EdgeNotOnCycleError):
+            _cycle_for_break(d, g, 0, e)
+
+
 def test_tolerance_frozen_examples():
     # pentagon through the root with a two-vertex tail at vertex 2
     g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 6)])
@@ -456,9 +467,8 @@ def test_dominator_tree_matches_covered_sets(g):
 
 @given(st.one_of(relabelled_cacti(), root_cycle_cacti()), st.data())
 def test_dominator_tree_of_views_matches_networkx(g, data):
-    """Views taken at random positions of random games: their BFS and chords
-    are computed on first use, their decomposition comes from contract."""
-    d = validate_and_decompose(g)
+    """Reduced views taken at random positions of random games: their BFS
+    and chords are computed on first use."""
     seq = tuple(data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=5)))
     state = GameState(Instance(g, seq))
     while not state.is_finished():
@@ -466,11 +476,10 @@ def test_dominator_tree_of_views_matches_networkx(g, data):
             live = sorted(state.truly_available())
             if live and data.draw(st.booleans()):
                 state.protect(data.draw(st.sampled_from(live)))
-        sub, vd = contract(g, d, state.view_index())
+        sub = state.reduced_view()
         assert sub.graph._bfs_tree is None
         _assert_chords_are_non_tree_edges(sub.graph)
-        assert vd == validate_and_decompose(sub.graph)
-        _assert_dominators_match_networkx(sub.graph, vd)
+        _assert_dominators_match_networkx(sub.graph, validate_and_decompose(sub.graph))
         state.spread()
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,8 +9,10 @@ from firefight.engine import Instance, Status, replay
 from firefight.graph import Graph, validate_and_decompose
 from firefight.instances import make_tadpole, random_cactus, random_sequence, random_tree
 from firefight.optimum import (
+    MAX_MASK_BYTES,
     GraphTooLargeError,
     SearchBudgetExceededError,
+    check_mask_budget,
     normalize_nonredundant,
     opt_upper_bound,
     solve_opt,
@@ -62,6 +65,16 @@ def test_budget_and_size_guards():
         solve_opt(Instance(g, (1, 1, 1)), node_budget=3)
     with pytest.raises(GraphTooLargeError):
         solve_opt(Instance(g, (1,)), max_n=11)
+
+
+def test_mask_budget_is_checked_before_any_mask_is_built():
+    n = math.isqrt(8 * MAX_MASK_BYTES)  # n masks of n bits fill the budget
+    check_mask_budget(n)
+    with pytest.raises(GraphTooLargeError):
+        check_mask_budget(n + 1)
+    path = Graph.from_edges(n + 1, [(i, i + 1) for i in range(n)])
+    with pytest.raises(GraphTooLargeError):
+        solve_opt(Instance(path, (1,)), max_n=path.n)
 
 
 def _random_instance(seed, n_max=11):
