@@ -18,10 +18,13 @@ cheap guard passes: the position's reduced view
 (:meth:`~firefight.engine.GameState.reduced_view`), decomposed by
 :func:`~firefight.graph.validate_and_decompose`.
 
-``_round`` protects each decision straight into the game state, which
-validates it, and records it as a :class:`ProtectEvent`; the ``*_round``
-functions play round one of a game on their view, so their events and
-breaks are in the view's ids.  The cool-down is an int, the rounds left.
+The residual game also holds the rest of a game's strategy state: the
+break policy and the cool-down, an int, the rounds left; building it checks
+the strategy's graph class.  ``_round`` plays one round on it, protects
+each decision straight into the game state, which validates it, and
+records it as a :class:`ProtectEvent`; the ``*_round`` functions play round
+one of a game on their view, so their events and breaks are in the view's
+ids.
 
 Square-root comparisons are done in exact integer arithmetic throughout:
 ``w >= sqrt(W)`` becomes ``w*w >= W`` and population targets use
@@ -63,10 +66,6 @@ log = logging.getLogger(__name__)
 
 
 class AlgorithmError(Exception):
-    pass
-
-
-class NotATreeError(AlgorithmError):
     pass
 
 
@@ -227,13 +226,14 @@ class BreakView(NamedTuple):
 
 # A break policy answers a lone firefighter facing a root cycle of weight
 # w_cyc heavier than the best single pick squared: a break, or None to stay
-# greedy.  It gets (w_cyc, cooldown, n_original, view) and calls ``view()``,
-# which builds the decision's view, only once its cheap guard passes.
-BreakPolicy = Callable[[int, int, int, Callable[[], BreakView]], BreakDetail | None]
+# greedy.  It gets (res, w_cyc, view), reads the game's size and cool-down
+# off the residual game ``res``, and calls ``view()``, which builds the
+# decision's view, only once its cheap guard passes.
+BreakPolicy = Callable[["_Residual", int, Callable[[], BreakView]], BreakDetail | None]
 
 
 def _tolerance_break(
-    w_cyc: int, cooldown: int, n_original: int, view: Callable[[], BreakView]
+    res: _Residual, w_cyc: int, view: Callable[[], BreakView]
 ) -> BreakDetail | None:
     """1-almost-tree break: the more tolerant root neighbor of the cycle."""
     bv = view()
@@ -258,14 +258,15 @@ def _tolerance_break(
 
 
 def _guarded_improved_break(
-    w_cyc: int, cooldown: int, n_original: int, view: Callable[[], BreakView]
+    res: _Residual, w_cyc: int, view: Callable[[], BreakView]
 ) -> BreakDetail | None:
     """Cactus break: only on cycles of weight above sqrt(n), never in a cool-down."""
-    if w_cyc * w_cyc <= n_original or cooldown > 0:
+    n = res.state.instance.graph.n
+    if w_cyc * w_cyc <= n or res.cooldown > 0:
         return None
     bv = view()
     try:
-        return improved_break(bv.sub.graph, bv.decomp, bv.dom, n_original)
+        return improved_break(bv.sub.graph, bv.decomp, bv.dom, n)
     except (NoEligibleCycleError, NoEligibleBreakVertexError) as exc:
         # the guard makes this unreachable except on tiny cycles; fall back
         log.warning("cycle break found no eligible vertex (%s); protecting greedily", exc)
@@ -273,7 +274,10 @@ def _guarded_improved_break(
 
 
 class _Residual:
-    """The live part of a game, in the game's own ids, kept across rounds.
+    """A game's strategy state, in the game's own ids, kept across rounds:
+    the live part of the position, the strategy's break ``policy`` and its
+    ``cooldown``, the rounds left.  Building it checks that the strategy
+    ``kind`` plays on the class of ``decomp``'s graph.
 
     Live vertices are the truly available ones; the burned region plays the
     reduced view's root.  ``size[v]`` is live v's dominator-subtree size in
@@ -294,9 +298,16 @@ class _Residual:
     dominator tree.
     """
 
-    def __init__(self, state: GameState, decomp: CactusDecomposition, keep_ids: bool = False):
+    def __init__(
+        self, state: GameState, decomp: CactusDecomposition, kind: AlgorithmKind,
+        cooldown: int = 0, keep_ids: bool = False,
+    ):
+        tag = decomp.class_tag
+        if not kind.accepts(tag):
+            raise WrongGraphClassError(f"{kind.value} does not accept a {tag.value} instance")
         g = state.instance.graph
         self.state, self.decomp = state, decomp
+        self.policy, self.cooldown = _KINDS[kind].policy, cooldown
         # round functions report breaks in the ids of the graph they were
         # given: _step maps a break back through its view's to_orig
         self.keep_ids = keep_ids
@@ -449,101 +460,95 @@ class _Residual:
         return BreakView(sub, dec, dominator_tree(sub.graph, dec), ci)
 
 
-def _step(
-    res: _Residual, f_left: int, policy: BreakPolicy | None, cooldown: int, n_original: int
-) -> tuple[list[int], str, BreakDetail | None, int]:
+def _step(res: _Residual, f_left: int) -> tuple[list[int], str, BreakDetail | None]:
     """The next protection(s): greedy, a pair sealing a root cycle, or a break.
 
     Candidates are the root neighbors plus every root-cycle vertex.  With
     no root cycle this is the tree greedy.  Two firefighters seal the
     heaviest root cycle when it outweighs the two best picks together; one
-    firefighter consults ``policy`` when the cycle outweighs the best pick
-    squared.  A one-firefighter decision on a root cycle restarts the
-    cool-down: at the break's value after a break, at zero otherwise.
+    firefighter consults ``res.policy`` when the cycle outweighs the best
+    pick squared.  A one-firefighter decision on a root cycle restarts
+    ``res.cooldown``: at the break's value after a break, at zero otherwise.
     """
     w1, v1 = res.best()
     top = res.heaviest()
     if top is None:
-        return [v1], "greedy", None, cooldown
+        return [v1], "greedy", None
     w_cyc, ends = top
     if f_left >= 2:
         if w1 + res.second() >= w_cyc:
-            return [v1], "greedy", None, cooldown
-        return list(ends), "pair", None, cooldown
+            return [v1], "greedy", None
+        return list(ends), "pair", None
     brk = None
-    if w1 * w1 < w_cyc and policy is not None:
+    if w1 * w1 < w_cyc and res.policy is not None:
         view = cache(lambda: res.view(ends[0]))
-        brk = policy(w_cyc, cooldown, n_original, view)
+        brk = res.policy(res, w_cyc, view)
     if brk is None:
-        return [v1], "greedy", None, 0
+        res.cooldown = 0
+        return [v1], "greedy", None
+    res.cooldown = brk.cooldown
     to_orig = view().sub.to_orig
     v = to_orig[brk.vertex]
     if res.keep_ids:
         brk = replace(
             brk, vertex=v, anchor=to_orig[brk.anchor], cycle=tuple(map(to_orig.__getitem__, brk.cycle))
         )
-    return [v], "break", brk, brk.cooldown
+    return [v], "break", brk
 
 
-def _round(
-    res: _Residual, policy: BreakPolicy | None, cooldown: int, n_original: int
-) -> tuple[list[ProtectEvent], int]:
-    """Protect the current round's firefighters one decision at a time.
+def _round(res: _Residual) -> list[ProtectEvent]:
+    """Play the current round's firefighters one decision at a time.
 
-    Each decision is protected straight into the game state, which
-    validates it, and into the residual game.  The cool-down (rounds left)
-    elapses once per round.
+    The cool-down elapses once per round, firefighters or not.  Each
+    decision is protected straight into the game state, which validates
+    it, and into the residual game.
     """
     state = res.state
-    cd = max(cooldown - 1, 0)
+    res.cooldown = max(res.cooldown - 1, 0)
     f = state.instance.firefighters(state.round)
     events: list[ProtectEvent] = []
     while f > 0 and res.best() is not None:
-        locs, reason, brk, cd = _step(res, f, policy, cd, n_original)
+        locs, reason, brk = _step(res, f)
         for v in locs:
             state.protect(v)
             res.protect(v)
             events.append(ProtectEvent(len(state.trace), state.round, v, reason, brk))
         f -= len(locs)
-    return events, cd
+    return events
 
 
 def _first_round(
-    kind: AlgorithmKind, view: Graph, decomp: CactusDecomposition,
-    f: int, cooldown: int, n_original: int,
+    kind: AlgorithmKind, view: Graph, decomp: CactusDecomposition, f: int, cooldown: int = 0
 ) -> tuple[list[ProtectEvent], int]:
-    """Round one of a game of ``kind`` on ``view`` with f firefighters."""
-    policy = _checked_policy(kind, decomp)
-    state = GameState(Instance(view, (f,)))
-    return _round(_Residual(state, decomp, keep_ids=True), policy, cooldown, n_original)
+    """Round one of a game of ``kind`` on ``view`` with f firefighters; its
+    events and the cool-down it leaves."""
+    res = _Residual(GameState(Instance(view, (f,))), decomp, kind, cooldown, keep_ids=True)
+    return _round(res), res.cooldown
 
 
 def greedy_tree_round(view: Graph, f: int) -> list[ProtectEvent]:
     """Protect the f heaviest root neighbors of a tree, one at a time."""
-    if view.edge_count() != view.n - 1:
-        raise NotATreeError("greedy baseline only plays on trees")
-    decomp = validate_and_decompose(view)
-    return _first_round(AlgorithmKind.GREEDY_TREE, view, decomp, f, 0, view.n)[0]
+    return _first_round(AlgorithmKind.GREEDY_TREE, view, validate_and_decompose(view), f)[0]
 
 
 def alg_a_round(view: Graph, decomp: CactusDecomposition, f: int) -> list[ProtectEvent]:
     """One round of the 1-almost-tree strategy on the current view."""
-    return _first_round(AlgorithmKind.ALG_A, view, decomp, f, 0, view.n)[0]
+    return _first_round(AlgorithmKind.ALG_A, view, decomp, f)[0]
 
 
 def alg_e_round(view: Graph, decomp: CactusDecomposition, f: int) -> list[ProtectEvent]:
     """One round of the plain cactus strategy (no cycle breaking)."""
-    return _first_round(AlgorithmKind.ALG_E, view, decomp, f, 0, view.n)[0]
+    return _first_round(AlgorithmKind.ALG_E, view, decomp, f)[0]
 
 
 def alg_c_round(
-    view: Graph, decomp: CactusDecomposition, f: int, cooldown: int, n_original: int
+    view: Graph, decomp: CactusDecomposition, f: int, cooldown: int
 ) -> tuple[list[ProtectEvent], int]:
     """One round of the full cactus strategy; returns the new cool-down.
 
     The cool-down timer elapses once per round, firefighters or not.
     """
-    return _first_round(AlgorithmKind.ALG_C, view, decomp, f, cooldown, n_original)
+    return _first_round(AlgorithmKind.ALG_C, view, decomp, f, cooldown)
 
 
 @dataclass(frozen=True)
@@ -577,14 +582,6 @@ _KINDS: dict[AlgorithmKind, Contract] = {
 }
 
 
-def _checked_policy(kind: AlgorithmKind, decomp: CactusDecomposition) -> BreakPolicy | None:
-    """``kind``'s break policy, once it accepts the class of ``decomp``'s graph."""
-    tag = decomp.class_tag
-    if not kind.accepts(tag):
-        raise WrongGraphClassError(f"{kind.value} does not accept a {tag.value} instance")
-    return _KINDS[kind].policy
-
-
 def within_bound(bound: tuple[int, int], n: int, opt: int, alg: int) -> bool:
     """opt <= (c*sqrt(n) + k) * alg, decided in integers."""
     c, k = bound
@@ -597,29 +594,23 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
 
     Every protection is recorded as a :class:`ProtectEvent`.  The graph is
     decomposed once, from the BFS it keeps, and its class is returned as
-    ``graph_class``; the residual game is built once and kept up to date
-    until the last round with firefighters.  Rounds without firefighters
-    before it only tick the cool-down; after it the fire burns out in one
-    pass (:meth:`GameState.burn_out`).
+    ``graph_class``.  The residual game, built once, checks that ``kind``
+    accepts that class, even with no firefighter to place, and plays every
+    round up to the last one with firefighters; after that round the fire
+    burns out in one pass (:meth:`GameState.burn_out`).
     """
-    decomp0 = validate_and_decompose(instance.graph)
-    policy = _checked_policy(kind, decomp0)
+    decomp = validate_and_decompose(instance.graph)
     state = GameState(instance)
+    res = _Residual(state, decomp, kind)
     last = max((r for r, f in enumerate(instance.sequence, 1) if f), default=0)
-    res = _Residual(state, decomp0) if last else None
-    cd = 0
     events: list[ProtectEvent] = []
     while state.round <= last and not state.is_finished():
-        if instance.firefighters(state.round) > 0:
-            placed, cd = _round(res, policy, cd, instance.graph.n)
-            events.extend(placed)
-        else:
-            cd = max(cd - 1, 0)
+        events += _round(res)
         burned = state.spread()
         if state.round <= last:
             res.burn(burned)
     state.burn_out()
-    return RunResult(state.profit(), tuple(state.trace), tuple(events), decomp0.class_tag)
+    return RunResult(state.profit(), tuple(state.trace), tuple(events), decomp.class_tag)
 
 
 def decision_view(instance: Instance, result: RunResult, k: int) -> Subgraph:

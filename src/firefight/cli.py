@@ -46,8 +46,6 @@ from .optimum import (
     solve_opt,
 )
 
-log = logging.getLogger("firefight")
-
 BUDGET_ENV = "FIREFIGHT_NODE_BUDGET"
 
 

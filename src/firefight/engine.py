@@ -123,8 +123,18 @@ class GameState:
     def spread(self) -> list[int]:
         """Advance the fire one step and start the next round; returns the
         vertices that caught fire, the new front."""
-        newly = self._ignite()
-        self._next_round(newly)
+        adj = self.instance.graph.adjacency
+        status = self.status
+        newly = []
+        for u in self._front:
+            for v in adj[u]:
+                if status[v] is AVAILABLE:
+                    status[v] = BURNED
+                    newly.append(v)
+        self._front = newly
+        self._burned += len(newly)
+        self.round += 1
+        self._placed_this_round = 0
         return newly
 
     def burn_out(self) -> None:
@@ -158,24 +168,6 @@ class GameState:
             self._burned += burned
             self.round += rounds
             self._placed_this_round = 0
-
-    def _ignite(self) -> list[int]:
-        """Set the front's available neighbors on fire; returns them."""
-        adj = self.instance.graph.adjacency
-        status = self.status
-        newly = []
-        for u in self._front:
-            for v in adj[u]:
-                if status[v] is AVAILABLE:
-                    status[v] = BURNED
-                    newly.append(v)
-        return newly
-
-    def _next_round(self, front: list[int]) -> None:
-        self._front = front
-        self._burned += len(front)
-        self.round += 1
-        self._placed_this_round = 0
 
     def is_finished(self) -> bool:
         adj = self.instance.graph.adjacency

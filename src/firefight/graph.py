@@ -242,15 +242,6 @@ def weight(g: Graph, removed: Iterable[int], s: Iterable[int]) -> int:
     return len(covered_set(g, removed, s))
 
 
-def dist(g: Graph, removed: Iterable[int], u: int, v: int) -> int | float:
-    """Shortest-path length between u and v avoiding removed vertices."""
-    removed = frozenset(removed)
-    if u in removed or v in removed:
-        raise ValueError("endpoint is removed")
-    d = _distances(g, removed, u)
-    return d.get(v, math.inf)
-
-
 def count_safe(g: Graph, removed: Iterable[int], d: int) -> int:
     """Number of surviving vertices at distance >= d from the root.
 

@@ -244,7 +244,7 @@ def _algc_break_context(rng: random.Random):
     n = rng.randint(6, 13)
     g = random_cactus(n, rng.uniform(0.5, 1.0), rng.randint(4, max(4, n)), _seed(rng))
     decomp = validate_and_decompose(g)
-    (choice,), _ = alg_c_round(g, decomp, 1, 0, g.n)
+    (choice,), _ = alg_c_round(g, decomp, 1, 0)
     if choice.brk is None:
         return None
     return g, decomp, choice.brk

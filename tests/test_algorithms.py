@@ -12,7 +12,6 @@ from firefight.algorithms import (
     BreakDetail,
     NoEligibleBreakVertexError,
     NoEligibleCycleError,
-    NotATreeError,
     WrongGraphClassError,
     alg_a_round,
     alg_c_round,
@@ -122,7 +121,7 @@ def test_greedy_round_takes_heaviest_subtree():
 
 def test_greedy_round_rejects_cycles():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(NotATreeError):
+    with pytest.raises(WrongGraphClassError):
         greedy_tree_round(g, 1)
 
 
@@ -136,6 +135,10 @@ def test_class_gating():
         run_algorithm(Instance(two_cycles, (1,)), AlgorithmKind.GREEDY_TREE)
     with pytest.raises(WrongGraphClassError):
         alg_a_round(two_cycles, validate_and_decompose(two_cycles), 1)
+    # the class is checked even when no firefighter ever comes
+    for seq in ((), (0, 0, 0)):
+        with pytest.raises(WrongGraphClassError):
+            run_algorithm(Instance(two_cycles, seq), AlgorithmKind.ALG_A)
     cactus_run = run_algorithm(Instance(two_cycles, (1,)), AlgorithmKind.ALG_C)
     assert cactus_run.graph_class is GraphClass.CACTUS
     # trees are accepted by every strategy
@@ -157,17 +160,37 @@ def test_cooldown_state_tick():
     # the cool-down is the rounds left; an empty round only ticks it
     g = make_tadpole(10, 3)
     d = validate_and_decompose(g)
-    assert [alg_c_round(g, d, 0, c, g.n) for c in (0, 1, 3)] == [([], 0), ([], 0), ([], 2)]
+    assert [alg_c_round(g, d, 0, c) for c in (0, 1, 3)] == [([], 0), ([], 0), ([], 2)]
+
+
+def test_game_plays_every_round_up_to_the_last_with_firefighters(monkeypatch):
+    # three legs of 8 under the root: the fire still burns after round 5
+    legs = [(0 if i % 8 == 0 else i, i + 1) for i in range(24)]
+    inst = Instance(Graph.from_edges(25, legs), (0, 1, 0, 0, 1, 0, 0))
+    rounds = []
+    real = algorithms._round
+
+    def spy(res):
+        rounds.append(res.state.round)
+        return real(res)
+
+    monkeypatch.setattr(algorithms, "_round", spy)
+    for kind in AlgorithmKind:
+        rounds.clear()
+        r = run_algorithm(inst, kind)
+        assert rounds == [1, 2, 3, 4, 5], kind
+        assert [t.round for t in r.trace] == [2, 5]
+        assert r.profit == 7 + 4
 
 
 def test_alg_c_round_reports_cooldown():
     g = make_tadpole(10, 3)
     decomp = validate_and_decompose(g)
-    choices, cd = alg_c_round(g, decomp, 1, 0, g.n)
+    choices, cd = alg_c_round(g, decomp, 1, 0)
     assert [c.reason for c in choices] == ["break"]
     assert cd == 10
     # an active cool-down forces one greedy protection, then clears
-    choices2, cd2 = alg_c_round(g, decomp, 1, 5, g.n)
+    choices2, cd2 = alg_c_round(g, decomp, 1, 5)
     assert [c.reason for c in choices2] == ["greedy"]
     assert cd2 == 0
 
@@ -180,7 +203,7 @@ def test_round_functions_report_breaks_in_their_graph_ids():
     g = _relabelled(random_cactus(rng.randint(8, 40), rng.uniform(0.5, 1.0), rng.randint(4, 16), 0), rng)
     assert g.root == 7
     d = validate_and_decompose(g)
-    events, _ = alg_c_round(g, d, 3, 0, g.n)
+    events, _ = alg_c_round(g, d, 3, 0)
     assert [(e.vertex, e.reason) for e in events] == [(17, "pair"), (19, "pair"), (0, "break")]
     brk = events[2].brk
     assert (brk.vertex, brk.anchor) == (0, 0)
@@ -190,7 +213,7 @@ def test_round_functions_report_breaks_in_their_graph_ids():
         rng = random.Random(seed)
         g = _relabelled(random_cactus(rng.randint(8, 40), rng.uniform(0.5, 1.0), rng.randint(4, 16), seed), rng)
         d = validate_and_decompose(g)
-        events, _ = alg_c_round(g, d, rng.randint(2, 4), 0, g.n)
+        events, _ = alg_c_round(g, d, rng.randint(2, 4), 0)
         for k, e in enumerate(events):
             if e.brk is None:
                 continue
@@ -325,7 +348,7 @@ def test_golden_traces():
 def test_empty_round_only_ticks_cooldown():
     g = make_tadpole(10, 3)
     dec = validate_and_decompose(g)
-    assert alg_c_round(g, dec, 0, 5, g.n) == ([], 4)
+    assert alg_c_round(g, dec, 0, 5) == ([], 4)
 
 
 def test_root_cycle_ties_fall_to_decomposition_order():
