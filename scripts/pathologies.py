@@ -12,8 +12,9 @@ residual across rounds, and on ``spider-4x50000``, 4 legs of 50000
 vertices (n = 200001) with one firefighter and then about 50000 rounds of
 burning, which a game must play in one pass, and `alg-c` and `alg-e` on
 ``flower-80``, 80 root cycles of 320 vertices each (n = 25521) with one
-firefighter in each of 25600 rounds, where `alg-c` breaks 40 cycles and
-so builds and decomposes 40 reduced views of a large position.  Each case
+firefighter in each of 25600 rounds, where `alg-c` breaks 40 cycles, and
+before each break walks the territory behind both root neighbors of every
+heavy root cycle.  Each case
 is run ``--repeat`` times; the median wall time in seconds is printed as
 one JSON object per case, with the instance size and the pinned results (a
 profit, or the strategy's and the optimum's profits of an adversary run).

@@ -13,10 +13,12 @@ one dominator pass per game, then O(log n) per candidate change as the fire
 spreads and firefighters are placed.  Within a round a strategy may place
 several firefighters; each placement drops the territory it covers from
 the residual, which is what makes per-placement weights add up to the final
-profit.  Only a break builds the view itself, and only once its policy's
-cheap guard passes: the position's reduced view
-(:meth:`~firefight.engine.GameState.reduced_view`), decomposed by
-:func:`~firefight.graph.validate_and_decompose`.
+profit.  A break is decided on the residual game too, once its policy's
+cheap guard passes: its live arcs are the view's root cycles, its sizes
+the view's weights, and a cut cycle's territory is one BFS of the game
+graph through the available vertices.  No decision builds a view; only a
+break's record is given in the view's ids, by rank among the live
+vertices.
 
 The residual game also holds the rest of a game's strategy state: the
 break policy and the cool-down, an int, the rounds left; building it checks
@@ -43,11 +45,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cache
+from functools import partial
 from heapq import heapify, heappop, heappush
-from typing import Callable, NamedTuple
+from itertools import islice
+from typing import Callable, NamedTuple, Sequence
 
-from .engine import AVAILABLE, GameState, Instance, TraceEntry
+from .engine import AVAILABLE, BURNED, GameState, Instance, TraceEntry
 from .graph import (
     CactusDecomposition,
     DominatorTree,
@@ -55,7 +58,6 @@ from .graph import (
     GraphClass,
     Subgraph,
     break_depth,
-    break_distances,
     ceil_sqrt,
     covered_set,  # unused here, but the benchmark's tests wrap it under this module's name
     dominator_tree,
@@ -133,29 +135,101 @@ class ProtectEvent:
     brk: BreakDetail | None
 
 
+# A territory function walks the territory a root cycle (root first) opens
+# once cut at one end, at the vertex or, when ``at_edge``, at its root edge:
+# root distances in BFS order, the root's 0 first, and each member's reach.
+Territory = Callable[[tuple[int, ...], int, bool], tuple[dict[int, int], dict[int, int]]]
+
+
+def _territory(
+    adj: tuple[tuple[int, ...], ...], status: list, cyc: tuple[int, ...], cut: int, at_edge: bool
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The territory root cycle ``cyc`` (root first) opens once cut at its
+    end ``cut``, or at that end's root edge when ``at_edge``.
+
+    One BFS from the cycle's other end through available vertices, which
+    never enters the cut vertex: burned vertices play the root, already
+    visited.  Each visited vertex hangs off the member the walk entered it
+    through.  Returns the root distances in BFS order, the root's 0 first,
+    and each member's reach, the farthest distance among the vertices that
+    hang off it: the last one visited.
+    """
+    root = cyc[0]
+    start = cyc[-1] if cut == cyc[1] else cyc[1]
+    members = set(cyc)
+    skip = -1 if at_edge else cut
+    dist = {root: 0, start: 1}
+    order = [start]
+    via = [start]  # via[k]: the member order[k] hangs off
+    for u, top in zip(order, via):  # both grow behind the loop: a FIFO queue
+        d = dist[u] + 1
+        for v in adj[u]:
+            if v not in dist and v != skip and status[v] is AVAILABLE:
+                dist[v] = d
+                order.append(v)
+                via.append(v if v in members else top)
+    return dist, dict(zip(via, islice(dist.values(), 1, None)))
+
+
 def _deepest_cut(
-    g: Graph, decomp: CactusDecomposition, anchors: list[tuple[int, int]], target: int,
-    at_edge: bool,
-) -> tuple[int, int, int, dict[int, int]] | None:
+    territory: Territory, anchors: list[tuple[tuple[int, ...], int]], target: int, at_edge: bool
+) -> tuple[int, int, tuple[int, ...], dict[int, int], dict[int, int]] | None:
     """The deepest cut among candidate anchors, ties to the lower anchor.
 
-    ``anchors`` holds (root cycle index, root neighbor) pairs; the cut is
-    the anchor, or its root edge when ``at_edge``, and its depth is the
-    largest fire travel distance that keeps ``target`` opened vertices safe.
-    Returns (depth, anchor, cycle index, distances), or None if none does.
+    ``anchors`` holds (root cycle, root neighbor) pairs; the cut is the
+    anchor, or its root edge when ``at_edge``, and its depth is the largest
+    fire travel distance that keeps ``target`` opened vertices safe.
+    Returns (depth, anchor, cycle, distances, reach), or None if none does.
     """
     best = None
-    for ci, u in anchors:
-        dist = break_distances(g, decomp, ci, (g.root, u) if at_edge else u)
+    for cyc, u in anchors:
+        dist, reach = territory(cyc, u, at_edge)
         t = break_depth(dist, target)
         if t is not None and (best is None or (t, -u) > (best[0], -best[1])):
-            best = (t, u, ci, dist)
+            best = (t, u, cyc, dist, reach)
     return best
 
 
 def _from_anchor(cycle: tuple[int, ...], anchor: int) -> tuple[int, ...]:
     """A root cycle (root first) oriented to run (root, anchor, ...)."""
     return cycle if cycle[1] == anchor else (cycle[0],) + tuple(reversed(cycle[1:]))
+
+
+def _improved_break(
+    cycles: list[tuple[tuple[int, ...], int]], size: Sequence[int], territory: Territory,
+    eta_sq: int,
+) -> BreakDetail:
+    """The cactus break over root ``cycles`` (root first) with their weights,
+    the vertices' dominator-subtree ``size``s and a ``territory`` function;
+    see :func:`improved_break`."""
+    eligible = [(cyc, w) for cyc, w in cycles if w * w >= eta_sq]
+    if not eligible:
+        raise NoEligibleCycleError("no root cycle reaches the weight threshold")
+    heaviest = max(w for _, w in eligible)
+    target = ceil_sqrt(heaviest)
+    anchors = []
+    for cyc, w in eligible:
+        for u in (cyc[1], cyc[-1]):
+            rest = w - size[u]
+            if rest >= 0 and rest * rest >= heaviest:
+                anchors.append((cyc, u))
+    best = _deepest_cut(territory, anchors, target, at_edge=True)
+    if best is None:
+        raise NoEligibleBreakVertexError("no root neighbor leaves enough territory")
+    depth, anchor, cyc, dist, reach = best
+    cyc = _from_anchor(cyc, anchor)
+    for u_hat in cyc[1:]:
+        if reach[u_hat] >= depth:
+            return BreakDetail(
+                vertex=u_hat,
+                anchor=anchor,
+                depth=depth,
+                cooldown=dist[u_hat],
+                cycle=cyc,
+                target=target,
+                cycle_weight=heaviest,
+            )
+    raise NoEligibleBreakVertexError("no cycle vertex covers the required depth")
 
 
 def improved_break(
@@ -167,82 +241,29 @@ def improved_break(
     ``dom``) is at least ``eta_sq``.  Among their root neighbors that leave
     enough territory behind, the anchor maximizes the edge tolerance at the
     square-root population target: one BFS of the territory the cycle opens
-    when the anchor's root edge is cut.  The winner's distances give the
-    protected vertex, the first along the opened cycle covering territory
-    at depth ``depth`` or beyond, and its cool-down.
+    when the anchor's root edge is cut.  The winner's walk gives the
+    protected vertex, the first along the opened cycle with territory at
+    depth ``depth`` or beyond hanging off it, and its cool-down.  A game
+    decides the same break on its residual game, in the game's ids.
     """
-    eligible: list[tuple[int, int]] = []
-    for i in decomp.root_cycle_indices:
-        w = dom.cycle_weight(decomp.cycles[i])
-        if w * w >= eta_sq:
-            eligible.append((i, w))
-    if not eligible:
-        raise NoEligibleCycleError("no root cycle reaches the weight threshold")
-    heaviest = max(w for _, w in eligible)
-    target = ceil_sqrt(heaviest)
-    anchors = []
-    for i, w in eligible:
-        cyc = decomp.cycles[i]
-        for u in (cyc[1], cyc[-1]):
-            rest = w - dom.size[u]
-            if rest >= 0 and rest * rest >= heaviest:
-                anchors.append((i, u))
-    best = _deepest_cut(g, decomp, anchors, target, at_edge=True)
-    if best is None:
-        raise NoEligibleBreakVertexError("no root neighbor leaves enough territory")
-    depth, anchor, ci, dmap = best
-    cyc = _from_anchor(decomp.cycles[ci], anchor)
-    # reach[v]: the farthest opened distance in v's territory (dominator subtree)
-    reach = [-1] * g.n
-    for v, d in dmap.items():
-        reach[v] = d
-    for v in reversed(dom.order[1:]):
-        p = dom.idom[v]
-        if reach[v] > reach[p]:
-            reach[p] = reach[v]
-    for u_hat in cyc[1:]:
-        if reach[u_hat] >= depth:
-            return BreakDetail(
-                vertex=u_hat,
-                anchor=anchor,
-                depth=depth,
-                cooldown=dmap[u_hat],
-                cycle=cyc,
-                target=target,
-                cycle_weight=heaviest,
-            )
-    raise NoEligibleBreakVertexError("no cycle vertex covers the required depth")
+    status = [AVAILABLE] * g.n
+    status[g.root] = BURNED
+    cycles = [(decomp.cycles[i], dom.cycle_weight(decomp.cycles[i])) for i in decomp.root_cycle_indices]
+    return _improved_break(cycles, dom.size, partial(_territory, g.adjacency, status), eta_sq)
 
 
-class BreakView(NamedTuple):
-    """What a break is decided on: the decision's view, its decomposition
-    and dominator tree, and the index of its heaviest root cycle."""
-
-    sub: Subgraph
-    decomp: CactusDecomposition
-    dom: DominatorTree
-    heaviest: int
+# A break policy answers a lone firefighter facing the root cycle ``i`` of
+# weight w_cyc, the heaviest, heavier than the best single pick squared: a
+# break, or None to stay greedy.  It gets (res, w_cyc, i) and decides on the
+# residual game ``res``, in the game's ids, once its cheap guard passes.
+BreakPolicy = Callable[["_Residual", int, int], BreakDetail | None]
 
 
-# A break policy answers a lone firefighter facing a root cycle of weight
-# w_cyc heavier than the best single pick squared: a break, or None to stay
-# greedy.  It gets (res, w_cyc, view), reads the game's size and cool-down
-# off the residual game ``res``, and calls ``view()``, which builds the
-# decision's view, only once its cheap guard passes.
-BreakPolicy = Callable[["_Residual", int, Callable[[], BreakView]], BreakDetail | None]
-
-
-def _tolerance_break(
-    res: _Residual, w_cyc: int, view: Callable[[], BreakView]
-) -> BreakDetail | None:
+def _tolerance_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail | None:
     """1-almost-tree break: the more tolerant root neighbor of the cycle."""
-    bv = view()
-    ci = bv.heaviest
-    cyc = bv.decomp.cycles[ci]
+    cyc = res.root_cycle(i)
     target = ceil_sqrt(w_cyc)
-    best = _deepest_cut(
-        bv.sub.graph, bv.decomp, [(ci, cyc[1]), (ci, cyc[-1])], target, at_edge=False
-    )
+    best = _deepest_cut(res.territory, [(cyc, cyc[1]), (cyc, cyc[-1])], target, at_edge=False)
     if best is None:  # cannot happen for a break-branch cycle; stay safe
         return None
     depth, anchor = best[:2]
@@ -257,16 +278,14 @@ def _tolerance_break(
     )
 
 
-def _guarded_improved_break(
-    res: _Residual, w_cyc: int, view: Callable[[], BreakView]
-) -> BreakDetail | None:
+def _guarded_improved_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail | None:
     """Cactus break: only on cycles of weight above sqrt(n), never in a cool-down."""
     n = res.state.instance.graph.n
     if w_cyc * w_cyc <= n or res.cooldown > 0:
         return None
-    bv = view()
+    cycles = [(res.root_cycle(j), arc[2]) for j, arc in res.arcs.items()]
     try:
-        return improved_break(bv.sub.graph, bv.decomp, bv.dom, n)
+        return _improved_break(cycles, res.size, res.territory, n)
     except (NoEligibleCycleError, NoEligibleBreakVertexError) as exc:
         # the guard makes this unreachable except on tiny cycles; fall back
         log.warning("cycle break found no eligible vertex (%s); protecting greedily", exc)
@@ -293,24 +312,25 @@ class _Residual:
     second lazy heap by (-weight, smaller end).  View ids keep the original
     order, so both rankings agree with a view rebuilt from scratch.
 
-    A break's view (:meth:`view`) is that rebuild: the position's reduced
-    view, decomposed by :func:`validate_and_decompose`, with its own
-    dominator tree.
+    A break is decided here too, in game ids: the live arcs are the root
+    cycles (:meth:`root_cycle`), the sizes give their anchors, and a
+    cycle's territory is walked through the available vertices
+    (``territory``).  Only its record is given in the decision view's
+    ids (:meth:`in_view_ids`).
     """
 
     def __init__(
         self, state: GameState, decomp: CactusDecomposition, kind: AlgorithmKind,
         cooldown: int = 0, keep_ids: bool = False,
     ):
-        tag = decomp.class_tag
-        if not kind.accepts(tag):
-            raise WrongGraphClassError(f"{kind.value} does not accept a {tag.value} instance")
+        self.policy = _checked(kind, decomp).policy
         g = state.instance.graph
-        self.state, self.decomp = state, decomp
-        self.policy, self.cooldown = _KINDS[kind].policy, cooldown
+        self.state, self.decomp, self.cooldown = state, decomp, cooldown
         # round functions report breaks in the ids of the graph they were
-        # given: _step maps a break back through its view's to_orig
+        # given, a game in its decision view's: _step maps them unless kept
         self.keep_ids = keep_ids
+        # the state's status list is updated in place, so the walk sees the position
+        self.territory: Territory = partial(_territory, g.adjacency, state.status)
         self.size = list(dominator_tree(g, decomp).size)
         self.stamp = [0] * g.n
         self.cand = bytearray(g.n)
@@ -353,14 +373,14 @@ class _Residual:
         a, b = sorted((cyc[start], cyc[(start + length - 1) % len(cyc)]))
         heappush(self.cycle_heap, (-w, a, b, i, length))
 
-    def heaviest(self) -> tuple[int, tuple[int, int]] | None:
-        """(weight, sorted ends) of the top root cycle, ties to the smaller end."""
+    def heaviest(self) -> tuple[int, tuple[int, int], int] | None:
+        """(weight, sorted ends, index) of the top root cycle, ties to the smaller end."""
         heap = self.cycle_heap
         while heap:
             w, a, b, i, length = heap[0]
             arc = self.arcs.get(i)
             if arc is not None and arc[1] == length:  # an arc only ever shrinks
-                return -w, (a, b)
+                return -w, (a, b), i
             heappop(heap)
         return None
 
@@ -451,13 +471,20 @@ class _Residual:
                 self._push(side[-1])
         on_cycle[v] = -1
 
-    def view(self, end: int) -> BreakView:
-        """The decision's view, whose heaviest root cycle has smaller end ``end``."""
-        sub = self.state.reduced_view()
-        dec = validate_and_decompose(sub.graph)
-        u = sub.to_orig.index(end)
-        ci = next(i for i in dec.root_cycle_indices if dec.cycles[i][1] == u)
-        return BreakView(sub, dec, dominator_tree(sub.graph, dec), ci)
+    def root_cycle(self, i: int) -> tuple[int, ...]:
+        """Root cycle i as the decision view has it: the root, then its live arc."""
+        return (self.state.instance.graph.root, *self._members(i))
+
+    def in_view_ids(self, brk: BreakDetail) -> BreakDetail:
+        """``brk`` in the decision view's ids: the root is 0, a live vertex
+        1 + its rank among the live vertices."""
+        live = sorted(self.state._live())
+        view_id = dict(zip(live, range(1, len(live) + 1)))
+        view_id[self.state.instance.graph.root] = 0
+        return replace(
+            brk, vertex=view_id[brk.vertex], anchor=view_id[brk.anchor],
+            cycle=tuple(map(view_id.__getitem__, brk.cycle)),
+        )
 
 
 def _step(res: _Residual, f_left: int) -> tuple[list[int], str, BreakDetail | None]:
@@ -474,26 +501,19 @@ def _step(res: _Residual, f_left: int) -> tuple[list[int], str, BreakDetail | No
     top = res.heaviest()
     if top is None:
         return [v1], "greedy", None
-    w_cyc, ends = top
+    w_cyc, ends, i = top
     if f_left >= 2:
         if w1 + res.second() >= w_cyc:
             return [v1], "greedy", None
         return list(ends), "pair", None
     brk = None
     if w1 * w1 < w_cyc and res.policy is not None:
-        view = cache(lambda: res.view(ends[0]))
-        brk = res.policy(res, w_cyc, view)
+        brk = res.policy(res, w_cyc, i)
     if brk is None:
         res.cooldown = 0
         return [v1], "greedy", None
     res.cooldown = brk.cooldown
-    to_orig = view().sub.to_orig
-    v = to_orig[brk.vertex]
-    if res.keep_ids:
-        brk = replace(
-            brk, vertex=v, anchor=to_orig[brk.anchor], cycle=tuple(map(to_orig.__getitem__, brk.cycle))
-        )
-    return [v], "break", brk
+    return [brk.vertex], "break", brk if res.keep_ids else res.in_view_ids(brk)
 
 
 def _round(res: _Residual) -> list[ProtectEvent]:
@@ -582,6 +602,14 @@ _KINDS: dict[AlgorithmKind, Contract] = {
 }
 
 
+def _checked(kind: AlgorithmKind, decomp: CactusDecomposition) -> Contract:
+    """``kind``'s contract, once it accepts the class of ``decomp``'s graph."""
+    tag = decomp.class_tag
+    if not kind.accepts(tag):
+        raise WrongGraphClassError(f"{kind.value} does not accept a {tag.value} instance")
+    return _KINDS[kind]
+
+
 def within_bound(bound: tuple[int, int], n: int, opt: int, alg: int) -> bool:
     """opt <= (c*sqrt(n) + k) * alg, decided in integers."""
     c, k = bound
@@ -594,21 +622,24 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
 
     Every protection is recorded as a :class:`ProtectEvent`.  The graph is
     decomposed once, from the BFS it keeps, and its class is returned as
-    ``graph_class``.  The residual game, built once, checks that ``kind``
-    accepts that class, even with no firefighter to place, and plays every
-    round up to the last one with firefighters; after that round the fire
-    burns out in one pass (:meth:`GameState.burn_out`).
+    ``graph_class``; ``kind`` must accept that class, even with no
+    firefighter to place.  The residual game, built once if any round has
+    firefighters, plays every round up to the last such one; after that
+    round the fire burns out in one pass (:meth:`GameState.burn_out`).
     """
     decomp = validate_and_decompose(instance.graph)
     state = GameState(instance)
-    res = _Residual(state, decomp, kind)
     last = max((r for r, f in enumerate(instance.sequence, 1) if f), default=0)
     events: list[ProtectEvent] = []
-    while state.round <= last and not state.is_finished():
-        events += _round(res)
-        burned = state.spread()
-        if state.round <= last:
-            res.burn(burned)
+    if last:
+        res = _Residual(state, decomp, kind)
+        while state.round <= last and not state.is_finished():
+            events += _round(res)
+            burned = state.spread()
+            if state.round <= last:
+                res.burn(burned)
+    else:
+        _checked(kind, decomp)
     state.burn_out()
     return RunResult(state.profit(), tuple(state.trace), tuple(events), decomp.class_tag)
 

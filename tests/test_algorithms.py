@@ -6,7 +6,7 @@ from dataclasses import astuple
 import pytest
 from hypothesis import given, strategies as st
 
-from firefight import algorithms, graph
+from firefight import algorithms, engine, graph
 from firefight.algorithms import (
     AlgorithmKind,
     BreakDetail,
@@ -549,37 +549,37 @@ def _relabelled(g, rng):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
 
 
+def _check_reduced_view(state):
+    """The position's reduced view is the contraction of its live part."""
+    sub = state.reduced_view()
+    g, view, index = state.instance.graph, sub.graph, state.view_index()
+    contracted = {
+        (min(index[u], index[v]), max(index[u], index[v]))
+        for u, v in g.edges()
+        if index[u] >= 0 and index[v] >= 0 and index[u] + index[v] > 0
+    }
+    assert set(view.edges()) == contracted
+    assert sub.to_orig[0] == g.root
+    assert all(sub.to_orig[i] == v for v, i in enumerate(index) if i > 0)
+    assert Graph.from_edges(view.n, view.edges(), 0) == view
+
+
 def test_derived_views_equal_rebuilds(monkeypatch):
     """The residual game a game keeps across rounds equals, at every
     decision, a from-scratch rebuild of the live position: at a round's
-    first decision (a view) and after earlier ones (a strip).  Every view a
-    break builds equals a from-scratch rebuild too."""
-    counts = {"views": 0, "strips": 0, "break views": 0}
-    step, reduced_view = algorithms._step, GameState.reduced_view
+    first decision (a view) and after earlier ones (a strip).  The
+    position's reduced view, which no game builds, is checked there too."""
+    counts = {"views": 0, "strips": 0}
+    step = algorithms._step
 
     def checked_step(res, *args):
         state = res.state
         assert _residual_now(res) == _expected_residual(_live_view(state))
+        _check_reduced_view(state)
         counts["strips" if state.trace and state.trace[-1].round == state.round else "views"] += 1
         return step(res, *args)
 
-    def checked_view(state):
-        sub = reduced_view(state)
-        g, view, index = state.instance.graph, sub.graph, state.view_index()
-        contracted = {
-            (min(index[u], index[v]), max(index[u], index[v]))
-            for u, v in g.edges()
-            if index[u] >= 0 and index[v] >= 0 and index[u] + index[v] > 0
-        }
-        assert set(view.edges()) == contracted
-        assert sub.to_orig[0] == g.root
-        assert all(sub.to_orig[i] == v for v, i in enumerate(index) if i > 0)
-        assert Graph.from_edges(view.n, view.edges(), 0) == view
-        counts["break views"] += 1
-        return sub
-
     monkeypatch.setattr(algorithms, "_step", checked_step)
-    monkeypatch.setattr(GameState, "reduced_view", checked_view)
     for seed in range(450):
         rng = random.Random(seed)
         if seed % 2:
@@ -593,17 +593,15 @@ def test_derived_views_equal_rebuilds(monkeypatch):
         for kind in (AlgorithmKind.ALG_C, AlgorithmKind.ALG_E):
             run_algorithm(inst, kind)
     assert counts["views"] >= 700 and counts["strips"] >= 300, counts
-    assert counts["break views"] >= 20, counts
 
 
 def test_decision_view_is_the_decided_graph(monkeypatch):
     """decision_view rebuilds, from the trace alone, what each protection
     was decided on: the residual game's candidates with their sizes and its
-    root cycles with their weights, and a break's view.  Covers round
-    views, strips, pairs and breaks."""
+    root cycles with their weights, and the view a break's record names.
+    Covers round views, strips, pairs and breaks."""
     decided = []
-    break_views = []
-    step, view = algorithms._step, algorithms._Residual.view
+    step = algorithms._step
 
     def spy(res, *args):
         before = _residual_now(res)
@@ -612,13 +610,7 @@ def test_decision_view_is_the_decided_graph(monkeypatch):
         decided.extend((len(decided), before) for _ in out[0])
         return out
 
-    def spy_view(res, end):
-        bv = view(res, end)
-        break_views.append(bv.sub)
-        return bv
-
     monkeypatch.setattr(algorithms, "_step", spy)
-    monkeypatch.setattr(algorithms._Residual, "view", spy_view)
     seen = {"protections": 0, "pairs": 0, "breaks": 0, "strips": 0}
     for seed in range(600):
         rng = random.Random(seed)
@@ -634,15 +626,12 @@ def test_decision_view_is_the_decided_graph(monkeypatch):
             g = _relabelled(g, rng)
         inst = Instance(g, tuple(rng.choice((0, 1, 1, 1, 2, 3, 4)) for _ in range(rng.randint(1, 6))))
         decided.clear()
-        break_views.clear()
         r = run_algorithm(inst, kind)
         assert len(decided) == len(r.events)
-        breaks = iter(break_views)
         for k, e in enumerate(r.events):
             sub = decision_view(inst, r, k)
             assert decided[k][1] == _expected_residual(sub)
             if e.reason == "break":
-                assert next(breaks) == sub
                 assert e.brk.vertex in range(1, sub.graph.n)
                 assert sub.to_orig[e.brk.vertex] == e.vertex
             seen["pairs"] += e.reason == "pair"
@@ -656,10 +645,10 @@ def test_decision_view_is_the_decided_graph(monkeypatch):
 
 
 def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
-    """A game runs one dominator pass up front and builds a view, with its
-    own dominator pass, only for a break policy that gets past its guard:
-    never once per round, however many rounds have firefighters."""
-    calls = {"reduced_view": 0, "dominator_tree": 0}
+    """A game with firefighters runs one dominator pass up front and builds
+    no view, not even for a break: its policies decide on the residual
+    game, however many rounds have firefighters and however many breaks."""
+    calls = {"reduced_view": 0, "contract": 0, "dominator_tree": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -668,6 +657,7 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
         return wrapper
 
     monkeypatch.setattr(GameState, "reduced_view", counted("reduced_view", GameState.reduced_view))
+    monkeypatch.setattr(engine, "contract", counted("contract", graph.contract))
     monkeypatch.setattr(algorithms, "dominator_tree", counted("dominator_tree", dominator_tree))
     games = [Instance(make_tadpole(a, b), (1,) * 12) for a in range(3, 60, 7) for b in (1, 4, 9)]
     for s in range(2, 21):
@@ -683,7 +673,7 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="firefight.algorithms"):
         for inst in games:
             for kind in AlgorithmKind:
-                calls.update(reduced_view=0, dominator_tree=0)
+                calls.update(reduced_view=0, contract=0, dominator_tree=0)
                 caplog.clear()
                 try:
                     r = run_algorithm(inst, kind)
@@ -691,8 +681,9 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
                     continue
                 # a consulted policy breaks, or logs that it found nothing to break
                 consulted = sum(e.reason == "break" for e in r.events) + len(caplog.records)
-                assert calls["reduced_view"] <= consulted, (kind, calls, consulted)
-                assert calls["dominator_tree"] <= 1 + consulted, (kind, calls, consulted)
+                assert calls == {
+                    "reduced_view": 0, "contract": 0, "dominator_tree": 1 if any(inst.sequence) else 0
+                }, (kind, calls)
                 played["games"] += 1
                 played["long games"] += len({t.round for t in r.trace}) >= 5
                 played["consulted"] += consulted
@@ -700,10 +691,108 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
     assert played["consulted"] >= 40, played
 
 
+def _flower(petals, size):
+    """``petals`` cycles of ``size`` vertices sharing only the root, vertex 0."""
+    edges = []
+    for p in range(petals):
+        first, last = 1 + p * (size - 1), (p + 1) * (size - 1)
+        edges += [(0, first), (last, 0)] + [(i, i + 1) for i in range(first, last)]
+    return Graph.from_edges(1 + petals * (size - 1), edges)
+
+
+def test_run_algorithm_never_builds_a_view(monkeypatch):
+    """No decision of a game builds the position's reduced view: greedy
+    picks, pairs and breaks all read the residual game."""
+
+    def forbidden(*args):
+        raise AssertionError("a game built a reduced view")
+
+    monkeypatch.setattr(GameState, "reduced_view", forbidden)
+    monkeypatch.setattr(engine, "contract", forbidden)
+    games = [_golden_instance(seed) for seed in range(400)]
+    games += [Instance(_flower(p, s), (1,) * (p * s)) for p in range(2, 7) for s in (4, 9, 16)]
+    reasons = {"greedy": 0, "pair": 0, "break": 0}
+    for inst in games:
+        for kind in AlgorithmKind:
+            if kind.accepts(validate_and_decompose(inst.graph).class_tag):
+                for e in run_algorithm(inst, kind).events:
+                    reasons[e.reason] += 1
+    assert min(reasons.values()) >= 40, reasons
+
+
+def test_breaks_equal_view_built_reference():
+    """Every break a game decides on its residual game is the break the
+    view-built reference decides on the decision's view, in that view's
+    ids: ``improved_break`` on the view's own decomposition and dominator
+    tree for alg-c, the covered_set tolerance reference for alg-a.  Some
+    breaks come after greedy protections of the same round."""
+    games = []
+    for seed in range(240):
+        rng = random.Random(seed)
+        style = seed % 3
+        if style == 0:
+            g = random_cactus(rng.randint(8, 40), rng.uniform(0.5, 1.0), rng.randint(4, 16), seed)
+        elif style == 1:  # a tail at least as heavy as the cycle is picked first
+            g = make_tadpole(rng.randint(3, 30), rng.randint(1, 30))
+        else:
+            g = _flower(rng.randint(2, 5), rng.randint(4, 12))
+        seq = tuple(rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(1, 6)))
+        games.append((Instance(_relabelled(g, rng), seq), AlgorithmKind.ALG_C))
+        if style < 2:
+            g = random_one_almost_tree(rng.randint(4, 30), seed) if style == 0 else g
+            games.append((Instance(_relabelled(g, rng), seq), AlgorithmKind.ALG_A))
+    breaks = {AlgorithmKind.ALG_A: 0, AlgorithmKind.ALG_C: 0, "after greedy": 0}
+    for inst, kind in games:
+        r = run_algorithm(inst, kind)
+        for k, e in enumerate(r.events):
+            if e.reason != "break":
+                continue
+            sub = decision_view(inst, r, k)
+            view = sub.graph
+            d = validate_and_decompose(view)
+            if kind is AlgorithmKind.ALG_C:
+                expected = improved_break(view, d, dominator_tree(view, d), inst.graph.n)
+            else:
+                expected = _reference_tolerance_break(view, d)
+            assert e.brk == expected, (inst, kind, k)
+            assert sub.to_orig[e.brk.vertex] == e.vertex
+            breaks[kind] += 1
+            before = r.events[k - 1] if k else None
+            breaks["after greedy"] += before is not None and (before.round, before.reason) == (e.round, "greedy")
+    assert breaks[AlgorithmKind.ALG_C] >= 40 and breaks[AlgorithmKind.ALG_A] >= 40, breaks
+    assert breaks["after greedy"] >= 10, breaks
+
+
+def test_games_without_firefighters_make_no_dominator_pass(monkeypatch):
+    """A game whose sequence brings no firefighter checks the strategy's
+    class (see test_class_gating) and burns out: no residual game, so no
+    dominator pass."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dominator_tree(*args)
+
+    monkeypatch.setattr(algorithms, "dominator_tree", counted)
+    path = Graph.from_edges(300, [(i, i + 1) for i in range(299)])
+    shapes = [path, make_tadpole(20, 4), _flower(3, 5), random_tree(30, 1), random_cactus(30, 0.8, 6, 2)]
+    for g in shapes:
+        for seq in ((), (0,), (0, 0, 0)):
+            for kind in AlgorithmKind:
+                if not kind.accepts(validate_and_decompose(g).class_tag):
+                    continue
+                r = run_algorithm(Instance(g, seq), kind)
+                assert (r.profit, r.trace, r.events) == (0, (), ())
+    assert calls == []
+    run_algorithm(Instance(path, (0, 1)), AlgorithmKind.ALG_C)
+    assert len(calls) == 1
+
+
 def test_one_bfs_per_graph(monkeypatch):
     """A graph BFSes once, when from_edges checks that it is connected;
     games, decompositions, dominator passes and the solver's bounds read
-    that BFS.  A reduced view BFSes on first use, at most once."""
+    that BFS, and BFS no other graph.  A reduced view BFSes on first use,
+    at most once."""
     bfsed = []
     real = graph._bfs
 
@@ -728,6 +817,12 @@ def test_one_bfs_per_graph(monkeypatch):
         dominator_tree(g, validate_and_decompose(g))
         opt_upper_bound(inst)
         normalize_nonredundant(inst, ())
+        assert bfsed == [g]
+        state = GameState(inst)
+        state.spread()
+        view = state.reduced_view().graph
+        dominator_tree(view, validate_and_decompose(view))
+        validate_and_decompose(view)
         assert sum(x is g for x in bfsed) == 1
         assert len({id(x) for x in bfsed}) == len(bfsed)
         views += len(bfsed) - 1

@@ -13,7 +13,6 @@ import firefight
 from firefight import algorithms, cli
 from firefight.algorithms import within_bound
 from firefight.cli import main
-from firefight.engine import GameState
 from firefight.graph import GraphClass
 
 
@@ -231,38 +230,22 @@ def test_table_format_keeps_stdout_machine_readable(capsys, tadpole_file):
 
 @pytest.mark.parametrize("command", [("run", "--alg", "alg-a"), ("ratio", "--alg", "alg-e")])
 def test_one_decomposition_per_command(capsys, monkeypatch, tadpole_file, command):
-    """The instance's graph is decomposed once; any other decomposition is
-    of a break's reduced view, at most one per break."""
-    calls, views, breaks = [], [], []
-    decompose, reduced_view, play = (
-        algorithms.validate_and_decompose, GameState.reduced_view, cli.run_algorithm
-    )
+    """The instance's graph is decomposed once, and nothing else is: a
+    game's breaks decide on its residual game, not on a decomposed view."""
+    calls = []
+    decompose = algorithms.validate_and_decompose
 
     def spy(g):
         calls.append(g)
         return decompose(g)
 
-    def spy_view(state):
-        sub = reduced_view(state)
-        views.append(sub.graph)
-        return sub
-
-    def spy_play(inst, kind):
-        result = play(inst, kind)
-        breaks.extend(e for e in result.events if e.reason == "break")
-        return result
-
     monkeypatch.setattr(algorithms, "validate_and_decompose", spy)
     if hasattr(cli, "validate_and_decompose"):
         monkeypatch.setattr(cli, "validate_and_decompose", spy)
-    monkeypatch.setattr(GameState, "reduced_view", spy_view)
-    monkeypatch.setattr(cli, "run_algorithm", spy_play)
     code, out, _ = run_cli(capsys, command[0], "--instance", str(tadpole_file), *command[1:])
     assert code == 0
     assert records(out)[0]["class"] == "one-almost-tree"
-    on_views = [g for g in calls if any(g is v for v in views)]
-    assert len(calls) - len(on_views) == 1
-    assert len(on_views) == len({id(g) for g in on_views}) <= len(breaks)
+    assert len(calls) == 1
 
 
 def _stderr_tables(err):
