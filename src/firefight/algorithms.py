@@ -16,17 +16,16 @@ the residual, which is what makes per-placement weights add up to the final
 profit.  A break is decided on the residual game too, once its policy's
 cheap guard passes: its live arcs are the view's root cycles, its sizes
 the view's weights, and a cut cycle's territory is one BFS of the game
-graph through the available vertices.  No decision builds a view; only a
-break's record is given in the view's ids, by rank among the live
-vertices.
+graph through the available vertices.  No decision builds a view.
 
 The residual game also holds the rest of a game's strategy state: the
 break policy and the cool-down, an int, the rounds left; building it checks
 the strategy's graph class.  ``_round`` plays one round on it, protects
 each decision straight into the game state, which validates it, and
-records it as a :class:`ProtectEvent`; the ``*_round`` functions play round
-one of a game on their view, so their events and breaks are in the view's
-ids.
+records it as a :class:`ProtectEvent`.  Every record, a break's included,
+is in the ids of the graph the game is played on; :func:`decision_view`
+rebuilds the view a decision weighed, for a caller who wants its ids.  The
+``*_round`` functions play round one of a game on the graph they are given.
 
 Square-root comparisons are done in exact integer arithmetic throughout:
 ``w >= sqrt(W)`` becomes ``w*w >= W`` and population targets use
@@ -43,7 +42,7 @@ non-root vertices.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from heapq import heapify, heappop, heappush
@@ -103,7 +102,7 @@ class AlgorithmKind(Enum):
 
 @dataclass(frozen=True)
 class BreakDetail:
-    """Everything a cycle break decided, in the deciding graph's ids.
+    """Everything a cycle break decided, in the ids of the game's graph.
 
     ``vertex`` is protected; ``anchor`` is the root neighbor whose root edge
     was conceptually severed to measure distances; ``depth`` is the largest
@@ -123,10 +122,8 @@ class BreakDetail:
 
 @dataclass(frozen=True)
 class ProtectEvent:
-    """A recorded protection: what was done and why.  In a game of
-    :func:`run_algorithm`, ``brk`` is in the ids of the decision's view,
-    which :func:`decision_view` rebuilds; the ``*_round`` functions give it
-    in the ids of the view they were given, like their events."""
+    """A recorded protection: what was done and why, in the ids of the
+    game's graph; a break's ``brk.vertex`` is ``vertex``."""
 
     time: int
     round: int
@@ -315,20 +312,13 @@ class _Residual:
     A break is decided here too, in game ids: the live arcs are the root
     cycles (:meth:`root_cycle`), the sizes give their anchors, and a
     cycle's territory is walked through the available vertices
-    (``territory``).  Only its record is given in the decision view's
-    ids (:meth:`in_view_ids`).
+    (``territory``), and its record is given in those ids.
     """
 
-    def __init__(
-        self, state: GameState, decomp: CactusDecomposition, kind: AlgorithmKind,
-        cooldown: int = 0, keep_ids: bool = False,
-    ):
+    def __init__(self, state: GameState, decomp: CactusDecomposition, kind: AlgorithmKind):
         self.policy = _checked(kind, decomp).policy
         g = state.instance.graph
-        self.state, self.decomp, self.cooldown = state, decomp, cooldown
-        # round functions report breaks in the ids of the graph they were
-        # given, a game in its decision view's: _step maps them unless kept
-        self.keep_ids = keep_ids
+        self.state, self.decomp, self.cooldown = state, decomp, 0
         # the state's status list is updated in place, so the walk sees the position
         self.territory: Territory = partial(_territory, g.adjacency, state.status)
         self.size = list(dominator_tree(g, decomp).size)
@@ -472,19 +462,9 @@ class _Residual:
         on_cycle[v] = -1
 
     def root_cycle(self, i: int) -> tuple[int, ...]:
-        """Root cycle i as the decision view has it: the root, then its live arc."""
+        """Root cycle i in game ids: the root, which stands for the burned
+        region, then its live arc."""
         return (self.state.instance.graph.root, *self._members(i))
-
-    def in_view_ids(self, brk: BreakDetail) -> BreakDetail:
-        """``brk`` in the decision view's ids: the root is 0, a live vertex
-        1 + its rank among the live vertices."""
-        live = sorted(self.state._live())
-        view_id = dict(zip(live, range(1, len(live) + 1)))
-        view_id[self.state.instance.graph.root] = 0
-        return replace(
-            brk, vertex=view_id[brk.vertex], anchor=view_id[brk.anchor],
-            cycle=tuple(map(view_id.__getitem__, brk.cycle)),
-        )
 
 
 def _step(res: _Residual, f_left: int) -> tuple[list[int], str, BreakDetail | None]:
@@ -513,7 +493,7 @@ def _step(res: _Residual, f_left: int) -> tuple[list[int], str, BreakDetail | No
         res.cooldown = 0
         return [v1], "greedy", None
     res.cooldown = brk.cooldown
-    return [brk.vertex], "break", brk if res.keep_ids else res.in_view_ids(brk)
+    return [brk.vertex], "break", brk
 
 
 def _round(res: _Residual) -> list[ProtectEvent]:
@@ -542,7 +522,8 @@ def _first_round(
 ) -> tuple[list[ProtectEvent], int]:
     """Round one of a game of ``kind`` on ``view`` with f firefighters; its
     events and the cool-down it leaves."""
-    res = _Residual(GameState(Instance(view, (f,))), decomp, kind, cooldown, keep_ids=True)
+    res = _Residual(GameState(Instance(view, (f,))), decomp, kind)
+    res.cooldown = cooldown
     return _round(res), res.cooldown
 
 

@@ -1,7 +1,7 @@
 import hashlib
 import logging
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -195,10 +195,33 @@ def test_alg_c_round_reports_cooldown():
     assert cd2 == 0
 
 
+def _renamed(brk, ids):
+    """``brk`` with its vertex, anchor and cycle renamed through ``ids``."""
+    return replace(
+        brk, vertex=ids[brk.vertex], anchor=ids[brk.anchor], cycle=tuple(ids[v] for v in brk.cycle)
+    )
+
+
+def _check_break_ids(g, d, e, sub=None):
+    """Event ``e``'s break is in g's ids: it protects the event's vertex,
+    and its cycle runs (g.root, anchor, ...) along a cycle of g's
+    decomposition ``d``.  Once the fire has spread, g.root stands for the
+    burned region, so the cycle closes in the decision's view ``sub``."""
+    brk, cyc = e.brk, e.brk.cycle
+    assert brk.vertex == e.vertex
+    assert cyc[:2] == (g.root, brk.anchor)
+    if sub is not None:
+        g, cyc = sub.graph, _renamed(brk, sub.index_map()).cycle
+        d = validate_and_decompose(g)
+    assert set(cyc) in [set(c) for c in d.cycles]
+    assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+
+
 def test_round_functions_report_breaks_in_their_graph_ids():
-    """A break decided after earlier decisions of the round is reported in
-    the given graph's ids, like the events, not in the ids of the view the
-    round rebuilt for it (root 0 there)."""
+    """Every break is reported in the ids of the graph the game is played
+    on, like its event, by the round functions and by whole games alike,
+    also when earlier decisions of the round came first and on graphs whose
+    root is not 0."""
     rng = random.Random(0)
     g = _relabelled(random_cactus(rng.randint(8, 40), rng.uniform(0.5, 1.0), rng.randint(4, 16), 0), rng)
     assert g.root == 7
@@ -208,21 +231,23 @@ def test_round_functions_report_breaks_in_their_graph_ids():
     brk = events[2].brk
     assert (brk.vertex, brk.anchor) == (0, 0)
     assert brk.cycle == (7, 0, 27, 20, 10, 5, 21, 13, 1)
-    late = 0
+    late = {"in round": 0, "later rounds": 0}
     for seed in range(1500):
         rng = random.Random(seed)
         g = _relabelled(random_cactus(rng.randint(8, 40), rng.uniform(0.5, 1.0), rng.randint(4, 16), seed), rng)
         d = validate_and_decompose(g)
         events, _ = alg_c_round(g, d, rng.randint(2, 4), 0)
         for k, e in enumerate(events):
-            if e.brk is None:
-                continue
-            late += k > 0
-            cyc = e.brk.cycle
-            assert (e.brk.vertex, cyc[0], cyc[1]) == (e.vertex, g.root, e.brk.anchor)
-            assert set(cyc) in [set(c) for c in d.cycles]
-            assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
-    assert late >= 10, late
+            if e.brk is not None:
+                _check_break_ids(g, d, e)
+                late["in round"] += k > 0
+        inst = Instance(g, tuple(rng.choice((1, 1, 1, 2, 3, 4)) for _ in range(rng.randint(1, 8))))
+        r = run_algorithm(inst, AlgorithmKind.ALG_C)
+        for k, e in enumerate(r.events):
+            if e.brk is not None:
+                _check_break_ids(g, d, e, decision_view(inst, r, k) if e.round > 1 else None)
+                late["later rounds"] += e.round > 1
+    assert min(late.values()) >= 10, late
 
 
 def test_break_without_eligible_vertex_falls_back_to_greedy(caplog):
@@ -335,12 +360,12 @@ def test_golden_traces():
                 r = run_algorithm(inst, kind)
             except WrongGraphClassError:
                 continue
-            events = [
-                (e.time, e.round, e.vertex, e.reason,
-                 None if e.brk is None else astuple(e.brk),
-                 decision_view(inst, r, k).to_orig)
-                for k, e in enumerate(r.events)
-            ]
+            # each break is hashed in its decision view's ids, the root 0
+            events = []
+            for k, e in enumerate(r.events):
+                sub = decision_view(inst, r, k)
+                brk = None if e.brk is None else astuple(_renamed(e.brk, sub.index_map()))
+                events.append((e.time, e.round, e.vertex, e.reason, brk, sub.to_orig))
             h.update(repr((seed, kind.value, r.profit, r.trace, events)).encode())
     assert h.hexdigest() == GOLDEN_TRACE_SHA256
 
@@ -632,8 +657,8 @@ def test_decision_view_is_the_decided_graph(monkeypatch):
             sub = decision_view(inst, r, k)
             assert decided[k][1] == _expected_residual(sub)
             if e.reason == "break":
-                assert e.brk.vertex in range(1, sub.graph.n)
-                assert sub.to_orig[e.brk.vertex] == e.vertex
+                assert e.brk.vertex == e.vertex
+                assert set(e.brk.cycle[1:]) <= set(sub.to_orig[1:])
             seen["pairs"] += e.reason == "pair"
             seen["breaks"] += e.reason == "break"
             # a later decision in the same round sees what the earlier ones left
@@ -701,14 +726,18 @@ def _flower(petals, size):
 
 
 def test_run_algorithm_never_builds_a_view(monkeypatch):
-    """No decision of a game builds the position's reduced view: greedy
-    picks, pairs and breaks all read the residual game."""
+    """No decision of a game builds the position's reduced view or lists
+    its live part, not even for a break: greedy picks, pairs and breaks all
+    read the residual game, and their records are in the game's ids, so
+    nothing is renamed."""
 
     def forbidden(*args):
-        raise AssertionError("a game built a reduced view")
+        raise AssertionError("a game built a reduced view or walked its live part")
 
     monkeypatch.setattr(GameState, "reduced_view", forbidden)
     monkeypatch.setattr(engine, "contract", forbidden)
+    for name in ("_live", "truly_available", "view_index"):
+        monkeypatch.setattr(GameState, name, forbidden)
     games = [_golden_instance(seed) for seed in range(400)]
     games += [Instance(_flower(p, s), (1,) * (p * s)) for p in range(2, 7) for s in (4, 9, 16)]
     reasons = {"greedy": 0, "pair": 0, "break": 0}
@@ -722,10 +751,10 @@ def test_run_algorithm_never_builds_a_view(monkeypatch):
 
 def test_breaks_equal_view_built_reference():
     """Every break a game decides on its residual game is the break the
-    view-built reference decides on the decision's view, in that view's
-    ids: ``improved_break`` on the view's own decomposition and dominator
-    tree for alg-c, the covered_set tolerance reference for alg-a.  Some
-    breaks come after greedy protections of the same round."""
+    view-built reference decides on the decision's view, renamed into the
+    game's ids: ``improved_break`` on the view's own decomposition and
+    dominator tree for alg-c, the covered_set tolerance reference for
+    alg-a.  Some breaks come after greedy protections of the same round."""
     games = []
     for seed in range(240):
         rng = random.Random(seed)
@@ -754,8 +783,8 @@ def test_breaks_equal_view_built_reference():
                 expected = improved_break(view, d, dominator_tree(view, d), inst.graph.n)
             else:
                 expected = _reference_tolerance_break(view, d)
-            assert e.brk == expected, (inst, kind, k)
-            assert sub.to_orig[e.brk.vertex] == e.vertex
+            assert e.brk == _renamed(expected, sub.to_orig), (inst, kind, k)
+            assert e.brk.vertex == e.vertex
             breaks[kind] += 1
             before = r.events[k - 1] if k else None
             breaks["after greedy"] += before is not None and (before.round, before.reason) == (e.round, "greedy")
