@@ -14,10 +14,13 @@ burning, which a game must play in one pass, and `alg-c` and `alg-e` on
 ``flower-80``, 80 root cycles of 320 vertices each (n = 25521) with one
 firefighter in each of 25600 rounds, where `alg-c` breaks 40 cycles, and
 before each break walks the territory behind both root neighbors of every
-heavy root cycle.  Each case
-is run ``--repeat`` times; the median wall time in seconds is printed as
-one JSON object per case, with the instance size and the pinned results (a
-profit, or the strategy's and the optimum's profits of an adversary run).
+heavy root cycle, and `alg-c` on ``cactus-200k``, the instance file of
+``random_cactus(200000, 0.7, 50, 3)`` with firefighters 1,1,2,1,1,1,2,1,
+where the case times `parse_instance` on the file as well as the game.
+Each case is run ``--repeat`` times; the median wall time in seconds is
+printed as one JSON object per case, with the instance size and the pinned
+results (a profit, or the strategy's and the optimum's profits of an
+adversary run).
 The script exits 1 when a result differs from its pin.
 
     PYTHONPATH=src python3 scripts/pathologies.py --repeat 3
@@ -34,8 +37,11 @@ from firefight import (
     Graph,
     Instance,
     make_tadpole,
+    parse_instance,
+    random_cactus,
     replay,
     run_algorithm,
+    serialize_instance,
     tadpole_adversary_run,
 )
 
@@ -50,6 +56,10 @@ def _adversary(kind, beta):
         return {"alg": report.alg_profit, "opt": report.opt_profit}
 
     return play
+
+
+def _parse_and_play(text, kind):
+    return lambda: {"profit": run_algorithm(parse_instance(text), kind).profit}
 
 
 def _spider(legs, length):
@@ -75,6 +85,7 @@ def _cases():
     spider = Instance(_spider(160, 160), (1,) * 160)
     long_spider = Instance(_spider(4, 50000), (1,))
     flower = Instance(_flower(80, 320), (1,) * 25600)
+    cactus = Instance(random_cactus(200000, 0.7, 50, 3), (1, 1, 2, 1, 1, 1, 2, 1))
     return [
         ("tadpole-30x1/alg-e", 4001, _play(tadpole, AlgorithmKind.ALG_E), {"profit": 3997}),
         ("tadpole-30x1/alg-c", 4001, _play(tadpole, AlgorithmKind.ALG_C), {"profit": 3997}),
@@ -94,6 +105,12 @@ def _cases():
         ("spider-4x50000/alg-c", 200001, _play(long_spider, AlgorithmKind.ALG_C), {"profit": 50000}),
         ("flower-80/alg-c", 25521, _play(flower, AlgorithmKind.ALG_C), {"profit": 12800}),
         ("flower-80/alg-e", 25521, _play(flower, AlgorithmKind.ALG_E), {"profit": 12800}),
+        (
+            "cactus-200k/parse+alg-c",
+            200000,
+            _parse_and_play(serialize_instance(cactus), AlgorithmKind.ALG_C),
+            {"profit": 199971},
+        ),
     ]
 
 

@@ -71,7 +71,7 @@ class Instance:
     name: str | None = None
 
     def __post_init__(self):
-        if any((not isinstance(f, int)) or f < 0 for f in self.sequence):
+        if any(isinstance(f, bool) or not isinstance(f, int) or f < 0 for f in self.sequence):
             raise ValueError("firefighter counts must be nonnegative integers")
 
     def firefighters(self, round_no: int) -> int:

@@ -12,6 +12,14 @@ blank lines ignored):
     sequence <f1> <f2> ...    # possibly no numbers at all
 
 Vertex ids are 0-based.  parse_instance(serialize_instance(x)) == x.
+
+The parser reads each line as whitespace-separated tokens and works out a
+column only when it raises a ParseError.  Lines and columns count from 1,
+and a column points at the token at fault: the first surplus token of a
+line with too many, the keyword of a line with too few.  A missing line is
+reported at column 1 of the last line read, a 'name' line without a value
+just past its keyword, and an invalid graph at column 1 of the 'sequence'
+line.
 """
 
 from __future__ import annotations
@@ -38,107 +46,93 @@ class UnknownVersionError(ParseError):
     pass
 
 
-class _Lines:
-    """Token-level cursor over the meaningful lines of the document."""
-
-    def __init__(self, text: str):
-        self.rows: list[tuple[int, str, list[re.Match]]] = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0]
-            matches = list(_TOKEN.finditer(body))
-            if matches:
-                self.rows.append((no, body, matches))
-        self.pos = 0
-        self.last_line = 1
-
-    def next_row(self, want: str) -> tuple[int, list[re.Match]]:
-        if self.pos >= len(self.rows):
-            raise ParseError(self.last_line, 1, f"missing '{want}' line")
-        no, _, matches = self.rows[self.pos]
-        self.pos += 1
-        self.last_line = no
-        return no, matches
-
-    def done(self) -> None:
-        if self.pos < len(self.rows):
-            no, _, matches = self.rows[self.pos]
-            raise ParseError(no, matches[0].start() + 1, "unexpected extra line")
+_Row = tuple[int, str, list[str]]  # line number, text before '#', its tokens
 
 
-def _int_token(line_no: int, m: re.Match, what: str, minimum: int = 0) -> int:
+def _error(row: _Row, k: int, message: str, kind: type[ParseError] = ParseError) -> ParseError:
+    """A ``kind`` error at the column where token ``k`` of ``row`` starts."""
+    no, body, _ = row
+    return kind(no, list(_TOKEN.finditer(body))[k].start() + 1, message)
+
+
+def _int(row: _Row, k: int, what: str, minimum: int = 0) -> int:
+    token = row[2][k]
     try:
-        value = int(m.group(), 10)
+        value = int(token, 10)
     except ValueError:
-        raise ParseError(
-            line_no, m.start() + 1, f"{what} must be an integer, got {m.group()!r}"
-        ) from None
+        raise _error(row, k, f"{what} must be an integer, got {token!r}") from None
     if value < minimum:
-        raise ParseError(line_no, m.start() + 1, f"{what} must be >= {minimum}")
+        raise _error(row, k, f"{what} must be >= {minimum}")
     return value
 
 
-def _keyword_row(
-    lines: _Lines, key: str, arity: int | None
-) -> tuple[int, list[re.Match]]:
-    no, matches = lines.next_row(key)
-    head = matches[0]
-    if head.group() != key:
-        raise ParseError(no, head.start() + 1, f"expected '{key}', got {head.group()!r}")
-    rest = matches[1:]
-    if arity is not None and len(rest) != arity:
-        col = (rest[arity] if len(rest) > arity else head).start() + 1
-        raise ParseError(no, col, f"'{key}' takes {arity} value(s), got {len(rest)}")
-    return no, rest
+def _keyword(rows: list[_Row], i: int, key: str) -> _Row:
+    """Row ``i``, which must start with ``key``."""
+    if i >= len(rows):
+        raise ParseError(rows[-1][0] if rows else 1, 1, f"missing '{key}' line")
+    row = rows[i]
+    if row[2][0] != key:
+        raise _error(row, 0, f"expected '{key}', got {row[2][0]!r}")
+    return row
+
+
+def _value(rows: list[_Row], i: int, key: str, what: str, minimum: int = 0) -> tuple[_Row, int]:
+    """Row ``i`` and its value, which must be ``key`` and one integer."""
+    row = _keyword(rows, i, key)
+    if len(row[2]) != 2:
+        k = 2 if len(row[2]) > 2 else 0
+        raise _error(row, k, f"'{key}' takes 1 value(s), got {len(row[2]) - 1}")
+    return row, _int(row, 1, what, minimum)
 
 
 def parse_instance(text: str) -> Instance:
-    lines = _Lines(text)
-    no, rest = _keyword_row(lines, "version", 1)
-    version = _int_token(no, rest[0], "version")
+    rows = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        tokens = body.split()
+        if tokens:
+            rows.append((no, body, tokens))
+    row, version = _value(rows, 0, "version", "version")
     if version != FORMAT_VERSION:
-        raise UnknownVersionError(
-            no, rest[0].start() + 1, f"unsupported version {version}"
-        )
+        raise _error(row, 1, f"unsupported version {version}", UnknownVersionError)
     name = None
-    if lines.pos < len(lines.rows) and lines.rows[lines.pos][2][0].group() == "name":
-        no, body, matches = lines.rows[lines.pos]
-        lines.pos += 1
-        lines.last_line = no
-        if len(matches) < 2:
-            raise ParseError(no, matches[0].end() + 1, "'name' needs a value")
-        name = body[matches[1].start() : matches[-1].end()]
-    no, rest = _keyword_row(lines, "n", 1)
-    n = _int_token(no, rest[0], "n", minimum=1)
+    pos = 1  # the next row to read
+    if pos < len(rows) and rows[pos][2][0] == "name":
+        no, body, tokens = rows[pos]
+        if len(tokens) < 2:
+            raise ParseError(no, body.index("name") + len("name") + 1, "'name' needs a value")
+        name = body.split(None, 1)[1].rstrip()
+        pos += 1
+    row, n = _value(rows, pos, "n", "n", minimum=1)
     if n > MAX_VERTICES:
-        raise ParseError(no, rest[0].start() + 1, f"n {n} exceeds the limit of {MAX_VERTICES}")
-    no, rest = _keyword_row(lines, "root", 1)
-    root = _int_token(no, rest[0], "root")
+        raise _error(row, 1, f"n {n} exceeds the limit of {MAX_VERTICES}")
+    row, root = _value(rows, pos + 1, "root", "root")
     if root >= n:
-        raise ParseError(no, rest[0].start() + 1, f"root {root} out of range for n={n}")
-    no, rest = _keyword_row(lines, "edges", 1)
-    m = _int_token(no, rest[0], "edge count")
+        raise _error(row, 1, f"root {root} out of range for n={n}")
+    _, m = _value(rows, pos + 2, "edges", "edge count")
+    pos += 3
     edges = []
-    for _ in range(m):
-        no, matches = lines.next_row("edge")
-        if len(matches) != 2:
-            col = (matches[2] if len(matches) > 2 else matches[0]).start() + 1
-            raise ParseError(no, col, "edge line needs exactly two vertex ids")
-        u = _int_token(no, matches[0], "edge endpoint")
-        v = _int_token(no, matches[1], "edge endpoint")
-        for tok, x in ((matches[0], u), (matches[1], v)):
-            if x >= n:
-                raise ParseError(no, tok.start() + 1, f"vertex {x} out of range for n={n}")
+    for row in rows[pos : pos + m]:
+        if len(row[2]) != 2:
+            k = 2 if len(row[2]) > 2 else 0
+            raise _error(row, k, "edge line needs exactly two vertex ids")
+        u = _int(row, 0, "edge endpoint")
+        v = _int(row, 1, "edge endpoint")
+        if u >= n or v >= n:
+            k = 0 if u >= n else 1
+            raise _error(row, k, f"vertex {(u, v)[k]} out of range for n={n}")
         edges.append((u, v))
-    no, matches = lines.next_row("sequence")
-    head = matches[0]
-    if head.group() != "sequence":
-        raise ParseError(no, head.start() + 1, f"expected 'sequence', got {head.group()!r}")
-    sequence = tuple(_int_token(no, t, "firefighter count") for t in matches[1:])
-    lines.done()
+    if len(edges) < m:
+        raise ParseError(rows[-1][0], 1, "missing 'edge' line")
+    pos += m
+    row = _keyword(rows, pos, "sequence")
+    sequence = tuple(_int(row, k, "firefighter count") for k in range(1, len(row[2])))
+    if pos + 1 < len(rows):
+        raise _error(rows[pos + 1], 0, "unexpected extra line")
     try:
         graph = Graph.from_edges(n, edges, root=root)
     except (ValueError, GraphError) as exc:
-        raise ParseError(no, 1, f"invalid graph: {exc}") from exc
+        raise ParseError(row[0], 1, f"invalid graph: {exc}") from exc
     return Instance(graph, sequence, name=name)
 
 
@@ -147,7 +141,7 @@ def serialize_instance(instance: Instance) -> str:
     out = [f"version {FORMAT_VERSION}"]
     if instance.name is not None:
         name = instance.name
-        if "#" in name or "\n" in name or name != name.strip() or not name:
+        if "#" in name or name != name.strip() or name.splitlines() != [name]:
             raise ValueError(f"name {name!r} does not survive the text format")
         out.append(f"name {name}")
     out.append(f"n {g.n}")

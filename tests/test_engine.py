@@ -68,6 +68,8 @@ def test_firefighters_indexing():
 def test_instance_rejects_negative_counts():
     with pytest.raises(ValueError):
         Instance(path_graph(3), (1, -1))
+    with pytest.raises(ValueError):
+        Instance(path_graph(3), (True, 2))  # would serialize as "sequence True 2"
 
 
 def test_protect_guards():

@@ -73,26 +73,79 @@ def test_round_trip(n, seed):
     assert back.name == inst.name
 
 
+_HEAD = "version 1\nn 2\nroot 0\nedges 1\n"
+
+
 @pytest.mark.parametrize(
-    "text, line",
+    "text, line, column, message, error",
     [
-        ("", 1),
-        ("n 2\nroot 0\nedges 1\n0 1\nsequence 1\n", 1),       # version missing
-        ("version 1\nn x\n", 2),                               # bad integer
-        ("version 1\nn 2\nroot 5\nedges 1\n0 1\nsequence\n", 3),
-        ("version 1\nn 2\nroot 0\nedges 2\n0 1\nsequence\n", 6),
-        ("version 1\nn 2\nroot 0\nedges 1\n0 1 7\nsequence\n", 5),
+        ("", 1, 1, "missing 'version' line", ParseError),
+        ("version 1\nname x\n", 2, 1, "missing 'n' line", ParseError),
+        (_HEAD + "0 1\n", 5, 1, "missing 'sequence' line", ParseError),
+        (
+            "n 2\nroot 0\nedges 1\n0 1\nsequence 1\n",  # version missing
+            1,
+            1,
+            "expected 'version', got 'n'",
+            ParseError,
+        ),
+        (
+            "version 1\nn 2\nroot 0\nedges 0\nfoo 1\n",
+            5,
+            1,
+            "expected 'sequence', got 'foo'",
+            ParseError,
+        ),
+        ("version 1 2\n", 1, 11, "'version' takes 1 value(s), got 2", ParseError),
+        ("version\n", 1, 1, "'version' takes 1 value(s), got 0", ParseError),
+        ("version 1\nn x\n", 2, 3, "n must be an integer, got 'x'", ParseError),
+        (
+            "version 1\nn 2\nroot 0\nedges x\n",
+            4,
+            7,
+            "edge count must be an integer, got 'x'",
+            ParseError,
+        ),
+        ("version 1\nn 0\n", 2, 3, "n must be >= 1", ParseError),
+        (_HEAD + "0 1\nsequence -1\n", 6, 10, "firefighter count must be >= 0", ParseError),
+        (
+            "version 1\nname big\nn 1000001\n",
+            3,
+            3,
+            "n 1000001 exceeds the limit of 1000000",
+            ParseError,
+        ),
+        (
+            "version 1\nn 2\nroot 5\nedges 1\n0 1\nsequence\n",
+            3,
+            6,
+            "root 5 out of range for n=2",
+            ParseError,
+        ),
+        # the sequence row is read as the missing second edge
+        (
+            "version 1\nn 2\nroot 0\nedges 2\n0 1\nsequence\n",
+            6,
+            1,
+            "edge line needs exactly two vertex ids",
+            ParseError,
+        ),
+        (_HEAD + "0 1 7\nsequence\n", 5, 5, "edge line needs exactly two vertex ids", ParseError),
+        (_HEAD + "0 7\nsequence\n", 5, 3, "vertex 7 out of range for n=2", ParseError),
+        ("version 1\nname  # no value\nn 2\n", 2, 5, "'name' needs a value", ParseError),
+        ("version 2\nn 2\n", 1, 9, "unsupported version 2", UnknownVersionError),
+        (_HEAD + "0 1\nsequence 1\ntrailing\n", 7, 1, "unexpected extra line", ParseError),
+        (_HEAD + "0 1\nsequence 1\n  # c\n  trailing\n", 8, 3, "unexpected extra line", ParseError),
         # graph complaints (like this self-loop) surface where the graph is built
-        ("version 1\nn 2\nroot 0\nedges 1\n0 0\nsequence\n", 6),
-        ("version 1\nn 2\nroot 0\nedges 1\n0 1\nsequence -1\n", 6),
-        ("version 1\nn 2\nroot 0\nedges 1\n0 1\nsequence 1\ntrailing\n", 7),
+        (_HEAD + "0 0\nsequence\n", 6, 1, "invalid graph: self-loop at 0", ParseError),
     ],
 )
-def test_parse_errors_carry_position(text, line):
+def test_parse_errors_carry_position(text, line, column, message, error):
     with pytest.raises(ParseError) as exc:
         parse_instance(text)
-    assert exc.value.line == line
-    assert isinstance(exc.value.column, int) and exc.value.column >= 1
+    assert type(exc.value) is error
+    assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
 
 
 def test_parse_caps_the_vertex_count():
@@ -114,7 +167,10 @@ def test_parse_rejects_disconnected_graph_with_position():
         parse_instance(text)
 
 
-@pytest.mark.parametrize("name", ["", " padded ", "with # mark", "two\nlines"])
+@pytest.mark.parametrize(
+    "name",
+    ["", " padded ", "with # mark", "two\nlines", "a\rb", "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b"],
+)
 def test_serialize_rejects_unserializable_names(name):
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
