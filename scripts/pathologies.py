@@ -16,11 +16,14 @@ firefighter in each of 25600 rounds, where `alg-c` breaks 40 cycles, and
 before each break walks the territory behind both root neighbors of every
 heavy root cycle, and `alg-c` on ``cactus-200k``, the instance file of
 ``random_cactus(200000, 0.7, 50, 3)`` with firefighters 1,1,2,1,1,1,2,1,
-where the case times `parse_instance` on the file as well as the game.
+where the case times `parse_instance` on the file as well as the game,
+and the exact optimum of ``random_cactus(40, 0.5, 8, s)`` with eight
+single firefighters for s = 1, 2, 3, long runs of single firefighters
+whose search passes the incumbent's value down to stay small.
 Each case is run ``--repeat`` times; the median wall time in seconds is
 printed as one JSON object per case, with the instance size and the pinned
-results (a profit, or the strategy's and the optimum's profits of an
-adversary run).
+results (a profit, the strategy's and the optimum's profits of an
+adversary run, or an optimum's value).
 The script exits 1 when a result differs from its pin.
 
     PYTHONPATH=src python3 scripts/pathologies.py --repeat 3
@@ -42,6 +45,7 @@ from firefight import (
     replay,
     run_algorithm,
     serialize_instance,
+    solve_opt,
     tadpole_adversary_run,
 )
 
@@ -56,6 +60,10 @@ def _adversary(kind, beta):
         return {"alg": report.alg_profit, "opt": report.opt_profit}
 
     return play
+
+
+def _optimum(inst):
+    return lambda: {"value": solve_opt(inst, max_n=inst.graph.n).value}
 
 
 def _parse_and_play(text, kind):
@@ -111,6 +119,9 @@ def _cases():
             _parse_and_play(serialize_instance(cactus), AlgorithmKind.ALG_C),
             {"profit": 199971},
         ),
+    ] + [
+        (f"opt/cactus40-1x8-s{s}", 40, _optimum(Instance(random_cactus(40, 0.5, 8, s), (1,) * 8)), {"value": value})
+        for s, value in ((1, 25), (2, 35), (3, 36))
     ]
 
 

@@ -60,7 +60,7 @@ def _int(row: _Row, k: int, what: str, minimum: int = 0) -> int:
     try:
         value = int(token, 10)
     except ValueError:
-        raise _error(row, k, f"{what} must be an integer, got {token!r}") from None
+        raise _error(row, k, f"{what} must be an integer, got {ascii(token)}") from None
     if value < minimum:
         raise _error(row, k, f"{what} must be >= {minimum}")
     return value
@@ -72,7 +72,7 @@ def _keyword(rows: list[_Row], i: int, key: str) -> _Row:
         raise ParseError(rows[-1][0] if rows else 1, 1, f"missing '{key}' line")
     row = rows[i]
     if row[2][0] != key:
-        raise _error(row, 0, f"expected '{key}', got {row[2][0]!r}")
+        raise _error(row, 0, f"expected '{key}', got {ascii(row[2][0])}")
     return row
 
 

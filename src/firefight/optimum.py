@@ -6,7 +6,7 @@ protected vertex) and the round, all as bitmasks, so the search only fits
 small instances; the solver refuses anything larger than ``max_n``, or
 whose bitmasks would pass ``MAX_MASK_BYTES``, up front.  A vertex that
 burned before the last spread has no unburned neighbor left in R, so each
-spread and each flood starts from the ring that caught fire last.  Three
+spread and each flood starts from the ring that caught fire last.  Four
 prunings keep it exact:
 
 * **Canonical states.**  Only R's unburned vertices are candidates:
@@ -21,11 +21,23 @@ prunings keep it exact:
 * **Full rounds.**  Every branch uses exactly ``min(f, available)``
   firefighters: protecting more never hurts, so smaller subsets are
   dominated.
-* **Strict improvement.**  A child whose burned set already leaves at most
-  the incumbent's value unburned cannot strictly beat it, so it is skipped
-  without a search; the first strictly best schedule is unchanged, and
-  nothing is stored for it.  A branch stops once it saves everything not
-  yet burned.
+* **Strict improvement against the incumbent passed down.**  Every call
+  gets alpha, the best value its ancestors and earlier siblings already
+  hold.  A child whose burned set already leaves at most alpha or the
+  node's own incumbent unburned cannot strictly beat it, so it is skipped
+  without a search.  A node none of whose children beats alpha fails low:
+  it returns alpha, which its caller never adopts, and its memo entry says
+  only that the state cannot beat alpha.  Alpha never falls during a
+  search, so every later caller of that state holds at least as much and
+  can reuse the entry as it stands.  A value above alpha is exact and comes
+  with the child's own first best suffix, so the first strictly best
+  schedule is unchanged.  A branch stops once it saves everything not yet
+  burned.
+* **Front cut.**  Of the fire's front (the burned set and its neighbors in
+  R), k protections keep at most k vertices from burning this round, so a
+  node is worth at most ``n - |front| + k``.  When that is at most alpha
+  the node fails low before it enumerates anything or runs the one-pass
+  last round below, and stores no memo entry.
 
 Once the sequence is exhausted no further protection is possible, so the
 remaining spread collapses into R.  A last round with one firefighter
@@ -44,8 +56,10 @@ from .graph import validate_and_decompose
 
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_MAX_N = 30
-# an entry costs about 260 bytes (measured on a 40-vertex cactus), so the
-# memo stays near 0.25 GB; past it the search ends like the node budget
+# an entry costs about 170 bytes where most entries fail low (a 61-vertex
+# spider, 92,087 entries) and up to about 260 bytes with long schedules, so
+# the memo stays under about 0.25 GB; past it the search ends like the node
+# budget
 MAX_MEMO_ENTRIES = 1_000_000
 # the search keeps one n-bit neighbour mask per vertex, up to n*n/8 bytes;
 # a graph whose masks would pass this budget is refused up front
@@ -80,7 +94,7 @@ class OptResult:
     nodes_explored: int
     memo_hits: int
     memo_entries: int
-    pruned: int  # children skipped because they cannot strictly improve
+    pruned: int  # children skipped because they cannot strictly beat alpha or the incumbent
 
 
 def solve_opt(
@@ -198,10 +212,14 @@ def solve_opt(
     pruned = 0
     memo: dict[int, tuple[int, ProtectionSchedule]] = {}
 
-    def dfs(burned: int, ring: int, region: int, rnd: int) -> tuple[int, ProtectionSchedule]:
+    def dfs(
+        burned: int, ring: int, region: int, rnd: int, alpha: int
+    ) -> tuple[int, ProtectionSchedule]:
         # region = what the fire can still reach; its boundary is protected.
         # ring = the vertices that caught fire last; the rest of burned has
-        # no unburned neighbor in region
+        # no unburned neighbor in region.  alpha = the value the caller
+        # already holds: a result above it is exact, one at most alpha only
+        # says the state cannot beat it
         nonlocal nodes, hits, pruned
         nodes += 1
         if nodes > node_budget:
@@ -211,15 +229,22 @@ def solve_opt(
         # (region, rnd) packed into one int; region and rnd fix burned
         key = (rnd << n) | region
         if use_memo:
+            # a fail-low entry is reused as it stands: the alpha passed down
+            # never falls during a search, so its caller holds at least the
+            # alpha it was searched under
             hit = memo.get(key)
             if hit is not None:
                 hits += 1
                 return hit
         avail_mask = region & ~burned
         k = min(seq[rnd - 1], avail_mask.bit_count())
+        front = burned | (grow(ring) & region)
+        if n - front.bit_count() + k <= alpha:
+            # k protections leave at least |front| - k vertices burned; a cut
+            # this cheap is not worth a memo entry
+            return alpha, ()
         if k == 0:
-            nb = burned | (grow(ring) & region)
-            result = dfs(nb, nb & ~burned, region, rnd + 1)
+            result = dfs(front, front & ~burned, region, rnd + 1, alpha)
         elif k == 1 and rnd == rounds:
             nodes += avail_mask.bit_count()
             if nodes > node_budget:
@@ -228,9 +253,8 @@ def solve_opt(
             result = (n - region.bit_count() + saved, ((rnd, v),))
         else:
             avail = [v for v in range(n) if (avail_mask >> v) & 1]
-            front = burned | (grow(ring) & region)
             ub = n - burned.bit_count()
-            best_val = -1
+            best_val = alpha
             best_suf: ProtectionSchedule = ()
             for combo in itertools.combinations(avail, k):
                 cm = 0
@@ -243,7 +267,7 @@ def solve_opt(
                 # a burned vertex's neighbors in region are in front, so only
                 # the newly burned vertices can reach anything new
                 new = nb & ~burned
-                val, suf = dfs(nb, new, flood(new, nb, region & ~cm), rnd + 1)
+                val, suf = dfs(nb, new, flood(new, nb, region & ~cm), rnd + 1, best_val)
                 if val > best_val:
                     best_val = val
                     best_suf = tuple((rnd, v) for v in combo) + suf
@@ -259,7 +283,7 @@ def solve_opt(
         return result
 
     root = 1 << g.root
-    value, sched = dfs(root, root, flood(root, root, (1 << n) - 1), 1)
+    value, sched = dfs(root, root, flood(root, root, (1 << n) - 1), 1, -1)
     return OptResult(
         value=value,
         schedule=sched,

@@ -99,6 +99,8 @@ _HEAD = "version 1\nn 2\nroot 0\nedges 1\n"
         ("version 1 2\n", 1, 11, "'version' takes 1 value(s), got 2", ParseError),
         ("version\n", 1, 1, "'version' takes 1 value(s), got 0", ParseError),
         ("version 1\nn x\n", 2, 3, "n must be an integer, got 'x'", ParseError),
+        # quoted with ascii(), so the bytes do not hang on the Unicode database
+        ("version 1\nn \u1dfa\n", 2, 3, "n must be an integer, got '\\u1dfa'", ParseError),
         (
             "version 1\nn 2\nroot 0\nedges x\n",
             4,

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from firefight.engine import Instance, Status, replay
 from firefight.graph import Graph, validate_and_decompose
-from firefight.instances import make_tadpole, random_cactus, random_sequence, random_tree
+from firefight.instances import (
+    make_tadpole,
+    random_cactus,
+    random_one_almost_tree,
+    random_sequence,
+    random_tree,
+)
+from firefight import optimum
 from firefight.optimum import (
     MAX_MASK_BYTES,
     GraphTooLargeError,
@@ -206,3 +215,94 @@ def test_solves_from_wide_fires_match_reference():
         inst = Instance(base.graph, (*base.sequence[:3], 1))
         res = solve_opt(inst)
         assert (res.value, res.schedule) == oracles.solve_opt_reference(inst), seed
+
+
+@given(
+    relabelled_cacti(max_n=12),
+    st.lists(st.sampled_from((1, 1, 1, 2)), min_size=3, max_size=5),
+)
+@settings(max_examples=150)
+def test_passed_down_bound_keeps_the_schedule(g, seq):
+    # every round has a firefighter, so children search under a bound their
+    # siblings and ancestors set, and fail-low results and entries occur
+    # (the bound cuts nodes on about one draw in seven)
+    inst = Instance(g, tuple(seq))
+    fast = solve_opt(inst)
+    slow = solve_opt(inst, use_memo=False)
+    assert (fast.value, fast.schedule) == (slow.value, slow.schedule)
+    assert (fast.value, fast.schedule) == oracles.solve_opt_reference(inst)
+    assert fast.nodes_explored <= slow.nodes_explored
+
+
+@pytest.mark.parametrize("seed, value", [(1, 25), (2, 35), (3, 36)])
+def test_long_single_firefighter_runs_stay_small(seed, value):
+    # without the bound passed down the search takes 187650, 1954129 and
+    # 713689 nodes here; with it, 316, 56 and 232
+    inst = Instance(random_cactus(40, 0.5, 8, seed), (1,) * 8)
+    res = solve_opt(inst, max_n=40)
+    assert res.value == value
+    assert replay(inst, res.schedule)[0] == value
+    assert res.nodes_explored <= 1000
+
+
+def test_passed_down_bound_never_falls():
+    # a memo entry that failed low is reused without its bound; that is
+    # sound because every later call holds at least the bound of every
+    # earlier one
+    def alphas(inst):
+        seen = []
+
+        def tracer(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_name == "dfs" and code.co_filename == optimum.__file__:
+                seen.append(frame.f_locals["alpha"])
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            solve_opt(inst, max_n=inst.graph.n)
+        finally:
+            sys.settrace(previous)
+        return seen
+
+    long_runs = [Instance(random_cactus(40, 0.5, 8, s), (1,) * 8) for s in (1, 2, 3)]
+    for inst in [*_digest_corpus(), *long_runs]:
+        seen = alphas(inst)
+        assert seen == sorted(seen)
+
+
+def _digest_corpus():
+    """Instances whose exact (value, schedule) the solver digest pins."""
+    # ratio trials as the opt-sweep benchmark draws them: n 18-22, five
+    # rounds of 0-2 firefighters, 20 per graph class
+    rng = random.Random("solver-digest")
+    for i in range(60):
+        n = rng.randint(18, 22)
+        s = rng.randrange(2**30)
+        if i % 3 == 0:
+            g = random_tree(n, s)
+        elif i % 3 == 1:
+            g = random_one_almost_tree(n, s)
+        else:
+            g = random_cactus(n, rng.uniform(0.3, 0.9), rng.randint(3, n), s)
+        yield Instance(g, tuple(rng.randint(0, 2) for _ in range(5)))
+    for seed in range(300):
+        yield _random_instance(seed, n_max=12)
+    # the adversary's tadpoles, cycle weight beta^2 + 1
+    for beta in range(2, 9):
+        g = make_tadpole(beta * beta + 1, beta)
+        yield Instance(g, (1,))
+        yield Instance(g, (1, 1))
+
+
+# sha256 over (value, schedule) of every corpus solve: a changed optimum or
+# a different choice among equally good schedules changes it
+SOLVER_SHA256 = "69903827798ea232d85469ab79b45ee30ca1c70941cbfe0d6b35a6c4dcbbd995"
+
+
+def test_solver_digest():
+    h = hashlib.sha256()
+    for inst in _digest_corpus():
+        res = solve_opt(inst, max_n=inst.graph.n)
+        h.update(repr((res.value, res.schedule)).encode())
+    assert h.hexdigest() == SOLVER_SHA256
