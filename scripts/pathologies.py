@@ -5,7 +5,8 @@ The cases: `alg-e`, `alg-c` and `alg-a` on a 4001-vertex tadpole with 30
 single firefighters, a replay of no protections on a 3000-vertex path,
 `alg-c` on that path with 2000 empty rounds, the `alg-e` adversary run
 at beta 12, whose exact (1,1) solve on a 157-vertex tadpole is the widest
-the solver meets in the adversary sweep, and `greedy-tree` and `alg-c` on
+the solver meets in the adversary sweep, and at beta 40 (n = 1642), which
+is quick only while that solve values a round's candidates in one pass, and `greedy-tree` and `alg-c` on
 ``spider-160``, 160 legs of 160 vertices (n = 25601) with one firefighter
 in each of 160 rounds, which takes time n * rounds unless a game keeps its
 residual across rounds, and on ``spider-4x50000``, 4 legs of 50000
@@ -107,6 +108,8 @@ def _cases():
         ),
         # a 145-vertex cycle plus a 12-vertex tail: n = 157
         ("adversary/alg-e/b12", 157, _adversary(AlgorithmKind.ALG_E, 12), {"alg": 13, "opt": 144}),
+        # a 1601-vertex cycle plus a 40-vertex tail: n = 1642
+        ("adversary/alg-e/b40", 1642, _adversary(AlgorithmKind.ALG_E, 40), {"alg": 41, "opt": 1600}),
         ("spider-160/greedy-tree", 25601, _play(spider, AlgorithmKind.GREEDY_TREE), {"profit": 12880}),
         ("spider-160/alg-c", 25601, _play(spider, AlgorithmKind.ALG_C), {"profit": 12880}),
         ("spider-4x50000/greedy-tree", 200001, _play(long_spider, AlgorithmKind.GREEDY_TREE), {"profit": 50000}),

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .algorithms import AlgorithmError, AlgorithmKind, run_algorithm, within_bound
 from .engine import GameError, Instance
-from .fileformat import ParseError, parse_instance, serialize_instance
+from .fileformat import ParseError, parse_instance, parse_int, serialize_instance
 from .graph import GraphError
 from .instances import (
     BadParamsError,
@@ -80,7 +80,7 @@ def _node_budget() -> int:
         try:
             return int(env)
         except ValueError:
-            raise BadParamsError(f"{BUDGET_ENV} must be an integer, got {env!r}")
+            raise BadParamsError(f"{BUDGET_ENV} must be an integer, got {ascii(env)}")
     return DEFAULT_NODE_BUDGET
 
 
@@ -246,9 +246,9 @@ def _parse_seq(text: str) -> tuple[int, ...]:
         return ()
     parts = text.replace(",", " ").split()
     try:
-        seq = tuple(int(p) for p in parts)
+        seq = tuple(parse_int(p) for p in parts)
     except ValueError:
-        raise BadParamsError(f"bad sequence {text!r}")
+        raise BadParamsError(f"bad sequence {ascii(text)}")
     if any(f < 0 for f in seq):
         raise BadParamsError("firefighter counts must be nonnegative")
     return seq

@@ -46,19 +46,31 @@ class UnknownVersionError(ParseError):
     pass
 
 
-_Row = tuple[int, str, list[str]]  # line number, text before '#', its tokens
+# line number, text before '#', its tokens, and whether they hold a '_' or
+# a non-ASCII character, which int() alone would read as part of a number
+_Row = tuple[int, str, list[str], bool]
 
 
 def _error(row: _Row, k: int, message: str, kind: type[ParseError] = ParseError) -> ParseError:
     """A ``kind`` error at the column where token ``k`` of ``row`` starts."""
-    no, body, _ = row
+    no, body = row[:2]
     return kind(no, list(_TOKEN.finditer(body))[k].start() + 1, message)
+
+
+def parse_int(token: str) -> int:
+    """``token`` as a decimal integer with an optional sign.  Raises
+    ValueError for anything else, also for the '_' separators and non-ASCII
+    digits that ``int`` alone accepts and ``serialize_instance`` never
+    writes."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a decimal integer: {ascii(token)}")
+    return int(token, 10)
 
 
 def _int(row: _Row, k: int, what: str, minimum: int = 0) -> int:
     token = row[2][k]
     try:
-        value = int(token, 10)
+        value = parse_int(token) if row[3] else int(token, 10)
     except ValueError:
         raise _error(row, k, f"{what} must be an integer, got {ascii(token)}") from None
     if value < minimum:
@@ -87,18 +99,20 @@ def _value(rows: list[_Row], i: int, key: str, what: str, minimum: int = 0) -> t
 
 def parse_instance(text: str) -> Instance:
     rows = []
+    # one check of the whole text spares the check of each token
+    strict = not text.isascii() or "_" in text
     for no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         tokens = body.split()
         if tokens:
-            rows.append((no, body, tokens))
+            rows.append((no, body, tokens, strict and (not body.isascii() or "_" in body)))
     row, version = _value(rows, 0, "version", "version")
     if version != FORMAT_VERSION:
         raise _error(row, 1, f"unsupported version {version}", UnknownVersionError)
     name = None
     pos = 1  # the next row to read
     if pos < len(rows) and rows[pos][2][0] == "name":
-        no, body, tokens = rows[pos]
+        no, body, tokens, _ = rows[pos]
         if len(tokens) < 2:
             raise ParseError(no, body.index("name") + len("name") + 1, "'name' needs a value")
         name = body.split(None, 1)[1].rstrip()

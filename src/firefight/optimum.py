@@ -44,6 +44,17 @@ remaining spread collapses into R.  A last round with one firefighter
 needs no search: protecting v saves v's subtree in the dominator tree of
 R minus the burned set, rooted at the burned set merged into one source,
 so one depth-first pass with low points values every candidate.
+
+One round before such a last round, with one firefighter too, a candidate
+off the fire's front lets the fire take the whole front, so its child is
+worth what it and one more protection cut off from the front.  On a
+cactus (a tree, 1-almost tree or cactus input always leaves one) the same
+pass from the front, with its cycles read off the back edges, values every
+such candidate at once (``pair_gains``).  Only the first best of them can
+win, so only its child is searched, and only if it beats the incumbent;
+the front's own candidates are searched as before.  A residual that is no
+cactus falls back to one child per candidate.  The pass runs only when
+some off-front child could still beat the incumbent by the front bound.
 """
 
 from __future__ import annotations
@@ -95,6 +106,160 @@ class OptResult:
     memo_hits: int
     memo_entries: int
     pruned: int  # children skipped because they cannot strictly beat alpha or the incumbent
+
+
+def lowpoint_dfs(
+    nbr: list[int], burned: int, roots: int, avail: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """One depth-first pass over ``avail`` from ``burned`` merged into one
+    source s with discovery time 0; ``roots`` are s's neighbors in avail.
+
+    Returns ``(saved, parent, up, disc)``, each indexed by vertex:
+
+    * ``saved[u]``: how many vertices u alone cuts off from s.  That is u
+      itself and every DFS subtree below it whose low point does not reach
+      above u: exactly the vertices u dominates (Hopcroft & Tarjan 1973).
+    * ``parent[u]``: u's DFS-tree parent, -1 for s.
+    * ``up[u]``: u's neighbors discovered before it, as a mask: its parent
+      and the ends of its back edges up, but not s.
+    * ``disc[u]``: u's discovery time, from 1.
+    """
+    n = len(nbr)
+    disc = [0] * n
+    low = [0] * n
+    size = [1] * n
+    saved = [1] * n
+    parent = [-1] * n
+    up = [0] * n
+    t = 0
+    seen = 0
+    stack: list[tuple[int, int]] = []
+    mm = roots
+    while mm:
+        b = mm & -mm
+        mm ^= b
+        if seen & b:
+            continue
+        seen |= b
+        t += 1
+        c = b.bit_length() - 1
+        disc[c] = low[c] = t
+        stack.append((c, nbr[c] & avail))
+        while stack:
+            u, rest = stack[-1]
+            rest &= ~seen
+            if rest:
+                b = rest & -rest
+                stack[-1] = (u, rest ^ b)
+                w = b.bit_length() - 1
+                parent[w] = u
+                up[w] = seen
+                seen |= b
+                t += 1
+                disc[w] = low[w] = t
+                stack.append((w, nbr[w] & avail))
+                continue
+            stack.pop()
+            # only neighbors discovered earlier can lower the low point
+            am = up[u] = nbr[u] & up[u]
+            lu = 0 if nbr[u] & burned else low[u]
+            while am:
+                b = am & -am
+                am ^= b
+                d = disc[b.bit_length() - 1]
+                if d < lu:
+                    lu = d
+            low[u] = lu
+            if stack:
+                p = stack[-1][0]
+                size[p] += size[u]
+                if lu >= disc[p]:
+                    saved[p] += size[u]
+                if lu < low[p]:
+                    low[p] = lu
+    return saved, parent, up, disc
+
+
+def pair_gains(nbr: list[int], front: int, roots: int, avail: int) -> list[int] | None:
+    """For every v in ``avail``, the most vertices that protecting v now and
+    one more vertex next round cut off from ``front``, the fire's front
+    merged into one source s (``roots`` are its neighbors in avail).  None
+    when that graph is not a cactus.
+
+    With h(u) the vertices u alone cuts off, the best partner w of v is:
+
+    * the highest dominator of v below s, worth h of it;
+    * any vertex neither above nor below v in the dominator tree, worth
+      h(v) + h(w);
+    * when v sits on a cycle a, c_1 ... c_L (a its entry, v = c_i), c_1 or
+      c_L, worth h(c_1) + ... + h(c_i) or h(c_i) + ... + h(c_L).
+
+    A back edge d -> a closes the tree path a ... d into a cycle; a tree
+    edge on two such cycles means the graph is no cactus.  O(n + m).
+    """
+    saved, parent, up, disc = lowpoint_dfs(nbr, front, roots, avail)
+    n = len(nbr)
+    # every vertex of avail is discovered; the others keep time 0
+    order = sorted(range(n), key=disc.__getitem__)[n - avail.bit_count() :]
+    # lists of n + 1 slots: index -1, the last slot, stands for s
+    idom = parent + [-1]
+    arc = [0] * n
+    on_cycle = [False] * n
+    for d in order:
+        p = parent[d]
+        if p < 0:
+            continue
+        # the ends of d's back edges up, s as bit n
+        ends = up[d] ^ (1 << p)
+        if nbr[d] & front:
+            ends |= 1 << n
+        while ends:
+            b = ends & -ends
+            ends ^= b
+            a = b.bit_length() - 1
+            if a == n:
+                a = -1
+            path = []
+            u = d
+            while u != a:
+                if on_cycle[u]:
+                    return None
+                on_cycle[u] = True
+                path.append(u)
+                u = parent[u]
+            # path runs c_L ... c_1; every c_i hangs straight off the entry
+            total = sum(saved[c] for c in path)
+            prefix = 0
+            for c in reversed(path):
+                prefix += saved[c]
+                arc[c] = max(prefix, total - prefix + saved[c])
+                idom[c] = a
+    # the best and second best h among each vertex's dominator-tree children
+    first = [0] * (n + 1)
+    second = [0] * (n + 1)
+    for u in order:
+        p = idom[u]
+        h = saved[u]
+        if h > first[p]:
+            first[p], second[p] = h, first[p]
+        elif h > second[p]:
+            second[p] = h
+    top_h = [0] * n  # h of u's highest dominator below s
+    unrelated = [0] * (n + 1)  # the best h neither above nor below u
+    gains = [0] * n
+    for u in order:
+        p = idom[u]
+        h = saved[u]
+        best = top_h[u] = h if p < 0 else top_h[p]
+        f = first[p]
+        other = second[p] if h == f else f
+        if other < unrelated[p]:
+            other = unrelated[p]
+        unrelated[u] = other
+        if h + other > best:
+            best = h + other
+        gains[u] = arc[u] if arc[u] > best else best
+    return gains
 
 
 def solve_opt(
@@ -149,60 +314,11 @@ def solve_opt(
     def best_single(burned: int, ring: int, region: int) -> tuple[int, int]:
         """(saved, v) of the best lone protection in ``region``.
 
-        A depth-first pass from the burned set, merged into one source with
-        discovery time 0.  Protecting v saves v itself and every DFS subtree
-        below it whose low point does not reach above v: exactly the
-        vertices v dominates.  Ties go to the lowest id, as in the
-        ascending search.  O(n + m) for all candidates together.
+        Ties go to the lowest id, as in the ascending search.  O(n + m) for
+        all candidates together.
         """
         avail = region & ~burned
-        disc = [0] * n
-        low = [0] * n
-        size = [1] * n
-        saved = [1] * n
-        t = 0
-        seen = 0
-        stack: list[tuple[int, int]] = []
-        mm = grow(ring) & avail
-        while mm:
-            b = mm & -mm
-            mm ^= b
-            if seen & b:
-                continue
-            seen |= b
-            t += 1
-            c = b.bit_length() - 1
-            disc[c] = low[c] = t
-            stack.append((c, nbr[c] & avail))
-            while stack:
-                u, rest = stack[-1]
-                rest &= ~seen
-                if rest:
-                    b = rest & -rest
-                    stack[-1] = (u, rest ^ b)
-                    seen |= b
-                    t += 1
-                    w = b.bit_length() - 1
-                    disc[w] = low[w] = t
-                    stack.append((w, nbr[w] & avail))
-                    continue
-                stack.pop()
-                lu = 0 if nbr[u] & burned else low[u]
-                nm = nbr[u] & avail
-                while nm:
-                    b = nm & -nm
-                    nm ^= b
-                    d = disc[b.bit_length() - 1]
-                    if d < lu:
-                        lu = d
-                low[u] = lu
-                if stack:
-                    p = stack[-1][0]
-                    size[p] += size[u]
-                    if lu >= disc[p]:
-                        saved[p] += size[u]
-                    if lu < low[p]:
-                        low[p] = lu
+        saved = lowpoint_dfs(nbr, burned, grow(ring) & avail, avail)[0]
         # max keeps the first of equals, so ties go to the lowest id
         v = max((u for u in range(n) if (avail >> u) & 1), key=saved.__getitem__)
         return saved[v], v
@@ -211,6 +327,38 @@ def solve_opt(
     hits = 0
     pruned = 0
     memo: dict[int, tuple[int, ProtectionSchedule]] = {}
+
+    def off_front_search(burned: int, front: int, region: int, best_val: int) -> tuple[int, int]:
+        """(keep, bound) for the candidates in ``region`` off the fire's
+        front, one round before a last round and both rounds with one
+        firefighter: a candidate's child is searched only if it is in the
+        mask ``keep`` and ``bound`` beats the incumbent.
+
+        Protecting v off the front lets the fire take the front.  Its child
+        then leaves the front and the front's neighbors (v aside) burning
+        but for the one it protects, so while that cannot beat
+        ``best_val`` no candidate, or only a neighbor of the front, needs a
+        search.  Otherwise v's child is worth n - |region| plus what v and
+        the next protection cut off from the front together:
+        ``pair_gains`` values every candidate so, one node each, and only
+        the first best is kept.  A residual that is no cactus keeps all.
+        """
+        nonlocal nodes
+        off = region & ~front
+        roots = grow(front & ~burned) & off
+        base = n - front.bit_count() - roots.bit_count()
+        if base + 2 <= best_val:
+            return 0, n
+        if base + 1 <= best_val:
+            return roots, n
+        gains = pair_gains(nbr, front, roots, off)
+        if gains is None:
+            return off, n
+        nodes += off.bit_count()
+        if nodes > node_budget:
+            raise SearchBudgetExceededError(f"node budget {node_budget} exhausted")
+        v = max((u for u in range(n) if (off >> u) & 1), key=gains.__getitem__)
+        return 1 << v, n - region.bit_count() + gains[v]
 
     def dfs(
         burned: int, ring: int, region: int, rnd: int, alpha: int
@@ -254,6 +402,11 @@ def solve_opt(
         else:
             avail = [v for v in range(n) if (avail_mask >> v) & 1]
             ub = n - burned.bit_count()
+            # one round before a last round, both with one firefighter: the
+            # off-front candidates are sorted out at once, when the first of
+            # them survives the cut below
+            paired = k == 1 and rnd == rounds - 1 and seq[-1] == 1
+            off_keep = None
             best_val = alpha
             best_suf: ProtectionSchedule = ()
             for combo in itertools.combinations(avail, k):
@@ -264,6 +417,12 @@ def solve_opt(
                 if n - nb.bit_count() <= best_val:
                     pruned += 1
                     continue
+                if paired and nb == front:
+                    if off_keep is None:
+                        off_keep, off_bound = off_front_search(burned, front, region, best_val)
+                    if not cm & off_keep or off_bound <= best_val:
+                        pruned += 1
+                        continue
                 # a burned vertex's neighbors in region are in front, so only
                 # the newly burned vertices can reach anything new
                 new = nb & ~burned

@@ -208,6 +208,38 @@ def test_node_budget_env(capsys, monkeypatch, tadpole_file):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "seq, message",
+    [
+        # quoted with ascii(), so the bytes do not hang on the Unicode database
+        ("1,\u1dfa", "error: bad sequence '1,\\u1dfa'\n"),
+        # int() alone reads these as 2 and 10
+        ("1,\u0662", "error: bad sequence '1,\\u0662'\n"),
+        ("1_0", "error: bad sequence '1_0'\n"),
+        ("1,x", "error: bad sequence '1,x'\n"),
+    ],
+)
+def test_bad_sequence_is_quoted_in_ascii(capsys, seq, message):
+    code, out, err = run_cli(capsys, "gen", "tadpole", "--alpha", "3", "--beta", "2", "--seq", seq)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_signed_sequence_entries_still_parse(capsys, tmp_path):
+    path = tmp_path / "signed.ff"
+    code, _, _ = run_cli(
+        capsys, "gen", "tadpole", "--alpha", "3", "--beta", "2", "--seq", "+1,0", "--out", str(path)
+    )
+    assert code == 0
+    assert path.read_text().splitlines()[-1] == "sequence 1 0"
+
+
+def test_bad_node_budget_is_quoted_in_ascii(capsys, monkeypatch, tadpole_file):
+    monkeypatch.setenv("FIREFIGHT_NODE_BUDGET", "\u1dfa")
+    code, out, err = run_cli(capsys, "opt", "--instance", str(tadpole_file))
+    assert (code, out) == (2, "")
+    assert err == "error: FIREFIGHT_NODE_BUDGET must be an integer, got '\\u1dfa'\n"
+
+
 def test_memo_cap_exits_3(capsys, monkeypatch, tadpole_file):
     monkeypatch.setattr("firefight.optimum.MAX_MEMO_ENTRIES", 2)
     code, out, err = run_cli(capsys, "opt", "--instance", str(tadpole_file))

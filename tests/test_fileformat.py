@@ -101,6 +101,24 @@ _HEAD = "version 1\nn 2\nroot 0\nedges 1\n"
         ("version 1\nn x\n", 2, 3, "n must be an integer, got 'x'", ParseError),
         # quoted with ascii(), so the bytes do not hang on the Unicode database
         ("version 1\nn \u1dfa\n", 2, 3, "n must be an integer, got '\\u1dfa'", ParseError),
+        # int() alone reads each of these four as a number; the format
+        # writes ASCII digits only
+        ("version 1\nn \u0662\n", 2, 3, "n must be an integer, got '\\u0662'", ParseError),
+        ("version 1\nn 1_0\n", 2, 3, "n must be an integer, got '1_0'", ParseError),
+        (
+            _HEAD + "0 \uff11\nsequence\n",
+            5,
+            3,
+            "edge endpoint must be an integer, got '\\uff11'",
+            ParseError,
+        ),
+        (
+            _HEAD + "0 1\nsequence 1 0_1\n",
+            6,
+            12,
+            "firefighter count must be an integer, got '0_1'",
+            ParseError,
+        ),
         (
             "version 1\nn 2\nroot 0\nedges x\n",
             4,
@@ -148,6 +166,15 @@ def test_parse_errors_carry_position(text, line, column, message, error):
     assert type(exc.value) is error
     assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
     assert str(exc.value) == f"line {line}, column {column}: {message}"
+
+
+def test_parse_keeps_signed_ascii_integers():
+    inst = parse_instance("version 1\nn +2\nroot -0\nedges 1\n0 +1\nsequence +3 2\n")
+    assert (inst.graph.n, inst.graph.root, inst.sequence) == (2, 0, (3, 2))
+    # a name or comment may hold what a number may not
+    text = "version 1\nname my_ring \u0662\nn 2 # \u0662_\nroot 0\nedges 1\n0 1\nsequence 1\n"
+    inst = parse_instance(text)
+    assert (inst.name, inst.graph.n, inst.sequence) == ("my_ring \u0662", 2, (1,))
 
 
 def test_parse_caps_the_vertex_count():
