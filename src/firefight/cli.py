@@ -78,7 +78,7 @@ def _node_budget() -> int:
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
         try:
-            return int(env)
+            return parse_int(env)
         except ValueError:
             raise BadParamsError(f"{BUDGET_ENV} must be an integer, got {ascii(env)}")
     return DEFAULT_NODE_BUDGET

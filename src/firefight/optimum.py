@@ -48,11 +48,12 @@ so one depth-first pass with low points values every candidate.
 One round before such a last round, with one firefighter too, a candidate
 off the fire's front lets the fire take the whole front, so its child is
 worth what it and one more protection cut off from the front.  On a
-cactus (a tree, 1-almost tree or cactus input always leaves one) the same
-pass from the front, with its cycles read off the back edges, values every
-such candidate at once (``pair_gains``).  Only the first best of them can
-win, so only its child is searched, and only if it beats the incumbent;
-the front's own candidates are searched as before.  A residual that is no
+cactus (a tree, 1-almost tree or cactus input always leaves one) the
+view of the residual with the front merged into its root, its cycles and
+its dominator tree value every such candidate at once (``pair_gains``).
+Only the first best of them can win, so only its child is searched, and
+only if it beats the incumbent; the front's own candidates are searched
+as before.  A residual that is no
 cactus falls back to one child per candidate.  The pass runs only when
 some off-front child could still beat the incumbent by the front bound.
 """
@@ -63,7 +64,7 @@ import itertools
 from dataclasses import dataclass
 
 from .engine import Instance, ProtectionSchedule
-from .graph import validate_and_decompose
+from .graph import Graph, NotCactusError, contract, dominator_tree, validate_and_decompose
 
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_MAX_N = 30
@@ -108,29 +109,21 @@ class OptResult:
     pruned: int  # children skipped because they cannot strictly beat alpha or the incumbent
 
 
-def lowpoint_dfs(
-    nbr: list[int], burned: int, roots: int, avail: int
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """One depth-first pass over ``avail`` from ``burned`` merged into one
+def lowpoint_dfs(nbr: list[int], burned: int, roots: int, avail: int) -> list[int]:
+    """How many vertices each u of ``avail`` alone cuts off from ``burned``.
+
+    One depth-first pass over ``avail`` from ``burned`` merged into one
     source s with discovery time 0; ``roots`` are s's neighbors in avail.
-
-    Returns ``(saved, parent, up, disc)``, each indexed by vertex:
-
-    * ``saved[u]``: how many vertices u alone cuts off from s.  That is u
-      itself and every DFS subtree below it whose low point does not reach
-      above u: exactly the vertices u dominates (Hopcroft & Tarjan 1973).
-    * ``parent[u]``: u's DFS-tree parent, -1 for s.
-    * ``up[u]``: u's neighbors discovered before it, as a mask: its parent
-      and the ends of its back edges up, but not s.
-    * ``disc[u]``: u's discovery time, from 1.
+    ``saved[u]`` is u itself and every DFS subtree below it whose low point
+    does not reach above u: exactly the vertices u dominates (Hopcroft &
+    Tarjan 1973).
     """
     n = len(nbr)
     disc = [0] * n
     low = [0] * n
     size = [1] * n
     saved = [1] * n
-    parent = [-1] * n
-    up = [0] * n
+    up = [0] * n  # the vertices discovered before u, as a mask
     t = 0
     seen = 0
     stack: list[tuple[int, int]] = []
@@ -152,7 +145,6 @@ def lowpoint_dfs(
                 b = rest & -rest
                 stack[-1] = (u, rest ^ b)
                 w = b.bit_length() - 1
-                parent[w] = u
                 up[w] = seen
                 seen |= b
                 t += 1
@@ -161,7 +153,7 @@ def lowpoint_dfs(
                 continue
             stack.pop()
             # only neighbors discovered earlier can lower the low point
-            am = up[u] = nbr[u] & up[u]
+            am = nbr[u] & up[u]
             lu = 0 if nbr[u] & burned else low[u]
             while am:
                 b = am & -am
@@ -177,80 +169,69 @@ def lowpoint_dfs(
                     saved[p] += size[u]
                 if lu < low[p]:
                     low[p] = lu
-    return saved, parent, up, disc
+    return saved
 
 
-def pair_gains(nbr: list[int], front: int, roots: int, avail: int) -> list[int] | None:
-    """For every v in ``avail``, the most vertices that protecting v now and
-    one more vertex next round cut off from ``front``, the fire's front
-    merged into one source s (``roots`` are its neighbors in avail).  None
-    when that graph is not a cactus.
+def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
+    """For every v in ``avail``, indexed by g's ids, the most vertices that
+    protecting v now and one more vertex next round cut off from ``front``,
+    the fire's front.  None when the view of ``front | avail``, the front
+    merged into its root, is not a cactus.
 
-    With h(u) the vertices u alone cuts off, the best partner w of v is:
+    With h(u) the size of u's subtree in the view's dominator tree (the
+    vertices u alone cuts off), the best partner w of v is:
 
-    * the highest dominator of v below s, worth h of it;
+    * the highest dominator of v below the root, worth h of it;
     * any vertex neither above nor below v in the dominator tree, worth
       h(v) + h(w);
-    * when v sits on a cycle a, c_1 ... c_L (a its entry, v = c_i), c_1 or
+    * when v sits on a cycle a, c_1 ... c_L (a its top, v = c_i), c_1 or
       c_L, worth h(c_1) + ... + h(c_i) or h(c_i) + ... + h(c_L).
 
-    A back edge d -> a closes the tree path a ... d into a cycle; a tree
-    edge on two such cycles means the graph is no cactus.  O(n + m).
+    O(n + m).
     """
-    saved, parent, up, disc = lowpoint_dfs(nbr, front, roots, avail)
-    n = len(nbr)
-    # every vertex of avail is discovered; the others keep time 0
-    order = sorted(range(n), key=disc.__getitem__)[n - avail.bit_count() :]
-    # lists of n + 1 slots: index -1, the last slot, stands for s
-    idom = parent + [-1]
-    arc = [0] * n
-    on_cycle = [False] * n
-    for d in order:
-        p = parent[d]
-        if p < 0:
-            continue
-        # the ends of d's back edges up, s as bit n
-        ends = up[d] ^ (1 << p)
-        if nbr[d] & front:
-            ends |= 1 << n
-        while ends:
-            b = ends & -ends
-            ends ^= b
-            a = b.bit_length() - 1
-            if a == n:
-                a = -1
-            path = []
-            u = d
-            while u != a:
-                if on_cycle[u]:
-                    return None
-                on_cycle[u] = True
-                path.append(u)
-                u = parent[u]
-            # path runs c_L ... c_1; every c_i hangs straight off the entry
-            total = sum(saved[c] for c in path)
-            prefix = 0
-            for c in reversed(path):
-                prefix += saved[c]
-                arc[c] = max(prefix, total - prefix + saved[c])
-                idom[c] = a
+    index = [-1] * g.n
+    k = 0
+    for v in range(g.n):
+        if (front >> v) & 1:
+            index[v] = 0
+        elif (avail >> v) & 1:
+            k += 1
+            index[v] = k
+    sub = contract(g, index)
+    view = sub.graph
+    try:
+        decomp = validate_and_decompose(view)
+    except NotCactusError:
+        return None
+    dom = dominator_tree(view, decomp)
+    idom, order, saved = dom.idom, dom.order, dom.size
+    depth = view.bfs.depth.__getitem__
+    arc = [0] * view.n
+    for cyc in decomp.cycles:
+        t = cyc.index(min(cyc, key=depth))
+        path = cyc[t + 1 :] + cyc[:t]  # c_1 ... c_L, the top left out
+        total = sum(saved[c] for c in path)
+        prefix = 0
+        for c in path:
+            prefix += saved[c]
+            arc[c] = max(prefix, total - prefix + saved[c])
     # the best and second best h among each vertex's dominator-tree children
-    first = [0] * (n + 1)
-    second = [0] * (n + 1)
-    for u in order:
+    first = [0] * view.n
+    second = [0] * view.n
+    for u in order[1:]:
         p = idom[u]
         h = saved[u]
         if h > first[p]:
             first[p], second[p] = h, first[p]
         elif h > second[p]:
             second[p] = h
-    top_h = [0] * n  # h of u's highest dominator below s
-    unrelated = [0] * (n + 1)  # the best h neither above nor below u
-    gains = [0] * n
-    for u in order:
+    top_h = [0] * view.n  # h of u's highest dominator below the root
+    unrelated = [0] * view.n  # the best h neither above nor below u
+    gains = [0] * g.n
+    for u in order[1:]:
         p = idom[u]
         h = saved[u]
-        best = top_h[u] = h if p < 0 else top_h[p]
+        best = top_h[u] = h if p == 0 else top_h[p]
         f = first[p]
         other = second[p] if h == f else f
         if other < unrelated[p]:
@@ -258,7 +239,7 @@ def pair_gains(nbr: list[int], front: int, roots: int, avail: int) -> list[int] 
         unrelated[u] = other
         if h + other > best:
             best = h + other
-        gains[u] = arc[u] if arc[u] > best else best
+        gains[sub.to_orig[u]] = arc[u] if arc[u] > best else best
     return gains
 
 
@@ -318,7 +299,7 @@ def solve_opt(
         all candidates together.
         """
         avail = region & ~burned
-        saved = lowpoint_dfs(nbr, burned, grow(ring) & avail, avail)[0]
+        saved = lowpoint_dfs(nbr, burned, grow(ring) & avail, avail)
         # max keeps the first of equals, so ties go to the lowest id
         v = max((u for u in range(n) if (avail >> u) & 1), key=saved.__getitem__)
         return saved[v], v
@@ -351,7 +332,7 @@ def solve_opt(
             return 0, n
         if base + 1 <= best_val:
             return roots, n
-        gains = pair_gains(nbr, front, roots, off)
+        gains = pair_gains(g, front, off)
         if gains is None:
             return off, n
         nodes += off.bit_count()

@@ -233,11 +233,21 @@ def test_signed_sequence_entries_still_parse(capsys, tmp_path):
     assert path.read_text().splitlines()[-1] == "sequence 1 0"
 
 
-def test_bad_node_budget_is_quoted_in_ascii(capsys, monkeypatch, tadpole_file):
-    monkeypatch.setenv("FIREFIGHT_NODE_BUDGET", "\u1dfa")
+@pytest.mark.parametrize(
+    "env, quoted",
+    [
+        # quoted with ascii(), so the bytes do not hang on the Unicode database
+        ("\u1dfa", "'\\u1dfa'"),
+        # int() alone reads these as 10 and 3
+        ("1_0", "'1_0'"),
+        ("\u0663", "'\\u0663'"),
+    ],
+)
+def test_bad_node_budget_is_quoted_in_ascii(capsys, monkeypatch, tadpole_file, env, quoted):
+    monkeypatch.setenv("FIREFIGHT_NODE_BUDGET", env)
     code, out, err = run_cli(capsys, "opt", "--instance", str(tadpole_file))
     assert (code, out) == (2, "")
-    assert err == "error: FIREFIGHT_NODE_BUDGET must be an integer, got '\\u1dfa'\n"
+    assert err == f"error: FIREFIGHT_NODE_BUDGET must be an integer, got {quoted}\n"
 
 
 def test_memo_cap_exits_3(capsys, monkeypatch, tadpole_file):

@@ -5,7 +5,7 @@ import sys
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from firefight.engine import Instance, Status, replay
@@ -211,6 +211,55 @@ def _front_merged(nbr, front, avail):
     return h
 
 
+# (n, edges, root, value, schedule) of (1, 1) games whose two-round pass
+# decides a corner case, with the optimum's value and schedule
+PINNED_TWO_ROUND = [
+    # two graphs with cycles sharing edges: the winner sits next to the
+    # front's new ring and is worth exactly the bound below which no
+    # off-front candidate is searched, n - |front| - |its neighbors| + 2
+    # (on 200,000 random cacti one less never changed a schedule)
+    (
+        12,
+        [(0, 4), (1, 6), (1, 8), (1, 10), (2, 4), (3, 11), (4, 5), (4, 6), (4, 7)]
+        + [(4, 10), (5, 11), (6, 11), (7, 9)],
+        4,
+        4,
+        ((1, 1), (2, 11)),
+    ),
+    (
+        8,
+        [(0, 1), (0, 5), (0, 6), (0, 7), (1, 7), (2, 5), (3, 6), (4, 5), (4, 6), (4, 7)],
+        7,
+        4,
+        ((1, 5), (2, 6)),
+    ),
+    # no cactus once the front is merged: an off-front candidate wins
+    # through the search of every child
+    (7, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 6), (2, 4), (3, 5), (4, 6), (5, 6)], 2, 3, ((1, 3), (2, 6))),
+    # two 4-cycles at the root: off the front, 0 and 6 tie (and so does
+    # the front vertex 1), and the lowest id wins
+    (7, [(0, 3), (0, 5), (1, 4), (1, 6), (2, 4), (2, 6), (3, 4), (4, 5)], 4, 2, ((1, 0), (2, 6))),
+    # the triangle 0-1-2 hangs off 2, neither its first member nor the
+    # root: a cycle's arcs are summed from its top, and summed from its
+    # first member they pick ((1, 3), (2, 2))
+    (
+        9,
+        [(0, 1), (0, 2), (1, 2), (2, 4), (2, 5), (3, 6), (3, 8), (4, 6), (5, 6), (6, 7), (7, 8)],
+        6,
+        4,
+        ((1, 2), (2, 8)),
+    ),
+]
+
+
+def _with_pinned_examples(test):
+    for n, edges, root, _, _ in PINNED_TWO_ROUND:
+        g = Graph.from_edges(n, edges, root)
+        test = example((oracles.is_cactus(oracles.to_nx(g)), g), [])(test)
+    return test
+
+
+@_with_pinned_examples
 @given(
     st.one_of(
         st.tuples(st.just(True), relabelled_cacti(max_n=12)),
@@ -227,9 +276,9 @@ def test_two_round_pass_matches_the_child_search(cactus_graph, head):
     inst = Instance(g, (*head, 1, 1))
     calls = []
 
-    def recording(nbr, front, roots, avail):
-        gains = real(nbr, front, roots, avail)
-        calls.append((nbr, front, avail, gains))
+    def recording(graph, front, avail):
+        gains = real(graph, front, avail)
+        calls.append((front, avail, gains))
         return gains
 
     real = optimum.pair_gains
@@ -237,7 +286,8 @@ def test_two_round_pass_matches_the_child_search(cactus_graph, head):
         mp.setattr(optimum, "pair_gains", recording)
         res = solve_opt(inst)
     assert (res.value, res.schedule) == oracles.solve_opt_reference(inst)
-    for nbr, front, avail, gains in calls:
+    nbr = [sum(1 << w for w in g.adjacency[u]) for u in range(g.n)]
+    for front, avail, gains in calls:
         merged = _front_merged(nbr, front, avail)
         if gains is None:
             assert not is_cactus_input
@@ -250,36 +300,7 @@ def test_two_round_pass_matches_the_child_search(cactus_graph, head):
                 assert g.n - region.bit_count() + gains[v] == _two_round_value(nbr, front, region, v)
 
 
-@pytest.mark.parametrize(
-    "n, edges, root, value, schedule",
-    [
-        # two graphs with cycles sharing edges: the winner sits next to the
-        # front's new ring and is worth exactly the bound below which no
-        # off-front candidate is searched, n - |front| - |its neighbors| + 2
-        # (on 200,000 random cacti one less never changed a schedule)
-        (
-            12,
-            [(0, 4), (1, 6), (1, 8), (1, 10), (2, 4), (3, 11), (4, 5), (4, 6), (4, 7)]
-            + [(4, 10), (5, 11), (6, 11), (7, 9)],
-            4,
-            4,
-            ((1, 1), (2, 11)),
-        ),
-        (
-            8,
-            [(0, 1), (0, 5), (0, 6), (0, 7), (1, 7), (2, 5), (3, 6), (4, 5), (4, 6), (4, 7)],
-            7,
-            4,
-            ((1, 5), (2, 6)),
-        ),
-        # no cactus once the front is merged: an off-front candidate wins
-        # through the search of every child
-        (7, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 6), (2, 4), (3, 5), (4, 6), (5, 6)], 2, 3, ((1, 3), (2, 6))),
-        # two 4-cycles at the root: off the front, 0 and 6 tie (and so does
-        # the front vertex 1), and the lowest id wins
-        (7, [(0, 3), (0, 5), (1, 4), (1, 6), (2, 4), (2, 6), (3, 4), (4, 5)], 4, 2, ((1, 0), (2, 6))),
-    ],
-)
+@pytest.mark.parametrize("n, edges, root, value, schedule", PINNED_TWO_ROUND)
 def test_two_round_pass_on_pinned_graphs(n, edges, root, value, schedule):
     inst = Instance(Graph.from_edges(n, edges, root), (1, 1))
     res = solve_opt(inst)
