@@ -15,7 +15,10 @@ burning, which a game must play in one pass, and `alg-c` and `alg-e` on
 ``flower-80``, 80 root cycles of 320 vertices each (n = 25521) with one
 firefighter in each of 25600 rounds, where `alg-c` breaks 40 cycles, and
 before each break walks the territory behind both root neighbors of every
-heavy root cycle, and `alg-c` on ``cactus-200k``, the instance file of
+heavy root cycle, `alg-c` and `alg-e` on ``chain-spider-4x12500``, 4
+legs of 3- to 6-cycles chained to depth 12500 (n = 87487) with one or two
+single firefighters, where three legs burn after the last decision, which
+a game need not play, and `alg-c` on ``cactus-200k``, the instance file of
 ``random_cactus(200000, 0.7, 50, 3)`` with firefighters 1,1,2,1,1,1,2,1,
 where the case times `parse_instance` on the file as well as the game,
 and the exact optimum of ``random_cactus(40, 0.5, 8, s)`` with eight
@@ -32,6 +35,7 @@ The script exits 1 when a result differs from its pin.
 
 import argparse
 import json
+import random
 import statistics
 import sys
 import time
@@ -86,6 +90,28 @@ def _flower(petals, size):
     return Graph.from_edges(1 + petals * (size - 1), edges)
 
 
+def _chain_spider(legs, depth):
+    """``legs`` chains of cycles of 3 to 6 vertices at the root, vertex 0.
+
+    Each cycle is glued at the previous one's member halfway round, which
+    lies ``size // 2`` deeper, until a leg reaches ``depth``; the sizes are
+    drawn from one ``random.Random(7)``.
+    """
+    rng = random.Random(7)
+    edges = []
+    n = 1
+    for _ in range(legs):
+        at, reached = 0, 0
+        while reached < depth:
+            size = rng.randint(3, 6)
+            cyc = [at, *range(n, n + size - 1)]
+            n += size - 1
+            edges += zip(cyc, cyc[1:] + cyc[:1])
+            at = cyc[size // 2]
+            reached += size // 2
+    return Graph.from_edges(n, edges)
+
+
 def _cases():
     """(name, n, play, expected results) of every case."""
     # a 3937-vertex cycle plus a 63-vertex tail at the root: n = 4001
@@ -94,6 +120,7 @@ def _cases():
     spider = Instance(_spider(160, 160), (1,) * 160)
     long_spider = Instance(_spider(4, 50000), (1,))
     flower = Instance(_flower(80, 320), (1,) * 25600)
+    chain = _chain_spider(4, 12500)
     cactus = Instance(random_cactus(200000, 0.7, 50, 3), (1, 1, 2, 1, 1, 1, 2, 1))
     return [
         ("tadpole-30x1/alg-e", 4001, _play(tadpole, AlgorithmKind.ALG_E), {"profit": 3997}),
@@ -116,6 +143,11 @@ def _cases():
         ("spider-4x50000/alg-c", 200001, _play(long_spider, AlgorithmKind.ALG_C), {"profit": 50000}),
         ("flower-80/alg-c", 25521, _play(flower, AlgorithmKind.ALG_C), {"profit": 12800}),
         ("flower-80/alg-e", 25521, _play(flower, AlgorithmKind.ALG_E), {"profit": 12800}),
+    ] + [
+        (f"chain-spider-4x12500/{name}/{kind.value}", 87487, _play(Instance(chain, seq), kind), {"profit": profit})
+        for name, seq, profit in (("1", (1,), 21872), ("1,1", (1, 1), 43744))
+        for kind in (AlgorithmKind.ALG_C, AlgorithmKind.ALG_E)
+    ] + [
         (
             "cactus-200k/parse+alg-c",
             200000,

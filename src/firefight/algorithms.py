@@ -300,7 +300,10 @@ class _Residual:
     the view.  A spread changes no live size: a live vertex keeps
     dominating what it dominated.  A protection inside a root cycle opens
     it into two paths, whose sizes become chain sums, once per cycle.  The
-    territory a protection covers needs no walk: the fire never reaches it.
+    territory a protection covers needs no walk: the fire never reaches it,
+    and ``saved`` adds up its size.  Candidates are dominated by the burned
+    region alone, so their territories are disjoint and ``saved`` is the
+    profit the protections so far secure.
 
     Candidates (root neighbors and live root-cycle members) sit in a lazy
     heap keyed (-size, id, stamp); an entry is current while it carries its
@@ -318,7 +321,7 @@ class _Residual:
     def __init__(self, state: GameState, decomp: CactusDecomposition, kind: AlgorithmKind):
         self.policy = _checked(kind, decomp).policy
         g = state.instance.graph
-        self.state, self.decomp, self.cooldown = state, decomp, 0
+        self.state, self.decomp, self.cooldown, self.saved = state, decomp, 0, 0
         # the state's status list is updated in place, so the walk sees the position
         self.territory: Territory = partial(_territory, g.adjacency, state.status)
         self.size = list(dominator_tree(g, decomp).size)
@@ -438,7 +441,9 @@ class _Residual:
                     self._push(u)
 
     def protect(self, v: int) -> None:
-        """v is protected: it leaves, and a root cycle through it opens."""
+        """v is protected: its size is saved, it leaves, and a root cycle
+        through it opens."""
+        self.saved += self.size[v]
         self._drop(v)
         i = self.on_cycle[v]
         if i < 0:
@@ -605,13 +610,17 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
     decomposed once, from the BFS it keeps, and its class is returned as
     ``graph_class``; ``kind`` must accept that class, even with no
     firefighter to place.  The residual game, built once if any round has
-    firefighters, plays every round up to the last such one; after that
-    round the fire burns out in one pass (:meth:`GameState.burn_out`).
+    firefighters, plays every round up to the last such one, and the game
+    ends there: the fire is not burned out.  The profit is the sum of the
+    protections' sizes in the residual game (``_Residual.saved``), each the
+    territory the fire never reaches; with no firefighter it is 0, since
+    the graph is connected.
     """
     decomp = validate_and_decompose(instance.graph)
     state = GameState(instance)
     last = max((r for r, f in enumerate(instance.sequence, 1) if f), default=0)
     events: list[ProtectEvent] = []
+    profit = 0
     if last:
         res = _Residual(state, decomp, kind)
         while state.round <= last and not state.is_finished():
@@ -619,10 +628,10 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
             burned = state.spread()
             if state.round <= last:
                 res.burn(burned)
+        profit = res.saved
     else:
         _checked(kind, decomp)
-    state.burn_out()
-    return RunResult(state.profit(), tuple(state.trace), tuple(events), decomp.class_tag)
+    return RunResult(profit, tuple(state.trace), tuple(events), decomp.class_tag)
 
 
 def decision_view(instance: Instance, result: RunResult, k: int) -> Subgraph:

@@ -93,8 +93,10 @@ class GameState:
     which makes a round cost time proportional to the burning front.
     Once no firefighter is left to place, :meth:`burn_out` plays the
     remaining rounds in one pass, so the fire costs O(n + m) over a whole
-    game.  The state counts its burned vertices, so :meth:`profit` needs
-    no scan of the statuses.
+    :func:`replay`.  The state counts its burned vertices, so
+    :meth:`profit` needs no scan of the statuses.  A strategy game
+    (:func:`~firefight.algorithms.run_algorithm`) stops at its last
+    decision instead and counts its profit from the residual game's weights.
     """
 
     def __init__(self, instance: Instance):
@@ -226,9 +228,11 @@ def replay(instance: Instance, schedule: Iterable[tuple[int, int]]) -> tuple[int
 
     Raises :class:`InvalidScheduleError` when the schedule protects a burned
     or already-protected vertex, overspends a round's budget, or is malformed.
+    Plays only the rounds in which the fire still spreads or the schedule
+    protects: once the fire has stopped, a round changes nothing but the
+    round number, so the game jumps to the next scheduled round.
     """
     by_round: dict[int, list[int]] = {}
-    last = 0
     for entry in schedule:
         try:
             r, v = map(operator.index, entry)
@@ -237,10 +241,12 @@ def replay(instance: Instance, schedule: Iterable[tuple[int, int]]) -> tuple[int
         if r < 1:
             raise InvalidScheduleError(f"round {r} out of range")
         by_round.setdefault(r, []).append(v)
-        last = max(last, r)
     state = GameState(instance)
-    for r in range(1, last + 1):
-        for v in by_round.get(r, ()):
+    for r in sorted(by_round):
+        while state.round < r:
+            if not state.spread():  # the fire has stopped
+                state.round = r
+        for v in by_round[r]:
             try:
                 state.protect(v)
             except GameError as exc:

@@ -271,14 +271,17 @@ class CactusDecomposition:
     cycles start at their smallest member and continue toward its smaller
     neighbor.  The cycles are sorted by ``(min(c), c)``, so when the root is
     vertex 0, as in every view, root cycles come first, in the order of
-    their smaller root neighbor.  ``vertex_cycles[v]`` holds the indices of
-    the cycles containing v (a cut vertex may sit on several).
+    their smaller root neighbor.  ``tops[i]`` is the top of ``cycles[i]``,
+    its member of least BFS depth, through which every path from the root
+    enters the cycle.  ``vertex_cycles[v]`` holds the indices of the cycles
+    containing v (a cut vertex may sit on several).
     """
 
     cycles: tuple[tuple[int, ...], ...]
     vertex_cycles: tuple[tuple[int, ...], ...]
     class_tag: GraphClass
     root_cycle_indices: tuple[int, ...]
+    tops: tuple[int, ...]
 
     def is_cycle_vertex(self, v: int) -> bool:
         return bool(self.vertex_cycles[v])
@@ -295,17 +298,18 @@ def validate_and_decompose(g: Graph) -> CactusDecomposition:
 
     Reads the BFS the graph keeps (:attr:`Graph.bfs`) and walks only its
     chords, so a tree needs no walk.  Each chord closes one cycle, found
-    by walking both ends up to their lowest common ancestor.  A graph is a
-    cactus iff these fundamental cycles are edge-disjoint, so a tree edge
-    walked twice raises :class:`NotCactusError`;
-    :class:`DisconnectedError` is raised when the graph is not connected.
+    by walking both ends up to their lowest common ancestor, the cycle's
+    top, which is recorded.  A graph is a cactus iff these fundamental
+    cycles are edge-disjoint, so a tree edge walked twice raises
+    :class:`NotCactusError`; :class:`DisconnectedError` is raised when the
+    graph is not connected.
     """
     order, parent, depth, chords = g.bfs
     if len(order) != g.n:
         raise DisconnectedError("graph is not connected")
     root = g.root
     walked = [False] * g.n  # tree edge (parent[v], v), keyed by v
-    cycles = []
+    found = []  # (cycle, top)
     for a, b in chords:
         up: list[int] = []
         down: list[int] = []
@@ -320,8 +324,9 @@ def validate_and_decompose(g: Graph) -> CactusDecomposition:
                 raise NotCactusError("a biconnected component is denser than one cycle")
             walked[x] = True
         cyc = up + [a] + down[::-1]
-        cycles.append(_orient(cyc, len(up) if a == root else cyc.index(min(cyc))))
-    cycles.sort(key=lambda c: (min(c), c))
+        found.append((_orient(cyc, len(up) if a == root else cyc.index(min(cyc))), a))
+    found.sort(key=lambda ct: (min(ct[0]), ct[0]))
+    cycles = [c for c, _ in found]
     vertex_cycles: list[tuple[int, ...]] = [()] * g.n
     for i, cyc in enumerate(cycles):
         for v in cyc:
@@ -337,6 +342,7 @@ def validate_and_decompose(g: Graph) -> CactusDecomposition:
         vertex_cycles=tuple(vertex_cycles),
         class_tag=tag,
         root_cycle_indices=tuple(i for i, c in enumerate(cycles) if c[0] == root),
+        tops=tuple([a for _, a in found]),
     )
 
 
@@ -391,15 +397,13 @@ def dominator_tree(g: Graph, decomp: CactusDecomposition) -> DominatorTree:
     Read off the BFS the graph keeps (:attr:`Graph.bfs`) and the cycles,
     in O(n).  A vertex whose BFS tree edge is a bridge is dominated by its
     BFS parent.  Every other vertex lies below the top of exactly one
-    cycle, the one holding that edge, and is dominated by that top, the
-    cycle's member of least BFS depth, through which every path from the
-    root enters the cycle.  Sizes are summed in reverse BFS order.
+    cycle, the one holding that edge, and is dominated by that top, which
+    the decomposition recorded (``decomp.tops``).  Sizes are summed in
+    reverse BFS order.
     """
-    order, parent, depth, _ = g.bfs
+    order, parent, _, _ = g.bfs
     idom = list(parent)
-    depth_of = depth.__getitem__
-    for cyc in decomp.cycles:
-        top = min(cyc, key=depth_of)
+    for cyc, top in zip(decomp.cycles, decomp.tops):
         for v in cyc:
             if v != top:
                 idom[v] = top

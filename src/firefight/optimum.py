@@ -205,10 +205,9 @@ def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
         return None
     dom = dominator_tree(view, decomp)
     idom, order, saved = dom.idom, dom.order, dom.size
-    depth = view.bfs.depth.__getitem__
     arc = [0] * view.n
-    for cyc in decomp.cycles:
-        t = cyc.index(min(cyc, key=depth))
+    for cyc, top in zip(decomp.cycles, decomp.tops):
+        t = cyc.index(top)
         path = cyc[t + 1 :] + cyc[:t]  # c_1 ... c_L, the top left out
         total = sum(saved[c] for c in path)
         prefix = 0
@@ -467,13 +466,11 @@ def normalize_nonredundant(
     entries = list(schedule)
     if not decomp.cycles:
         return tuple(entries)
-    dd = g.bfs.depth
     changed = True
     while changed:
         changed = False
-        for cyc in decomp.cycles:
-            u0 = min(cyc, key=lambda v: (dd[v], v))
-            k = cyc.index(u0)
+        for cyc, top in zip(decomp.cycles, decomp.tops):
+            k = cyc.index(top)
             pos = {v: i for i, v in enumerate(cyc[k:] + cyc[:k])}
             on_cycle = sorted(
                 (e for e in entries if e[1] in pos), key=lambda e: pos[e[1]]

@@ -295,6 +295,54 @@ def test_run_profit_matches_replay_of_trace(seed):
             assert event.vertex in decision_view(inst, result, k).to_orig
 
 
+def test_games_end_at_their_last_decision(monkeypatch):
+    """No game burns out or asks the game state for its profit: the profit
+    is the residual game's sum of the protected sizes."""
+    called = []
+
+    def spy(name):
+        return lambda self, *args: called.append(name)
+
+    monkeypatch.setattr(GameState, "burn_out", spy("burn_out"))
+    monkeypatch.setattr(GameState, "profit", spy("profit"))
+    played = 0
+    for seed in range(300):
+        inst = _random_instance(seed)
+        tag = validate_and_decompose(inst.graph).class_tag
+        for kind in AlgorithmKind:
+            if kind.accepts(tag):
+                run_algorithm(inst, kind)
+                played += 1
+    assert played > 600 and called == []
+
+
+_PATH6 = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+
+
+@pytest.mark.parametrize(
+    "inst, kind, profit, reasons",
+    [
+        # protecting 1 stops the fire in round 1, before the last nonzero round
+        (Instance(_PATH6, (1, 0, 1)), AlgorithmKind.ALG_C, 5, ["greedy"]),
+        # a pair seals the root cycle
+        (Instance(make_tadpole(10, 3), (2,)), AlgorithmKind.ALG_E, 10, ["pair", "pair"]),
+        # a break with a cool-down, then a greedy pick on its opened side
+        (Instance(make_tadpole(10, 3), (1, 1)), AlgorithmKind.ALG_C, 9, ["break", "greedy"]),
+        (Instance(make_tadpole(10, 3), (1, 1)), AlgorithmKind.ALG_A, 9, ["break", "greedy"]),
+        (Instance(make_tadpole(10, 3), (0, 0, 0)), AlgorithmKind.ALG_C, 0, []),
+    ],
+)
+def test_profit_is_the_weight_of_the_protections(inst, kind, profit, reasons):
+    result = run_algorithm(inst, kind)
+    schedule = [(t.round, t.vertex) for t in result.trace]
+    assert [e.reason for e in result.events] == reasons
+    if kind is AlgorithmKind.ALG_C and "break" in reasons:
+        assert result.events[0].brk.cooldown > 0
+    protected = [t.vertex for t in result.trace]
+    assert result.profit == replay(inst, schedule)[0] == engine.profit_of_protections(inst.graph, protected)
+    assert result.profit == profit
+
+
 _accepts = {
     (AlgorithmKind.GREEDY_TREE, "tree"),
     (AlgorithmKind.ALG_A, "tree"),
@@ -794,8 +842,8 @@ def test_breaks_equal_view_built_reference():
 
 def test_games_without_firefighters_make_no_dominator_pass(monkeypatch):
     """A game whose sequence brings no firefighter checks the strategy's
-    class (see test_class_gating) and burns out: no residual game, so no
-    dominator pass."""
+    class (see test_class_gating) and ends with profit 0, the graph being
+    connected: no residual game, so no dominator pass."""
     calls = []
 
     def counted(*args):

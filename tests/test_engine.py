@@ -1,6 +1,7 @@
 import ast
 import copy
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,24 @@ def test_replay_allows_protection_after_sequence_end():
     inst = Instance(path_graph(6), (1,))
     with pytest.raises(InvalidScheduleError):
         replay(inst, [(1, 4), (2, 5)])
+
+
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        # the fire stops in round 3; round 10**12 then comes at once
+        ([(10**12, 2)], "round 1000000000000, vertex 2: vertex 2 is burned"),
+        # 1 cuts 2 off, so 2 stays available, but the far round brings no firefighter
+        ([(1, 1), (10**12, 2)], "round 1000000000000, vertex 2: round 1000000000000 budget exhausted"),
+    ],
+)
+def test_replay_skips_the_rounds_after_the_fire_stops(schedule, message):
+    inst = Instance(path_graph(3), (1,))
+    start = time.perf_counter()
+    with pytest.raises(InvalidScheduleError) as info:
+        replay(inst, schedule)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == message
 
 
 def random_instance(seed, n_max=12):

@@ -206,7 +206,8 @@ def test_cycles_in_canonical_order():
 
 def _tarjan_decompose(g):
     """The lowpoint-search decomposition validate_and_decompose replaced,
-    with cycles sorted by (min(c), c): the reference for the BFS."""
+    with cycles sorted by (min(c), c) and each cycle's top its member of
+    least BFS depth: the reference for the BFS."""
     disc = [0] * g.n
     low = [0] * g.n
     timer = 1
@@ -278,6 +279,7 @@ def _tarjan_decompose(g):
         vertex_cycles=tuple(tuple(c) for c in vertex_cycles),
         class_tag=tag,
         root_cycle_indices=tuple(i for i, c in enumerate(cycles) if g.root in c),
+        tops=tuple(min(c, key=g.bfs.depth.__getitem__) for c in cycles),
     )
 
 
