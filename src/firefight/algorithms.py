@@ -8,15 +8,16 @@ against a heavy root cycle (none for ``greedy-tree`` and ``alg-e``).
 Every decision weighs the reduced view of the position: the burned region
 merged into a root, the truly available vertices kept.  A game does not
 rebuild that view per round or per placement; it keeps the residual game
-(``_Residual``) in its own ids from round to round: one decomposition and
-one dominator pass per game, then O(log n) per candidate change as the fire
-spreads and firefighters are placed.  Within a round a strategy may place
-several firefighters; each placement drops the territory it covers from
-the residual, which is what makes per-placement weights add up to the final
-profit.  A break is decided on the residual game too, once its policy's
-cheap guard passes: its live arcs are the view's root cycles, its sizes
-the view's weights, and a cut cycle's territory is one BFS of the game
-graph through the available vertices.  No decision builds a view.
+(``_Residual``) in its own ids from round to round: one chord walk and
+one dominator pass per game, never a canonical decomposition, then
+O(log n) per candidate change as the fire spreads and firefighters are
+placed.  Within a round a strategy may place several firefighters; each
+placement drops the territory it covers from the residual, which is what
+makes per-placement weights add up to the final profit.  A break is
+decided on the residual game too, once its policy's cheap guard passes:
+its live arcs are the view's root cycles, its sizes the view's weights,
+and a cut cycle's territory is one BFS of the game graph through the
+available vertices.  No decision builds a view.
 
 The residual game also holds the rest of a game's strategy state: the
 break policy and the cool-down, an int, the rounds left; building it checks
@@ -30,9 +31,9 @@ rebuilds the view a decision weighed, for a caller who wants its ids.  The
 Square-root comparisons are done in exact integer arithmetic throughout:
 ``w >= sqrt(W)`` becomes ``w*w >= W`` and population targets use
 ``ceil_sqrt``.  Ties between equally good vertices go to the lowest id.
-Root cycles are ranked by weight, then by the canonical ``decomp.cycles``
-order, ``(min(c), c)``; in a reduced view every root cycle holds the root,
-id 0, so ties between root cycles go to the smaller root neighbor.
+Root cycles are ranked by weight, then by their sorted ends; in a reduced
+view every root cycle holds the root, id 0, so ties between root cycles go
+to the smaller root neighbor, as in the canonical ``(min(c), c)`` order.
 
 A vertex is worth its dominator subtree
 (:func:`~firefight.graph.dominator_tree`), a root cycle the subtrees of its
@@ -52,6 +53,7 @@ from typing import Callable, NamedTuple, Sequence
 from .engine import AVAILABLE, BURNED, GameState, Instance, TraceEntry
 from .graph import (
     CactusDecomposition,
+    CycleWalk,
     DominatorTree,
     Graph,
     GraphClass,
@@ -60,7 +62,7 @@ from .graph import (
     ceil_sqrt,
     covered_set,  # unused here, but the benchmark's tests wrap it under this module's name
     dominator_tree,
-    validate_and_decompose,
+    fundamental_cycles,
 )
 
 log = logging.getLogger(__name__)
@@ -292,8 +294,11 @@ def _guarded_improved_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail |
 class _Residual:
     """A game's strategy state, in the game's own ids, kept across rounds:
     the live part of the position, the strategy's break ``policy`` and its
-    ``cooldown``, the rounds left.  Building it checks that the strategy
-    ``kind`` plays on the class of ``decomp``'s graph.
+    ``cooldown``, the rounds left.  It is built on the game graph's chord
+    walk (:func:`~firefight.graph.fundamental_cycles`); a canonical
+    decomposition plays the same game, since nothing here depends on a
+    cycle's orientation or index.  Building it checks that the strategy
+    ``kind`` plays on the graph's class.
 
     Live vertices are the truly available ones; the burned region plays the
     reduced view's root.  ``size[v]`` is live v's dominator-subtree size in
@@ -307,10 +312,11 @@ class _Residual:
 
     Candidates (root neighbors and live root-cycle members) sit in a lazy
     heap keyed (-size, id, stamp); an entry is current while it carries its
-    vertex's stamp.  A root cycle is its live arc, ``arcs[i] = [start,
-    length, weight]`` with positions in ``decomp.cycles[i]``, ranked in a
-    second lazy heap by (-weight, smaller end).  View ids keep the original
-    order, so both rankings agree with a view rebuilt from scratch.
+    vertex's stamp.  A cycle opens when its top burns (``topped[top]``).  A
+    root cycle is its live arc, ``arcs[i] = [start, length, weight]`` with
+    positions in the walk's ``cycles[i]``, ranked in a second lazy heap by
+    (-weight, smaller end, larger end).  View ids keep the original order,
+    so both rankings agree with a view rebuilt from scratch.
 
     A break is decided here too, in game ids: the live arcs are the root
     cycles (:meth:`root_cycle`), the sizes give their anchors, and a
@@ -318,18 +324,22 @@ class _Residual:
     (``territory``), and its record is given in those ids.
     """
 
-    def __init__(self, state: GameState, decomp: CactusDecomposition, kind: AlgorithmKind):
-        self.policy = _checked(kind, decomp).policy
+    def __init__(
+        self, state: GameState, walk: CycleWalk | CactusDecomposition, kind: AlgorithmKind
+    ):
+        self.policy = _checked(kind, walk).policy
         g = state.instance.graph
-        self.state, self.decomp, self.cooldown, self.saved = state, decomp, 0, 0
+        self.state, self.cycles, self.cooldown, self.saved = state, walk.cycles, 0, 0
         # the state's status list is updated in place, so the walk sees the position
         self.territory: Territory = partial(_territory, g.adjacency, state.status)
-        self.size = list(dominator_tree(g, decomp).size)
+        self.size = list(dominator_tree(g, walk).size)
         self.stamp = [0] * g.n
         self.cand = bytearray(g.n)
         self.heap: list[tuple[int, int, int]] = []
         self.on_cycle = [-1] * g.n  # the root cycle v is a live member of
-        self.touched = bytearray(len(decomp.cycles))  # has been a root cycle
+        self.topped: list[tuple[int, ...]] = [()] * g.n  # the cycles v is the top of
+        for i, top in enumerate(walk.tops):
+            self.topped[top] += (i,)
         self.arcs: dict[int, list[int]] = {}
         self.cycle_heap: list[tuple[int, int, int, int, int]] = []
         self.burn([g.root])
@@ -362,7 +372,7 @@ class _Residual:
 
     def _rank(self, i: int) -> None:
         start, length, w = self.arcs[i]
-        cyc = self.decomp.cycles[i]
+        cyc = self.cycles[i]
         a, b = sorted((cyc[start], cyc[(start + length - 1) % len(cyc)]))
         heappush(self.cycle_heap, (-w, a, b, i, length))
 
@@ -379,7 +389,7 @@ class _Residual:
 
     def _members(self, i: int) -> tuple[int, ...]:
         start, length, _ = self.arcs[i]
-        cyc = self.decomp.cycles[i]
+        cyc = self.cycles[i]
         end = start + length
         return cyc[start:end] if end <= len(cyc) else cyc[start:] + cyc[:end - len(cyc)]
 
@@ -387,8 +397,7 @@ class _Residual:
         """Cycle i becomes a root cycle, its top ``top`` having burned: its
         other members join the candidates in one pass, one heapify when
         they outnumber the heap."""
-        self.touched[i] = 1
-        cyc = self.decomp.cycles[i]
+        cyc = self.cycles[i]
         self.arcs[i] = arc = [(cyc.index(top) + 1) % len(cyc), len(cyc) - 1, 0]
         members = self._members(i)
         size, stamp, cand, on_cycle = self.size, self.stamp, self.cand, self.on_cycle
@@ -413,8 +422,7 @@ class _Residual:
         """The fire took ``burned``: they leave, their live neighbors join."""
         adj = self.state.instance.graph.adjacency
         status = self.state.status
-        cand, on_cycle, touched = self.cand, self.on_cycle, self.touched
-        vertex_cycles = self.decomp.vertex_cycles
+        cand, on_cycle, topped = self.cand, self.on_cycle, self.topped
         for v in burned:
             if cand[v]:
                 self._drop(v)
@@ -422,7 +430,7 @@ class _Residual:
             if i >= 0:  # an end of a root cycle's live arc
                 on_cycle[v] = -1
                 arc = self.arcs[i]
-                cyc = self.decomp.cycles[i]
+                cyc = self.cycles[i]
                 if cyc[arc[0]] == v:
                     arc[0] = (arc[0] + 1) % len(cyc)
                 arc[1] -= 1
@@ -433,9 +441,8 @@ class _Residual:
                     for u in self._members(i):
                         on_cycle[u] = -1
                     del self.arcs[i]
-            for i in vertex_cycles[v]:
-                if not touched[i]:  # v was the top of cycle i
-                    self._open(i, v)
+            for i in topped[v]:
+                self._open(i, v)
             for u in adj[v]:
                 if status[u] is AVAILABLE and not cand[u]:
                     self._push(u)
@@ -523,7 +530,8 @@ def _round(res: _Residual) -> list[ProtectEvent]:
 
 
 def _first_round(
-    kind: AlgorithmKind, view: Graph, decomp: CactusDecomposition, f: int, cooldown: int = 0
+    kind: AlgorithmKind, view: Graph, decomp: CycleWalk | CactusDecomposition, f: int,
+    cooldown: int = 0,
 ) -> tuple[list[ProtectEvent], int]:
     """Round one of a game of ``kind`` on ``view`` with f firefighters; its
     events and the cool-down it leaves."""
@@ -534,7 +542,7 @@ def _first_round(
 
 def greedy_tree_round(view: Graph, f: int) -> list[ProtectEvent]:
     """Protect the f heaviest root neighbors of a tree, one at a time."""
-    return _first_round(AlgorithmKind.GREEDY_TREE, view, validate_and_decompose(view), f)[0]
+    return _first_round(AlgorithmKind.GREEDY_TREE, view, fundamental_cycles(view), f)[0]
 
 
 def alg_a_round(view: Graph, decomp: CactusDecomposition, f: int) -> list[ProtectEvent]:
@@ -588,9 +596,9 @@ _KINDS: dict[AlgorithmKind, Contract] = {
 }
 
 
-def _checked(kind: AlgorithmKind, decomp: CactusDecomposition) -> Contract:
-    """``kind``'s contract, once it accepts the class of ``decomp``'s graph."""
-    tag = decomp.class_tag
+def _checked(kind: AlgorithmKind, walk: CycleWalk | CactusDecomposition) -> Contract:
+    """``kind``'s contract, once it accepts the class of ``walk``'s graph."""
+    tag = walk.class_tag
     if not kind.accepts(tag):
         raise WrongGraphClassError(f"{kind.value} does not accept a {tag.value} instance")
     return _KINDS[kind]
@@ -606,9 +614,10 @@ def within_bound(bound: tuple[int, int], n: int, opt: int, alg: int) -> bool:
 def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
     """Play a whole game with the chosen strategy.
 
-    Every protection is recorded as a :class:`ProtectEvent`.  The graph is
-    decomposed once, from the BFS it keeps, and its class is returned as
-    ``graph_class``; ``kind`` must accept that class, even with no
+    Every protection is recorded as a :class:`ProtectEvent`.  The graph's
+    chords are walked once (:func:`~firefight.graph.fundamental_cycles`),
+    from the BFS it keeps, and never canonicalized; its class is returned
+    as ``graph_class``; ``kind`` must accept that class, even with no
     firefighter to place.  The residual game, built once if any round has
     firefighters, plays every round up to the last such one, and the game
     ends there: the fire is not burned out.  The profit is the sum of the
@@ -616,13 +625,13 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
     territory the fire never reaches; with no firefighter it is 0, since
     the graph is connected.
     """
-    decomp = validate_and_decompose(instance.graph)
+    walk = fundamental_cycles(instance.graph)
     state = GameState(instance)
     last = max((r for r, f in enumerate(instance.sequence, 1) if f), default=0)
     events: list[ProtectEvent] = []
     profit = 0
     if last:
-        res = _Residual(state, decomp, kind)
+        res = _Residual(state, walk, kind)
         while state.round <= last and not state.is_finished():
             events += _round(res)
             burned = state.spread()
@@ -630,8 +639,8 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
                 res.burn(burned)
         profit = res.saved
     else:
-        _checked(kind, decomp)
-    return RunResult(profit, tuple(state.trace), tuple(events), decomp.class_tag)
+        _checked(kind, walk)
+    return RunResult(profit, tuple(state.trace), tuple(events), walk.class_tag)
 
 
 def decision_view(instance: Instance, result: RunResult, k: int) -> Subgraph:

@@ -262,9 +262,26 @@ class GraphClass(Enum):
     CACTUS = "cactus"
 
 
+class CycleWalk(NamedTuple):
+    """The cycles of a validated cactus as its chord walk finds them.
+
+    ``cycles[i]`` is the cycle closed by the i-th chord of the graph's BFS
+    (:attr:`BfsTree.chords`), in cyclic order from its top ``tops[i]``,
+    its member of least BFS depth, through which every path from the root
+    enters the cycle; which way round it runs is left to the walk.
+    ``class_tag`` is the graph's class.  A game reads nothing else;
+    :func:`validate_and_decompose` gives the canonical form.
+    """
+
+    cycles: tuple[tuple[int, ...], ...]
+    tops: tuple[int, ...]
+    class_tag: GraphClass
+
+
 @dataclass(frozen=True, eq=True)
 class CactusDecomposition:
-    """Cycle structure of a validated cactus.
+    """Canonical cycle structure of a validated cactus: its chord walk
+    (:class:`CycleWalk`) with every cycle oriented and the cycles sorted.
 
     ``cycles[i]`` lists one cycle in cyclic order; cycles through the root
     start at the root and continue toward the smaller root neighbor, other
@@ -274,7 +291,8 @@ class CactusDecomposition:
     their smaller root neighbor.  ``tops[i]`` is the top of ``cycles[i]``,
     its member of least BFS depth, through which every path from the root
     enters the cycle.  ``vertex_cycles[v]`` holds the indices of the cycles
-    containing v (a cut vertex may sit on several).
+    containing v (a cut vertex may sit on several).  Games play on the
+    walk; the canonical order is for callers that index cycles by it.
     """
 
     cycles: tuple[tuple[int, ...], ...]
@@ -287,29 +305,23 @@ class CactusDecomposition:
         return bool(self.vertex_cycles[v])
 
 
-def _orient(cyc: list[int], start: int) -> tuple[int, ...]:
-    """The cycle read from position ``start`` toward its smaller neighbor."""
-    r = cyc[start:] + cyc[:start]
-    return tuple(r) if r[1] < r[-1] else (r[0], *reversed(r[1:]))
-
-
-def validate_and_decompose(g: Graph) -> CactusDecomposition:
-    """Check the cactus property and extract every cycle of g's BFS tree.
+def fundamental_cycles(g: Graph) -> CycleWalk:
+    """Check the cactus property and walk every cycle of g's BFS tree once.
 
     Reads the BFS the graph keeps (:attr:`Graph.bfs`) and walks only its
     chords, so a tree needs no walk.  Each chord closes one cycle, found
     by walking both ends up to their lowest common ancestor, the cycle's
-    top, which is recorded.  A graph is a cactus iff these fundamental
-    cycles are edge-disjoint, so a tree edge walked twice raises
+    top.  A graph is a cactus iff these fundamental cycles are
+    edge-disjoint, so a tree edge walked twice raises
     :class:`NotCactusError`; :class:`DisconnectedError` is raised when the
     graph is not connected.
     """
     order, parent, depth, chords = g.bfs
     if len(order) != g.n:
         raise DisconnectedError("graph is not connected")
-    root = g.root
     walked = [False] * g.n  # tree edge (parent[v], v), keyed by v
-    found = []  # (cycle, top)
+    cycles = []
+    tops = []
     for a, b in chords:
         up: list[int] = []
         down: list[int] = []
@@ -323,26 +335,52 @@ def validate_and_decompose(g: Graph) -> CactusDecomposition:
             if walked[x]:
                 raise NotCactusError("a biconnected component is denser than one cycle")
             walked[x] = True
-        cyc = up + [a] + down[::-1]
-        found.append((_orient(cyc, len(up) if a == root else cyc.index(min(cyc))), a))
-    found.sort(key=lambda ct: (min(ct[0]), ct[0]))
-    cycles = [c for c, _ in found]
-    vertex_cycles: list[tuple[int, ...]] = [()] * g.n
-    for i, cyc in enumerate(cycles):
-        for v in cyc:
-            vertex_cycles[v] += (i,)
+        down.append(a)
+        down.reverse()
+        down += up
+        cycles.append(tuple(down))  # the top, down to one chord end, across, back up
+        tops.append(a)
     if not cycles:
         tag = GraphClass.TREE
     elif len(cycles) == 1:
         tag = GraphClass.ONE_ALMOST_TREE
     else:
         tag = GraphClass.CACTUS
+    return CycleWalk(tuple(cycles), tuple(tops), tag)
+
+
+def _orient(cyc: tuple[int, ...], start: int) -> tuple[int, ...]:
+    """The cycle read from position ``start`` toward its smaller neighbor."""
+    r = cyc[start:] + cyc[:start] if start else cyc
+    return r if r[1] < r[-1] else (r[0], *reversed(r[1:]))
+
+
+def validate_and_decompose(g: Graph) -> CactusDecomposition:
+    """The canonical decomposition of g's chord walk (:func:`fundamental_cycles`),
+    which raises :class:`NotCactusError` and :class:`DisconnectedError`.
+
+    Each cycle is read from its top when that is the root and from its
+    smallest member otherwise, toward the smaller neighbor, and the cycles
+    are sorted by ``(min(c), c)``, each minimum computed once.
+    """
+    walk = fundamental_cycles(g)
+    root = g.root
+    found = []  # (min, cycle, top)
+    for cyc, top in zip(walk.cycles, walk.tops):
+        low = min(cyc)
+        found.append((low, _orient(cyc, 0 if top == root else cyc.index(low)), top))
+    found.sort()  # no two cycles are equal, so the tops are never compared
+    cycles = [c for _, c, _ in found]
+    vertex_cycles: list[tuple[int, ...]] = [()] * g.n
+    for i, cyc in enumerate(cycles):
+        for v in cyc:
+            vertex_cycles[v] += (i,)
     return CactusDecomposition(
         cycles=tuple(cycles),
         vertex_cycles=tuple(vertex_cycles),
-        class_tag=tag,
+        class_tag=walk.class_tag,
         root_cycle_indices=tuple(i for i, c in enumerate(cycles) if c[0] == root),
-        tops=tuple([a for _, a in found]),
+        tops=tuple([t for _, _, t in found]),
     )
 
 
@@ -391,19 +429,20 @@ class DominatorTree:
         return sum(self.size[v] for v in cycle[1:])
 
 
-def dominator_tree(g: Graph, decomp: CactusDecomposition) -> DominatorTree:
+def dominator_tree(g: Graph, cycles: CycleWalk | CactusDecomposition) -> DominatorTree:
     """Immediate dominators and subtree sizes of a validated cactus.
 
     Read off the BFS the graph keeps (:attr:`Graph.bfs`) and the cycles,
-    in O(n).  A vertex whose BFS tree edge is a bridge is dominated by its
-    BFS parent.  Every other vertex lies below the top of exactly one
-    cycle, the one holding that edge, and is dominated by that top, which
-    the decomposition recorded (``decomp.tops``).  Sizes are summed in
-    reverse BFS order.
+    in O(n); only ``cycles.cycles`` and ``cycles.tops`` are read, so the
+    chord walk and its canonical form give the same tree.  A vertex whose
+    BFS tree edge is a bridge is dominated by its BFS parent.  Every other
+    vertex lies below the top of exactly one cycle, the one holding that
+    edge, and is dominated by that top.  Sizes are summed in reverse BFS
+    order.
     """
     order, parent, _, _ = g.bfs
     idom = list(parent)
-    for cyc, top in zip(decomp.cycles, decomp.tops):
+    for cyc, top in zip(cycles.cycles, cycles.tops):
         for v in cyc:
             if v != top:
                 idom[v] = top

@@ -64,7 +64,14 @@ import itertools
 from dataclasses import dataclass
 
 from .engine import Instance, ProtectionSchedule
-from .graph import Graph, NotCactusError, contract, dominator_tree, validate_and_decompose
+from .graph import (
+    Graph,
+    NotCactusError,
+    contract,
+    dominator_tree,
+    fundamental_cycles,
+    validate_and_decompose,
+)
 
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_MAX_N = 30
@@ -187,6 +194,10 @@ def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
     * when v sits on a cycle a, c_1 ... c_L (a its top, v = c_i), c_1 or
       c_L, worth h(c_1) + ... + h(c_i) or h(c_i) + ... + h(c_L).
 
+    The cycles are the view's chord walk
+    (:func:`~firefight.graph.fundamental_cycles`), each read from its top
+    in whichever direction the walk ran; the larger of the two chain sums
+    makes that direction immaterial.  No canonical decomposition is built.
     O(n + m).
     """
     index = [-1] * g.n
@@ -200,15 +211,14 @@ def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
     sub = contract(g, index)
     view = sub.graph
     try:
-        decomp = validate_and_decompose(view)
+        walk = fundamental_cycles(view)
     except NotCactusError:
         return None
-    dom = dominator_tree(view, decomp)
+    dom = dominator_tree(view, walk)
     idom, order, saved = dom.idom, dom.order, dom.size
     arc = [0] * view.n
-    for cyc, top in zip(decomp.cycles, decomp.tops):
-        t = cyc.index(top)
-        path = cyc[t + 1 :] + cyc[:t]  # c_1 ... c_L, the top left out
+    for cyc in walk.cycles:
+        path = cyc[1:]  # c_1 ... c_L: the walk reads each cycle from its top
         total = sum(saved[c] for c in path)
         prefix = 0
         for c in path:

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import random
+import sys
 from dataclasses import astuple, replace
 
 import pytest
@@ -29,6 +30,7 @@ from firefight.graph import (
     ceil_sqrt,
     covered_set,
     dominator_tree,
+    fundamental_cycles,
     induced_subgraph,
     validate_and_decompose,
     _distances,
@@ -594,7 +596,7 @@ def _residual_now(res):
     sizes = {v: res.size[v] for v in range(len(res.cand)) if res.cand[v]}
     cycles = []
     for i, (start, length, w) in res.arcs.items():
-        cyc = res.decomp.cycles[i]
+        cyc = res.cycles[i]
         cycles.append((-w, min(cyc[start], cyc[(start + length - 1) % len(cyc)])))
     return sizes, [(end, -w) for w, end in sorted(cycles)]
 
@@ -718,10 +720,11 @@ def test_decision_view_is_the_decided_graph(monkeypatch):
 
 
 def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
-    """A game with firefighters runs one dominator pass up front and builds
-    no view, not even for a break: its policies decide on the residual
-    game, however many rounds have firefighters and however many breaks."""
-    calls = {"reduced_view": 0, "contract": 0, "dominator_tree": 0}
+    """A game with firefighters runs one dominator pass up front, builds no
+    view, not even for a break, and no game canonicalizes its cycles: its
+    policies decide on the residual game, however many rounds have
+    firefighters and however many breaks."""
+    calls = {"reduced_view": 0, "contract": 0, "dominator_tree": 0, "validate_and_decompose": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -732,6 +735,10 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
     monkeypatch.setattr(GameState, "reduced_view", counted("reduced_view", GameState.reduced_view))
     monkeypatch.setattr(engine, "contract", counted("contract", graph.contract))
     monkeypatch.setattr(algorithms, "dominator_tree", counted("dominator_tree", dominator_tree))
+    decompose = counted("validate_and_decompose", graph.validate_and_decompose)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "firefight" and hasattr(module, "validate_and_decompose"):
+            monkeypatch.setattr(module, "validate_and_decompose", decompose)
     games = [Instance(make_tadpole(a, b), (1,) * 12) for a in range(3, 60, 7) for b in (1, 4, 9)]
     for s in range(2, 21):
         spider = [(0 if i % s == 0 else i, i + 1) for i in range(s * s)]
@@ -746,7 +753,7 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="firefight.algorithms"):
         for inst in games:
             for kind in AlgorithmKind:
-                calls.update(reduced_view=0, contract=0, dominator_tree=0)
+                calls.update(reduced_view=0, contract=0, dominator_tree=0, validate_and_decompose=0)
                 caplog.clear()
                 try:
                     r = run_algorithm(inst, kind)
@@ -755,7 +762,10 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
                 # a consulted policy breaks, or logs that it found nothing to break
                 consulted = sum(e.reason == "break" for e in r.events) + len(caplog.records)
                 assert calls == {
-                    "reduced_view": 0, "contract": 0, "dominator_tree": 1 if any(inst.sequence) else 0
+                    "reduced_view": 0,
+                    "contract": 0,
+                    "dominator_tree": 1 if any(inst.sequence) else 0,
+                    "validate_and_decompose": 0,
                 }, (kind, calls)
                 played["games"] += 1
                 played["long games"] += len({t.round for t in r.trace}) >= 5
@@ -838,6 +848,68 @@ def test_breaks_equal_view_built_reference():
             breaks["after greedy"] += before is not None and (before.round, before.reason) == (e.round, "greedy")
     assert breaks[AlgorithmKind.ALG_C] >= 40 and breaks[AlgorithmKind.ALG_A] >= 40, breaks
     assert breaks["after greedy"] >= 10, breaks
+
+
+def _play_on_canonical(inst, kind):
+    """``run_algorithm`` with its residual game built on the canonical
+    decomposition instead of the chord walk."""
+    decomp = validate_and_decompose(inst.graph)
+    state = GameState(inst)
+    last = max((r for r, f in enumerate(inst.sequence, 1) if f), default=0)
+    events = []
+    profit = 0
+    if last:
+        res = algorithms._Residual(state, decomp, kind)
+        while state.round <= last and not state.is_finished():
+            events += algorithms._round(res)
+            burned = state.spread()
+            if state.round <= last:
+                res.burn(burned)
+        profit = res.saved
+    else:
+        algorithms._checked(kind, decomp)
+    return algorithms.RunResult(profit, tuple(state.trace), tuple(events), decomp.class_tag)
+
+
+def _differential_graph(rng, kind):
+    """A relabelled graph of a class ``kind`` plays on."""
+    n = rng.randint(4, 30)
+    styles = {
+        AlgorithmKind.GREEDY_TREE: ("tree",),
+        AlgorithmKind.ALG_A: ("tree", "one-almost-tree", "one-almost-tree", "tadpole"),
+    }.get(kind, ("tree", "one-almost-tree", "tadpole", "cactus", "cactus", "flower"))
+    style = rng.choice(styles)
+    if style == "tree":
+        g = random_tree(n, rng.randrange(2**20))
+    elif style == "one-almost-tree":
+        g = random_one_almost_tree(n, rng.randrange(2**20))
+    elif style == "tadpole":
+        g = make_tadpole(rng.randint(3, 20), rng.randint(1, 12))
+    elif style == "cactus":
+        g = random_cactus(n, rng.uniform(0.5, 1.0), rng.randint(3, 12), rng.randrange(2**20))
+    else:
+        g = _flower(rng.randint(2, 5), rng.randint(3, 9))
+    return _relabelled(g, rng)
+
+
+def test_games_on_the_chord_walk_equal_games_on_the_canonical_decomposition():
+    """The residual game does not depend on a cycle's orientation or index:
+    on 2000 random instances of every strategy, a game built on the
+    canonical decomposition gives run_algorithm's profit, trace, events and
+    break records."""
+    seen = {"reordered": 0, "pair": 0, "break": 0}
+    for kind in AlgorithmKind:
+        rng = random.Random(kind.value)
+        for _ in range(2000):
+            g = _differential_graph(rng, kind)
+            seq = tuple(rng.choice((0, 1, 1, 1, 2, 3)) for _ in range(rng.randint(1, 8)))
+            inst = Instance(g, seq)
+            result = run_algorithm(inst, kind)
+            assert _play_on_canonical(inst, kind) == result, (inst, kind)
+            seen["reordered"] += fundamental_cycles(g).cycles != validate_and_decompose(g).cycles
+            for e in result.events:
+                seen[e.reason] = seen.get(e.reason, 0) + 1
+    assert seen["reordered"] >= 3000 and seen["pair"] >= 2000 and seen["break"] >= 500, seen
 
 
 def test_games_without_firefighters_make_no_dominator_pass(monkeypatch):

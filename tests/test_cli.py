@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import firefight
-from firefight import algorithms, cli
+from firefight import algorithms, cli, graph
 from firefight.algorithms import within_bound
 from firefight.cli import main
 from firefight.graph import GraphClass
@@ -271,23 +271,31 @@ def test_table_format_keeps_stdout_machine_readable(capsys, tadpole_file):
 
 
 @pytest.mark.parametrize("command", [("run", "--alg", "alg-a"), ("ratio", "--alg", "alg-e")])
-def test_one_decomposition_per_command(capsys, monkeypatch, tadpole_file, command):
-    """The instance's graph is decomposed once, and nothing else is: a
-    game's breaks decide on its residual game, not on a decomposed view."""
-    calls = []
-    decompose = algorithms.validate_and_decompose
+def test_one_chord_walk_per_command(capsys, monkeypatch, tadpole_file, command):
+    """The game walks the instance's chords once and nothing is
+    canonicalized: the game plays on the chord walk, and its breaks decide
+    on its residual game, not on a decomposed view."""
+    walks, decompositions = [], []
+    walk = graph.fundamental_cycles
+    decompose = graph.validate_and_decompose
 
-    def spy(g):
-        calls.append(g)
+    def walk_spy(g):
+        walks.append(g)
+        return walk(g)
+
+    def decompose_spy(g):
+        decompositions.append(g)
         return decompose(g)
 
-    monkeypatch.setattr(algorithms, "validate_and_decompose", spy)
-    if hasattr(cli, "validate_and_decompose"):
-        monkeypatch.setattr(cli, "validate_and_decompose", spy)
+    monkeypatch.setattr(algorithms, "fundamental_cycles", walk_spy)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "firefight" and hasattr(module, "validate_and_decompose"):
+            monkeypatch.setattr(module, "validate_and_decompose", decompose_spy)
     code, out, _ = run_cli(capsys, command[0], "--instance", str(tadpole_file), *command[1:])
     assert code == 0
     assert records(out)[0]["class"] == "one-almost-tree"
-    assert len(calls) == 1
+    assert len(walks) == 1 and walks[0].n == 14
+    assert decompositions == []
 
 
 def _stderr_tables(err):

@@ -3,7 +3,7 @@ from typing import Iterator
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from firefight.engine import GameState, Instance
@@ -13,6 +13,7 @@ from firefight.graph import (
     EdgeNotOnCycleError,
     Graph,
     GraphClass,
+    GraphError,
     InvalidTargetError,
     NotCactusError,
     NotRootCycleError,
@@ -25,6 +26,7 @@ from firefight.graph import (
     count_safe,
     covered_set,
     dominator_tree,
+    fundamental_cycles,
     induced_subgraph,
     tolerance,
     tolerance_edge,
@@ -307,6 +309,65 @@ def test_decompose_matches_tarjan_oracle(g, chords, data):
             validate_and_decompose(g)
         return
     assert validate_and_decompose(g) == _tarjan_decompose(g)
+
+
+@st.composite
+def walk_inputs(draw):
+    """A relabelled tree, 1-almost tree or cactus, cacti glued at their
+    roots, or any connected graph, with up to two edges added and, when
+    built as views are, without from_edges' connectivity check, up to two
+    dropped: cacti, non-cacti and disconnected graphs."""
+    g = draw(st.one_of(relabelled_cacti(), root_cycle_cacti(), connected_graphs()))
+    edges = set(g.edges())
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        u, v = draw(st.integers(0, g.n - 1)), draw(st.integers(0, g.n - 1))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    if draw(st.booleans()):
+        return Graph.from_edges(g.n, edges, g.root)
+    edges -= draw(st.sets(st.sampled_from(sorted(edges)), max_size=2))
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(g.n, tuple(tuple(sorted(a)) for a in adj), g.root)
+
+
+def _outcome(fn, g):
+    """fn(g), or the type of the GraphError it raises."""
+    try:
+        return fn(g)
+    except GraphError as exc:
+        return type(exc)
+
+
+def _rotations_and_reflections(cyc):
+    turns = {cyc[i:] + cyc[:i] for i in range(len(cyc))}
+    return turns | {c[::-1] for c in turns}
+
+
+@settings(max_examples=300)
+@given(walk_inputs())
+def test_chord_walk_is_the_decomposition_up_to_order(g):
+    """The chord walk raises what the canonical decomposition raises, has
+    its class, and holds its cycles, each read from its top, with their
+    tops; the dominator tree is the same from either."""
+    walk = _outcome(fundamental_cycles, g)
+    decomp = _outcome(validate_and_decompose, g)
+    if isinstance(decomp, type):
+        assert walk is decomp
+        return
+    assert walk.class_tag == decomp.class_tag
+    matched = []
+    for cyc, top in zip(walk.cycles, walk.tops, strict=True):
+        assert cyc[0] == top
+        forms = _rotations_and_reflections(cyc)
+        (i,) = [i for i, c in enumerate(decomp.cycles) if c in forms]
+        assert decomp.tops[i] == top
+        matched.append(i)
+    assert sorted(matched) == list(range(len(decomp.cycles)))
+    from_walk, from_decomp = dominator_tree(g, walk), dominator_tree(g, decomp)
+    assert (from_walk.idom, from_walk.size) == (from_decomp.idom, from_decomp.size)
 
 
 @given(st.one_of(cacti(), root_cycle_cacti()))
