@@ -8,9 +8,9 @@ against a heavy root cycle (none for ``greedy-tree`` and ``alg-e``).
 Every decision weighs the reduced view of the position: the burned region
 merged into a root, the truly available vertices kept.  A game does not
 rebuild that view per round or per placement; it keeps the residual game
-(``_Residual``) in its own ids from round to round: one chord walk and
-one dominator pass per game, never a canonical decomposition, then
-O(log n) per candidate change as the fire spreads and firefighters are
+(``_Residual``) in its own ids from round to round: one chord walk per
+game, which gives the dominator tree too, never a canonical decomposition,
+then O(log n) per candidate change as the fire spreads and firefighters are
 placed.  Within a round a strategy may place several firefighters; each
 placement drops the territory it covers from the residual, which is what
 makes per-placement weights add up to the final profit.  A break is
@@ -35,9 +35,8 @@ Root cycles are ranked by weight, then by their sorted ends; in a reduced
 view every root cycle holds the root, id 0, so ties between root cycles go
 to the smaller root neighbor, as in the canonical ``(min(c), c)`` order.
 
-A vertex is worth its dominator subtree
-(:func:`~firefight.graph.dominator_tree`), a root cycle the subtrees of its
-non-root vertices.
+A vertex is worth its dominator subtree (``CycleWalk.size``), a root cycle
+the subtrees of its non-root vertices.
 """
 
 from __future__ import annotations
@@ -52,16 +51,13 @@ from typing import Callable, NamedTuple, Sequence
 
 from .engine import AVAILABLE, BURNED, GameState, Instance, TraceEntry
 from .graph import (
-    CactusDecomposition,
     CycleWalk,
-    DominatorTree,
     Graph,
     GraphClass,
     Subgraph,
     break_depth,
     ceil_sqrt,
     covered_set,  # unused here, but the benchmark's tests wrap it under this module's name
-    dominator_tree,
     fundamental_cycles,
 )
 
@@ -231,24 +227,28 @@ def _improved_break(
     raise NoEligibleBreakVertexError("no cycle vertex covers the required depth")
 
 
-def improved_break(
-    g: Graph, decomp: CactusDecomposition, dom: DominatorTree, eta_sq: int
-) -> BreakDetail:
+def improved_break(g: Graph, walk: CycleWalk, eta_sq: int) -> BreakDetail:
     """Pick the cycle break point that buys the most burning time.
 
-    Considers root cycles whose weight squared (read off g's dominator tree
-    ``dom``) is at least ``eta_sq``.  Among their root neighbors that leave
-    enough territory behind, the anchor maximizes the edge tolerance at the
-    square-root population target: one BFS of the territory the cycle opens
-    when the anchor's root edge is cut.  The winner's walk gives the
-    protected vertex, the first along the opened cycle with territory at
-    depth ``depth`` or beyond hanging off it, and its cool-down.  A game
-    decides the same break on its residual game, in the game's ids.
+    Considers root cycles whose weight squared (read off the dominator tree
+    of g's chord ``walk``, in either form) is at least ``eta_sq``.  Among
+    their root neighbors that leave enough territory behind, the anchor
+    maximizes the edge tolerance at the square-root population target: one
+    BFS of the territory the cycle opens when the anchor's root edge is
+    cut.  The winner's walk gives the protected vertex, the first along the
+    opened cycle with territory at depth ``depth`` or beyond hanging off
+    it, and its cool-down.  A game decides the same break on its residual
+    game, in the game's ids.
     """
     status = [AVAILABLE] * g.n
     status[g.root] = BURNED
-    cycles = [(decomp.cycles[i], dom.cycle_weight(decomp.cycles[i])) for i in decomp.root_cycle_indices]
-    return _improved_break(cycles, dom.size, partial(_territory, g.adjacency, status), eta_sq)
+    size = walk.size
+    cycles = [
+        (cyc, sum(map(size.__getitem__, cyc[1:])))
+        for cyc, top in zip(walk.cycles, walk.tops)
+        if top == g.root
+    ]
+    return _improved_break(cycles, size, partial(_territory, g.adjacency, status), eta_sq)
 
 
 # A break policy answers a lone firefighter facing the root cycle ``i`` of
@@ -295,20 +295,21 @@ class _Residual:
     """A game's strategy state, in the game's own ids, kept across rounds:
     the live part of the position, the strategy's break ``policy`` and its
     ``cooldown``, the rounds left.  It is built on the game graph's chord
-    walk (:func:`~firefight.graph.fundamental_cycles`); a canonical
-    decomposition plays the same game, since nothing here depends on a
-    cycle's orientation or index.  Building it checks that the strategy
-    ``kind`` plays on the graph's class.
+    walk (:func:`~firefight.graph.fundamental_cycles`); the canonical form
+    plays the same game, since nothing here depends on a cycle's
+    orientation or index.  Building it checks that the strategy ``kind``
+    plays on the graph's class.
 
     Live vertices are the truly available ones; the burned region plays the
     reduced view's root.  ``size[v]`` is live v's dominator-subtree size in
-    the view.  A spread changes no live size: a live vertex keeps
-    dominating what it dominated.  A protection inside a root cycle opens
-    it into two paths, whose sizes become chain sums, once per cycle.  The
-    territory a protection covers needs no walk: the fire never reaches it,
-    and ``saved`` adds up its size.  Candidates are dominated by the burned
-    region alone, so their territories are disjoint and ``saved`` is the
-    profit the protections so far secure.
+    the view.  It starts as a list copy of the walk's ``size``, so a game
+    never changes a walk its caller holds.  A spread changes no live size:
+    a live vertex keeps dominating what it dominated.  A protection inside
+    a root cycle opens it into two paths, whose sizes become chain sums,
+    once per cycle.  The territory a protection covers needs no walk: the
+    fire never reaches it, and ``saved`` adds up its size.  Candidates are
+    dominated by the burned region alone, so their territories are disjoint
+    and ``saved`` is the profit the protections so far secure.
 
     Candidates (root neighbors and live root-cycle members) sit in a lazy
     heap keyed (-size, id, stamp); an entry is current while it carries its
@@ -324,15 +325,13 @@ class _Residual:
     (``territory``), and its record is given in those ids.
     """
 
-    def __init__(
-        self, state: GameState, walk: CycleWalk | CactusDecomposition, kind: AlgorithmKind
-    ):
+    def __init__(self, state: GameState, walk: CycleWalk, kind: AlgorithmKind):
         self.policy = _checked(kind, walk).policy
         g = state.instance.graph
         self.state, self.cycles, self.cooldown, self.saved = state, walk.cycles, 0, 0
         # the state's status list is updated in place, so the walk sees the position
         self.territory: Territory = partial(_territory, g.adjacency, state.status)
-        self.size = list(dominator_tree(g, walk).size)
+        self.size = list(walk.size)
         self.stamp = [0] * g.n
         self.cand = bytearray(g.n)
         self.heap: list[tuple[int, int, int]] = []
@@ -530,12 +529,11 @@ def _round(res: _Residual) -> list[ProtectEvent]:
 
 
 def _first_round(
-    kind: AlgorithmKind, view: Graph, decomp: CycleWalk | CactusDecomposition, f: int,
-    cooldown: int = 0,
+    kind: AlgorithmKind, view: Graph, walk: CycleWalk, f: int, cooldown: int = 0
 ) -> tuple[list[ProtectEvent], int]:
     """Round one of a game of ``kind`` on ``view`` with f firefighters; its
     events and the cool-down it leaves."""
-    res = _Residual(GameState(Instance(view, (f,))), decomp, kind)
+    res = _Residual(GameState(Instance(view, (f,))), walk, kind)
     res.cooldown = cooldown
     return _round(res), res.cooldown
 
@@ -545,24 +543,24 @@ def greedy_tree_round(view: Graph, f: int) -> list[ProtectEvent]:
     return _first_round(AlgorithmKind.GREEDY_TREE, view, fundamental_cycles(view), f)[0]
 
 
-def alg_a_round(view: Graph, decomp: CactusDecomposition, f: int) -> list[ProtectEvent]:
+def alg_a_round(view: Graph, walk: CycleWalk, f: int) -> list[ProtectEvent]:
     """One round of the 1-almost-tree strategy on the current view."""
-    return _first_round(AlgorithmKind.ALG_A, view, decomp, f)[0]
+    return _first_round(AlgorithmKind.ALG_A, view, walk, f)[0]
 
 
-def alg_e_round(view: Graph, decomp: CactusDecomposition, f: int) -> list[ProtectEvent]:
+def alg_e_round(view: Graph, walk: CycleWalk, f: int) -> list[ProtectEvent]:
     """One round of the plain cactus strategy (no cycle breaking)."""
-    return _first_round(AlgorithmKind.ALG_E, view, decomp, f)[0]
+    return _first_round(AlgorithmKind.ALG_E, view, walk, f)[0]
 
 
 def alg_c_round(
-    view: Graph, decomp: CactusDecomposition, f: int, cooldown: int
+    view: Graph, walk: CycleWalk, f: int, cooldown: int
 ) -> tuple[list[ProtectEvent], int]:
     """One round of the full cactus strategy; returns the new cool-down.
 
     The cool-down timer elapses once per round, firefighters or not.
     """
-    return _first_round(AlgorithmKind.ALG_C, view, decomp, f, cooldown)
+    return _first_round(AlgorithmKind.ALG_C, view, walk, f, cooldown)
 
 
 @dataclass(frozen=True)
@@ -596,7 +594,7 @@ _KINDS: dict[AlgorithmKind, Contract] = {
 }
 
 
-def _checked(kind: AlgorithmKind, walk: CycleWalk | CactusDecomposition) -> Contract:
+def _checked(kind: AlgorithmKind, walk: CycleWalk) -> Contract:
     """``kind``'s contract, once it accepts the class of ``walk``'s graph."""
     tag = walk.class_tag
     if not kind.accepts(tag):

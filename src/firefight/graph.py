@@ -70,7 +70,7 @@ class Graph:
     views :func:`contract` builds are valid by construction and skip it.
     The graph keeps its BFS from the root (:attr:`bfs`), which
     :meth:`from_edges` runs for the connectivity check and a view runs on
-    first use; decompositions and dominator trees read it.
+    first use; the chord walk (:func:`fundamental_cycles`) reads it.
     """
 
     n: int
@@ -263,50 +263,31 @@ class GraphClass(Enum):
 
 
 class CycleWalk(NamedTuple):
-    """The cycles of a validated cactus as its chord walk finds them.
+    """The cycles of a validated cactus and its dominator tree, as its chord
+    walk finds them.
 
     ``cycles[i]`` is the cycle closed by the i-th chord of the graph's BFS
     (:attr:`BfsTree.chords`), in cyclic order from its top ``tops[i]``,
     its member of least BFS depth, through which every path from the root
     enters the cycle; which way round it runs is left to the walk.
-    ``class_tag`` is the graph's class.  A game reads nothing else;
-    :func:`validate_and_decompose` gives the canonical form.
+    ``class_tag`` is the graph's class.  ``idom[v]`` is v's immediate
+    dominator (-1 for the root) and ``size[v]`` the size of v's dominator
+    subtree, which is exactly ``covered_set({v})``, so ``size[v]`` is the
+    weight of v; a root cycle weighs the sizes of its members but the root.
+    :func:`validate_and_decompose` gives the canonical form, of this same
+    type.
     """
 
     cycles: tuple[tuple[int, ...], ...]
     tops: tuple[int, ...]
     class_tag: GraphClass
-
-
-@dataclass(frozen=True, eq=True)
-class CactusDecomposition:
-    """Canonical cycle structure of a validated cactus: its chord walk
-    (:class:`CycleWalk`) with every cycle oriented and the cycles sorted.
-
-    ``cycles[i]`` lists one cycle in cyclic order; cycles through the root
-    start at the root and continue toward the smaller root neighbor, other
-    cycles start at their smallest member and continue toward its smaller
-    neighbor.  The cycles are sorted by ``(min(c), c)``, so when the root is
-    vertex 0, as in every view, root cycles come first, in the order of
-    their smaller root neighbor.  ``tops[i]`` is the top of ``cycles[i]``,
-    its member of least BFS depth, through which every path from the root
-    enters the cycle.  ``vertex_cycles[v]`` holds the indices of the cycles
-    containing v (a cut vertex may sit on several).  Games play on the
-    walk; the canonical order is for callers that index cycles by it.
-    """
-
-    cycles: tuple[tuple[int, ...], ...]
-    vertex_cycles: tuple[tuple[int, ...], ...]
-    class_tag: GraphClass
-    root_cycle_indices: tuple[int, ...]
-    tops: tuple[int, ...]
-
-    def is_cycle_vertex(self, v: int) -> bool:
-        return bool(self.vertex_cycles[v])
+    idom: tuple[int, ...]
+    size: tuple[int, ...]
 
 
 def fundamental_cycles(g: Graph) -> CycleWalk:
-    """Check the cactus property and walk every cycle of g's BFS tree once.
+    """Check the cactus property, walk every cycle of g's BFS tree once, and
+    read g's dominator tree off the walk.
 
     Reads the BFS the graph keeps (:attr:`Graph.bfs`) and walks only its
     chords, so a tree needs no walk.  Each chord closes one cycle, found
@@ -314,12 +295,16 @@ def fundamental_cycles(g: Graph) -> CycleWalk:
     top.  A graph is a cactus iff these fundamental cycles are
     edge-disjoint, so a tree edge walked twice raises
     :class:`NotCactusError`; :class:`DisconnectedError` is raised when the
-    graph is not connected.
+    graph is not connected.  A vertex whose BFS tree edge is a bridge is
+    dominated by its BFS parent; every other vertex lies below the top of
+    exactly one cycle, the one holding that edge, and is dominated by that
+    top.  Sizes are summed in reverse BFS order.  O(n).
     """
     order, parent, depth, chords = g.bfs
     if len(order) != g.n:
         raise DisconnectedError("graph is not connected")
     walked = [False] * g.n  # tree edge (parent[v], v), keyed by v
+    idom = list(parent)
     cycles = []
     tops = []
     for a, b in chords:
@@ -335,18 +320,22 @@ def fundamental_cycles(g: Graph) -> CycleWalk:
             if walked[x]:
                 raise NotCactusError("a biconnected component is denser than one cycle")
             walked[x] = True
-        down.append(a)
         down.reverse()
         down += up
-        cycles.append(tuple(down))  # the top, down to one chord end, across, back up
+        for x in down:
+            idom[x] = a
+        cycles.append((a, *down))  # the top, down to one chord end, across, back up
         tops.append(a)
+    size = [1] * g.n
+    for v in reversed(order[1:]):
+        size[idom[v]] += size[v]
     if not cycles:
         tag = GraphClass.TREE
     elif len(cycles) == 1:
         tag = GraphClass.ONE_ALMOST_TREE
     else:
         tag = GraphClass.CACTUS
-    return CycleWalk(tuple(cycles), tuple(tops), tag)
+    return CycleWalk(tuple(cycles), tuple(tops), tag, tuple(idom), tuple(size))
 
 
 def _orient(cyc: tuple[int, ...], start: int) -> tuple[int, ...]:
@@ -355,13 +344,16 @@ def _orient(cyc: tuple[int, ...], start: int) -> tuple[int, ...]:
     return r if r[1] < r[-1] else (r[0], *reversed(r[1:]))
 
 
-def validate_and_decompose(g: Graph) -> CactusDecomposition:
-    """The canonical decomposition of g's chord walk (:func:`fundamental_cycles`),
-    which raises :class:`NotCactusError` and :class:`DisconnectedError`.
+def validate_and_decompose(g: Graph) -> CycleWalk:
+    """g's chord walk (:func:`fundamental_cycles`), which raises
+    :class:`NotCactusError` and :class:`DisconnectedError`, in canonical form.
 
     Each cycle is read from its top when that is the root and from its
     smallest member otherwise, toward the smaller neighbor, and the cycles
-    are sorted by ``(min(c), c)``, each minimum computed once.
+    are sorted by ``(min(c), c)``, each minimum computed once, so when the
+    root is vertex 0, as in every view, root cycles come first, in the
+    order of their smaller root neighbor.  The tops follow their cycles;
+    the dominator tree, which no cycle order changes, is the walk's.
     """
     walk = fundamental_cycles(g)
     root = g.root
@@ -370,18 +362,8 @@ def validate_and_decompose(g: Graph) -> CactusDecomposition:
         low = min(cyc)
         found.append((low, _orient(cyc, 0 if top == root else cyc.index(low)), top))
     found.sort()  # no two cycles are equal, so the tops are never compared
-    cycles = [c for _, c, _ in found]
-    vertex_cycles: list[tuple[int, ...]] = [()] * g.n
-    for i, cyc in enumerate(cycles):
-        for v in cyc:
-            vertex_cycles[v] += (i,)
-    return CactusDecomposition(
-        cycles=tuple(cycles),
-        vertex_cycles=tuple(vertex_cycles),
-        class_tag=walk.class_tag,
-        root_cycle_indices=tuple(i for i, c in enumerate(cycles) if c[0] == root),
-        tops=tuple([t for _, _, t in found]),
-    )
+    cycles = tuple([c for _, c, _ in found])
+    return walk._replace(cycles=cycles, tops=tuple([t for _, _, t in found]))
 
 
 def contract(g: Graph, index: list[int]) -> Subgraph:
@@ -410,53 +392,11 @@ def contract(g: Graph, index: list[int]) -> Subgraph:
     return Subgraph(Graph(len(adjacency), tuple(adjacency), 0), (g.root, *kept))
 
 
-@dataclass(frozen=True)
-class DominatorTree:
-    """Dominator tree of a rooted cactus.
-
-    ``idom[v]`` is v's immediate dominator (-1 for the root), ``order`` is
-    a BFS order from the root, so every vertex comes after its dominator,
-    and ``size[v]`` is the size of v's dominator subtree.  The subtree of v
-    is exactly ``covered_set({v})``, so ``size[v]`` is the weight of v.
-    """
-
-    idom: tuple[int, ...]
-    order: tuple[int, ...]
-    size: tuple[int, ...]
-
-    def cycle_weight(self, cycle: tuple[int, ...]) -> int:
-        """Weight of a root cycle (root first): its other vertices' subtrees."""
-        return sum(self.size[v] for v in cycle[1:])
-
-
-def dominator_tree(g: Graph, cycles: CycleWalk | CactusDecomposition) -> DominatorTree:
-    """Immediate dominators and subtree sizes of a validated cactus.
-
-    Read off the BFS the graph keeps (:attr:`Graph.bfs`) and the cycles,
-    in O(n); only ``cycles.cycles`` and ``cycles.tops`` are read, so the
-    chord walk and its canonical form give the same tree.  A vertex whose
-    BFS tree edge is a bridge is dominated by its BFS parent.  Every other
-    vertex lies below the top of exactly one cycle, the one holding that
-    edge, and is dominated by that top.  Sizes are summed in reverse BFS
-    order.
-    """
-    order, parent, _, _ = g.bfs
-    idom = list(parent)
-    for cyc, top in zip(cycles.cycles, cycles.tops):
-        for v in cyc:
-            if v != top:
-                idom[v] = top
-    size = [1] * g.n
-    for v in reversed(order[1:]):
-        size[idom[v]] += size[v]
-    return DominatorTree(tuple(idom), order, tuple(size))
-
-
-def _cycle_for_break(decomp: CactusDecomposition, g: Graph, c: int, cut) -> tuple[int, ...]:
+def _cycle_for_break(walk: CycleWalk, g: Graph, c: int, cut) -> tuple[int, ...]:
     """Root cycle ``c``, checked to break at the vertex or edge ``cut``."""
-    if not 0 <= c < len(decomp.cycles):
+    if not 0 <= c < len(walk.cycles):
         raise ValueError(f"no cycle with index {c}")
-    cyc = decomp.cycles[c]
+    cyc = walk.cycles[c]
     if g.root not in cyc:
         raise NotRootCycleError("operation only defined for cycles through the root")
     if isinstance(cut, tuple):
@@ -470,29 +410,27 @@ def _cycle_for_break(decomp: CactusDecomposition, g: Graph, c: int, cut) -> tupl
     return cyc
 
 
-def break_subgraph(g: Graph, decomp: CactusDecomposition, c: int, v: int) -> Subgraph:
+def break_subgraph(g: Graph, walk: CycleWalk, c: int, v: int) -> Subgraph:
     """Territory that stays reachable after breaking root cycle ``c`` at ``v``.
 
     The induced subgraph on the root plus everything the cycle covers, with
     v's own covered set removed.  The reference definition behind
     :func:`break_distances`.
     """
-    cyc = _cycle_for_break(decomp, g, c, v)
+    cyc = _cycle_for_break(walk, g, c, v)
     keep = {g.root} | covered_set(g, (), set(cyc) - {g.root})
     return induced_subgraph(g, keep - covered_set(g, (), {v}), g.root)
 
 
-def break_subgraph_edge(
-    g: Graph, decomp: CactusDecomposition, c: int, e: tuple[int, int]
-) -> Subgraph:
+def break_subgraph_edge(g: Graph, walk: CycleWalk, c: int, e: tuple[int, int]) -> Subgraph:
     """Like :func:`break_subgraph` but severing one cycle edge instead."""
-    cyc = _cycle_for_break(decomp, g, c, tuple(e))
+    cyc = _cycle_for_break(walk, g, c, tuple(e))
     keep = {g.root} | covered_set(g, (), set(cyc) - {g.root})
     return induced_subgraph(g, keep, g.root, drop_edge=e)
 
 
 def break_distances(
-    g: Graph, decomp: CactusDecomposition, c: int, cut: int | tuple[int, int]
+    g: Graph, walk: CycleWalk, c: int, cut: int | tuple[int, int]
 ) -> dict[int, int]:
     """Root distances over root cycle ``c``'s territory once it is broken at
     vertex ``cut`` or severed at edge ``cut``, in BFS order from the root (0).
@@ -500,7 +438,7 @@ def break_distances(
     One BFS of g - root from the cycle's root neighbors, which never enters
     the broken vertex (so its covered set drops out) nor crosses the cut edge.
     """
-    cyc = _cycle_for_break(decomp, g, c, cut)
+    cyc = _cycle_for_break(walk, g, c, cut)
     edge = cut if isinstance(cut, tuple) else ()
     dist = {g.root: 0}
     order = [g.root]
@@ -519,17 +457,17 @@ def break_depth(dist: dict[int, int], m: int) -> int | None:
     return list(dist.values())[-m] if len(dist) >= m else None
 
 
-def tolerance(g: Graph, decomp: CactusDecomposition, u: int, c: int, m: int) -> int | None:
+def tolerance(g: Graph, walk: CycleWalk, u: int, c: int, m: int) -> int | None:
     """Largest d such that breaking cycle ``c`` at ``u`` keeps at least ``m``
     vertices at distance >= d from the root.  None when even d=0 falls short.
 
     One BFS of the territory the break opens (:func:`break_distances`).
     """
-    return break_depth(break_distances(g, decomp, c, u), m)
+    return break_depth(break_distances(g, walk, c, u), m)
 
 
 def tolerance_edge(
-    g: Graph, decomp: CactusDecomposition, e: tuple[int, int], c: int, m: int
+    g: Graph, walk: CycleWalk, e: tuple[int, int], c: int, m: int
 ) -> int | None:
     """Edge variant of :func:`tolerance`: sever ``e`` instead of a vertex."""
-    return break_depth(break_distances(g, decomp, c, tuple(e)), m)
+    return break_depth(break_distances(g, walk, c, tuple(e)), m)

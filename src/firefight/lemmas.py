@@ -192,7 +192,7 @@ def _trial_covered_oracle(rng: random.Random):
 def _trial_neighbors_best(rng: random.Random):
     g = random_one_almost_tree(rng.randint(4, 12), _seed(rng), through_root=True)
     decomp = validate_and_decompose(g)
-    ci = decomp.root_cycle_indices[0]
+    ci = decomp.tops.index(g.root)
     cyc = decomp.cycles[ci]
     u1, up = cyc[1], cyc[-1]
     w1 = weight(g, (), [u1])
@@ -278,8 +278,9 @@ def _trial_secured_break(rng: random.Random):
     ci = _cycle_index(decomp, brk.cycle)
     c_hat = _count_fn(break_subgraph(g, decomp, ci, brk.vertex))
     w_hat = weight(g, (), [brk.vertex])
-    for cj in decomp.root_cycle_indices:
-        cyc = decomp.cycles[cj]
+    for cj, (cyc, top) in enumerate(zip(decomp.cycles, decomp.tops)):
+        if top != g.root:
+            continue
         w_cyc = weight(g, (), set(cyc) - {g.root})
         if w_cyc * w_cyc < n:
             continue
@@ -363,17 +364,17 @@ def _trial_cycle_respecting(rng: random.Random):
     opt = solve_opt(inst)
     psi = sorted(v for _, v in opt.schedule)
     g = inst.graph
-    decomp = validate_and_decompose(g)
+    on_cycles: list[set[int]] = [set() for _ in range(g.n)]
+    for i, cyc in enumerate(validate_and_decompose(g).cycles):
+        for v in cyc:
+            on_cycles[v].add(i)
     # finest partition with whole cycles kept together: join on shared cycle
     parts: list[set[int]] = []
     for v in psi:
         mine = {v}
         joined = []
         for p in parts:
-            if any(
-                set(decomp.vertex_cycles[v]) & set(decomp.vertex_cycles[u])
-                for u in p
-            ):
+            if any(on_cycles[v] & on_cycles[u] for u in p):
                 mine |= p
             else:
                 joined.append(p)

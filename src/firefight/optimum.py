@@ -68,7 +68,6 @@ from .graph import (
     Graph,
     NotCactusError,
     contract,
-    dominator_tree,
     fundamental_cycles,
     validate_and_decompose,
 )
@@ -186,7 +185,8 @@ def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
     merged into its root, is not a cactus.
 
     With h(u) the size of u's subtree in the view's dominator tree (the
-    vertices u alone cuts off), the best partner w of v is:
+    vertices u alone cuts off, the walk's ``size``), the best partner w of
+    v is:
 
     * the highest dominator of v below the root, worth h of it;
     * any vertex neither above nor below v in the dominator tree, worth
@@ -194,11 +194,11 @@ def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
     * when v sits on a cycle a, c_1 ... c_L (a its top, v = c_i), c_1 or
       c_L, worth h(c_1) + ... + h(c_i) or h(c_i) + ... + h(c_L).
 
-    The cycles are the view's chord walk
-    (:func:`~firefight.graph.fundamental_cycles`), each read from its top
-    in whichever direction the walk ran; the larger of the two chain sums
-    makes that direction immaterial.  No canonical decomposition is built.
-    O(n + m).
+    The cycles and the dominator tree are the view's chord walk
+    (:func:`~firefight.graph.fundamental_cycles`), each cycle read from its
+    top in whichever direction the walk ran; the larger of the two chain
+    sums makes that direction immaterial.  No canonical decomposition is
+    built.  O(n + m).
     """
     index = [-1] * g.n
     k = 0
@@ -214,8 +214,7 @@ def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
         walk = fundamental_cycles(view)
     except NotCactusError:
         return None
-    dom = dominator_tree(view, walk)
-    idom, order, saved = dom.idom, dom.order, dom.size
+    idom, saved, order = walk.idom, walk.size, view.bfs.order
     arc = [0] * view.n
     for cyc in walk.cycles:
         path = cyc[1:]  # c_1 ... c_L: the walk reads each cycle from its top
@@ -470,6 +469,12 @@ def normalize_nonredundant(
     closest-to-root vertex) is shielded by them no matter the timing, so
     removing it changes neither validity nor profit.  Keeps dropping until
     every cycle carries at most two protections.
+
+    The cycles are read in canonical form (:func:`validate_and_decompose`),
+    not as the chord walk found them: which protection a cycle loses
+    depends on the direction the cycle is read in and on the order the
+    cycles are visited, and on random cacti about half of the over-full
+    schedules come out differently in the walk's order.
     """
     g = instance.graph
     decomp = validate_and_decompose(g)

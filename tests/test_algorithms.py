@@ -29,7 +29,6 @@ from firefight.graph import (
     Subgraph,
     ceil_sqrt,
     covered_set,
-    dominator_tree,
     fundamental_cycles,
     induced_subgraph,
     validate_and_decompose,
@@ -99,7 +98,7 @@ def test_improved_break_frozen_example():
     # hexagon through the root with a pendant at vertex 3
     g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (3, 6)])
     d = validate_and_decompose(g)
-    b = improved_break(g, d, dominator_tree(g, d), eta_sq=7)
+    b = improved_break(g, d, eta_sq=7)
     assert (b.vertex, b.anchor, b.depth, b.cooldown) == (1, 1, 4, 5)
     assert b.target == 3
     assert b.cycle == (0, 1, 2, 3, 4, 5)
@@ -110,7 +109,7 @@ def test_improved_break_requires_heavy_cycle():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     d = validate_and_decompose(g)
     with pytest.raises(NoEligibleCycleError):
-        improved_break(g, d, dominator_tree(g, d), eta_sq=10**6)
+        improved_break(g, d, eta_sq=10**6)
 
 
 def test_greedy_round_takes_heaviest_subtree():
@@ -436,6 +435,11 @@ def test_root_cycle_ties_fall_to_decomposition_order():
     assert [(c.vertex, c.reason) for c in choices] == [(2, "pair"), (4, "pair")]
 
 
+def _root_cycles(g, walk):
+    """The indices of ``walk``'s cycles through the root."""
+    return [i for i, top in enumerate(walk.tops) if top == g.root]
+
+
 def _reference_improved_break(g, decomp, eta_sq):
     """improved_break with one covered_set per weight and per cycle vertex,
     and distances read off each materialized opened territory."""
@@ -452,7 +456,7 @@ def _reference_improved_break(g, decomp, eta_sq):
         return {sub.to_orig[v]: d for v, d in local.items()}
 
     eligible = []
-    for i in decomp.root_cycle_indices:
+    for i in _root_cycles(g, decomp):
         w = weight(set(decomp.cycles[i]) - {root})
         if w * w >= eta_sq:
             eligible.append((i, w))
@@ -500,15 +504,17 @@ def test_improved_break_matches_covered_set_reference():
             rng.shuffle(perm)
             g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
         d = validate_and_decompose(g)
-        dom = dominator_tree(g, d)
         eta_sq = rng.randint(1, 2 * g.n)
         try:
             expected = _reference_improved_break(g, d, eta_sq)
         except (NoEligibleCycleError, NoEligibleBreakVertexError) as exc:
-            with pytest.raises(type(exc)):
-                improved_break(g, d, dom, eta_sq)
+            for walk in (d, fundamental_cycles(g)):
+                with pytest.raises(type(exc)):
+                    improved_break(g, walk, eta_sq)
             continue
-        assert improved_break(g, d, dom, eta_sq) == expected
+        # the break does not depend on the order or orientation of the cycles
+        assert improved_break(g, d, eta_sq) == expected
+        assert improved_break(g, fundamental_cycles(g), eta_sq) == expected
         breaks += 1
     assert breaks >= 200
 
@@ -517,7 +523,7 @@ def _reference_tolerance_break(g, decomp):
     """alg-a's break on g's root cycle with weights from covered_set: the
     more tolerant root neighbor, ties to the lower one."""
     root = g.root
-    (ci,) = decomp.root_cycle_indices
+    (ci,) = _root_cycles(g, decomp)
     cyc = decomp.cycles[ci]
     w = len(covered_set(g, frozenset(), frozenset(cyc) - {root}))
     target = ceil_sqrt(w)
@@ -579,16 +585,15 @@ def test_breaks_build_no_subgraph(monkeypatch):
 
 
 def _expected_residual(sub):
-    """What a decision on view ``sub`` weighs, read off a fresh dominator
-    tree, in original ids: each candidate's size, and the root cycles as
-    (smaller end, weight) in rank order."""
+    """What a decision on view ``sub`` weighs, read off a fresh canonical
+    decomposition, in original ids: each candidate's size, and the root
+    cycles as (smaller end, weight) in rank order."""
     g, orig = sub.graph, sub.to_orig
     d = validate_and_decompose(g)
-    dom = dominator_tree(g, d)
-    cycles = [d.cycles[i] for i in d.root_cycle_indices]
+    cycles = [d.cycles[i] for i in _root_cycles(g, d)]
     pool = set(g.adjacency[0]).union(*(c[1:] for c in cycles))
-    ranked = sorted((-dom.cycle_weight(c), orig[c[1]]) for c in cycles)
-    return {orig[v]: dom.size[v] for v in pool}, [(end, -w) for w, end in ranked]
+    ranked = sorted((-sum(d.size[v] for v in c[1:]), orig[c[1]]) for c in cycles)
+    return {orig[v]: d.size[v] for v in pool}, [(end, -w) for w, end in ranked]
 
 
 def _residual_now(res):
@@ -720,11 +725,11 @@ def test_decision_view_is_the_decided_graph(monkeypatch):
 
 
 def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
-    """A game with firefighters runs one dominator pass up front, builds no
-    view, not even for a break, and no game canonicalizes its cycles: its
-    policies decide on the residual game, however many rounds have
-    firefighters and however many breaks."""
-    calls = {"reduced_view": 0, "contract": 0, "dominator_tree": 0, "validate_and_decompose": 0}
+    """A game walks its chords once, which gives its dominator tree too,
+    builds no view, not even for a break, and no game canonicalizes its
+    cycles: its policies decide on the residual game, however many rounds
+    have firefighters and however many breaks."""
+    calls = {"reduced_view": 0, "contract": 0, "fundamental_cycles": 0, "validate_and_decompose": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -734,7 +739,9 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
 
     monkeypatch.setattr(GameState, "reduced_view", counted("reduced_view", GameState.reduced_view))
     monkeypatch.setattr(engine, "contract", counted("contract", graph.contract))
-    monkeypatch.setattr(algorithms, "dominator_tree", counted("dominator_tree", dominator_tree))
+    monkeypatch.setattr(
+        algorithms, "fundamental_cycles", counted("fundamental_cycles", fundamental_cycles)
+    )
     decompose = counted("validate_and_decompose", graph.validate_and_decompose)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "firefight" and hasattr(module, "validate_and_decompose"):
@@ -753,7 +760,7 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="firefight.algorithms"):
         for inst in games:
             for kind in AlgorithmKind:
-                calls.update(reduced_view=0, contract=0, dominator_tree=0, validate_and_decompose=0)
+                calls.update(dict.fromkeys(calls, 0))
                 caplog.clear()
                 try:
                     r = run_algorithm(inst, kind)
@@ -764,7 +771,7 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
                 assert calls == {
                     "reduced_view": 0,
                     "contract": 0,
-                    "dominator_tree": 1 if any(inst.sequence) else 0,
+                    "fundamental_cycles": 1,
                     "validate_and_decompose": 0,
                 }, (kind, calls)
                 played["games"] += 1
@@ -810,9 +817,9 @@ def test_run_algorithm_never_builds_a_view(monkeypatch):
 def test_breaks_equal_view_built_reference():
     """Every break a game decides on its residual game is the break the
     view-built reference decides on the decision's view, renamed into the
-    game's ids: ``improved_break`` on the view's own decomposition and
-    dominator tree for alg-c, the covered_set tolerance reference for
-    alg-a.  Some breaks come after greedy protections of the same round."""
+    game's ids: ``improved_break`` on the view's own decomposition for
+    alg-c, the covered_set tolerance reference for alg-a.  Some breaks come
+    after greedy protections of the same round."""
     games = []
     for seed in range(240):
         rng = random.Random(seed)
@@ -838,7 +845,7 @@ def test_breaks_equal_view_built_reference():
             view = sub.graph
             d = validate_and_decompose(view)
             if kind is AlgorithmKind.ALG_C:
-                expected = improved_break(view, d, dominator_tree(view, d), inst.graph.n)
+                expected = improved_break(view, d, inst.graph.n)
             else:
                 expected = _reference_tolerance_break(view, d)
             assert e.brk == _renamed(expected, sub.to_orig), (inst, kind, k)
@@ -912,17 +919,18 @@ def test_games_on_the_chord_walk_equal_games_on_the_canonical_decomposition():
     assert seen["reordered"] >= 3000 and seen["pair"] >= 2000 and seen["break"] >= 500, seen
 
 
-def test_games_without_firefighters_make_no_dominator_pass(monkeypatch):
+def test_games_without_firefighters_build_no_residual_game(monkeypatch):
     """A game whose sequence brings no firefighter checks the strategy's
     class (see test_class_gating) and ends with profit 0, the graph being
-    connected: no residual game, so no dominator pass."""
+    connected: it builds no residual game."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return dominator_tree(*args)
+    class Counted(algorithms._Residual):
+        def __init__(self, *args):
+            calls.append(args)
+            super().__init__(*args)
 
-    monkeypatch.setattr(algorithms, "dominator_tree", counted)
+    monkeypatch.setattr(algorithms, "_Residual", Counted)
     path = Graph.from_edges(300, [(i, i + 1) for i in range(299)])
     shapes = [path, make_tadpole(20, 4), _flower(3, 5), random_tree(30, 1), random_cactus(30, 0.8, 6, 2)]
     for g in shapes:
@@ -937,9 +945,31 @@ def test_games_without_firefighters_make_no_dominator_pass(monkeypatch):
     assert len(calls) == 1
 
 
+def test_games_leave_their_walk_unchanged():
+    """A game copies the sizes it changes: a round played twice on one
+    decomposition decides the same both times and leaves the decomposition
+    equal to a fresh one, also when it protects inside a root cycle."""
+    inside = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        if seed % 3 == 0:
+            g = make_tadpole(rng.randint(3, 40), rng.randint(1, 8))
+        elif seed % 3 == 1:
+            g = _flower(rng.randint(2, 5), rng.randint(4, 12))
+        else:
+            g = random_cactus(rng.randint(6, 40), rng.uniform(0.5, 1.0), rng.randint(4, 16), seed)
+        w = validate_and_decompose(g)
+        first = alg_c_round(g, w, 1, 0)
+        assert alg_c_round(g, w, 1, 0) == first
+        assert w == validate_and_decompose(g)
+        (event,), _ = first
+        inside += any(event.vertex in c[1:] for c in w.cycles if c[0] == g.root)
+    assert inside >= 80, inside
+
+
 def test_one_bfs_per_graph(monkeypatch):
     """A graph BFSes once, when from_edges checks that it is connected;
-    games, decompositions, dominator passes and the solver's bounds read
+    games, chord walks, decompositions and the solver's bounds read
     that BFS, and BFS no other graph.  A reduced view BFSes on first use,
     at most once."""
     bfsed = []
@@ -963,14 +993,14 @@ def test_one_bfs_per_graph(monkeypatch):
         for kind in AlgorithmKind:
             if kind.accepts(validate_and_decompose(g).class_tag):
                 run_algorithm(inst, kind)
-        dominator_tree(g, validate_and_decompose(g))
+        fundamental_cycles(g)
         opt_upper_bound(inst)
         normalize_nonredundant(inst, ())
         assert bfsed == [g]
         state = GameState(inst)
         state.spread()
         view = state.reduced_view().graph
-        dominator_tree(view, validate_and_decompose(view))
+        fundamental_cycles(view)
         validate_and_decompose(view)
         assert sum(x is g for x in bfsed) == 1
         assert len({id(x) for x in bfsed}) == len(bfsed)

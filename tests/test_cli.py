@@ -272,9 +272,10 @@ def test_table_format_keeps_stdout_machine_readable(capsys, tadpole_file):
 
 @pytest.mark.parametrize("command", [("run", "--alg", "alg-a"), ("ratio", "--alg", "alg-e")])
 def test_one_chord_walk_per_command(capsys, monkeypatch, tadpole_file, command):
-    """The game walks the instance's chords once and nothing is
-    canonicalized: the game plays on the chord walk, and its breaks decide
-    on its residual game, not on a decomposed view."""
+    """The game walks the instance's chords once, which gives its dominator
+    tree too, and nothing is canonicalized: the game plays on the chord
+    walk, and its breaks decide on its residual game, not on a decomposed
+    view."""
     walks, decompositions = [], []
     walk = graph.fundamental_cycles
     decompose = graph.validate_and_decompose

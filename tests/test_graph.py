@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from firefight.engine import GameState, Instance
 from firefight.graph import (
-    CactusDecomposition,
     DisconnectedError,
     EdgeNotOnCycleError,
     Graph,
@@ -25,7 +24,6 @@ from firefight.graph import (
     ceil_sqrt,
     count_safe,
     covered_set,
-    dominator_tree,
     fundamental_cycles,
     induced_subgraph,
     tolerance,
@@ -182,8 +180,8 @@ def test_root_cycle_order_convention():
     g = Graph.from_edges(5, [(0, 2), (2, 3), (3, 4), (4, 0), (0, 1)])
     d = validate_and_decompose(g)
     assert d.cycles == ((0, 2, 3, 4),)
-    assert d.root_cycle_indices == (0,)
-    assert d.is_cycle_vertex(2) and not d.is_cycle_vertex(1)
+    assert d.tops == (0,)
+    assert (d.idom, d.size) == ((-1, 0, 0, 0, 0), (5, 1, 1, 1, 1))
 
 
 def test_nonroot_cycle_starts_at_smallest_member():
@@ -191,25 +189,27 @@ def test_nonroot_cycle_starts_at_smallest_member():
     d = validate_and_decompose(g)
     (cyc,) = d.cycles
     assert cyc[0] == min(cyc) == 1
-    assert d.root_cycle_indices == ()
+    assert d.tops == (1,)
 
 
 def test_cycles_in_canonical_order():
     # (5, 1, 2) hangs off the root through 5 and (1, 3, 4) off its vertex 1:
     # both start at their smallest member 1 and sort by the next one
     g = Graph.from_edges(6, [(0, 5), (5, 1), (1, 2), (2, 5), (1, 3), (3, 4), (4, 1)])
-    assert validate_and_decompose(g).cycles == ((1, 2, 5), (1, 3, 4))
+    d = validate_and_decompose(g)
+    assert d.cycles == ((1, 2, 5), (1, 3, 4))
+    assert d.tops == (5, 1)
     # root cycles all start at the root: ties go to the smaller root neighbor
     g = Graph.from_edges(7, [(0, 5), (5, 1), (1, 6), (6, 0), (0, 2), (2, 3), (3, 4), (4, 0)])
     d = validate_and_decompose(g)
     assert d.cycles == ((0, 2, 3, 4), (0, 5, 1, 6))
-    assert d.root_cycle_indices == (0, 1)
+    assert d.tops == (0, 0)
 
 
 def _tarjan_decompose(g):
-    """The lowpoint-search decomposition validate_and_decompose replaced,
-    with cycles sorted by (min(c), c) and each cycle's top its member of
-    least BFS depth: the reference for the BFS."""
+    """The lowpoint-search decomposition validate_and_decompose replaced:
+    the cycles sorted by (min(c), c), each cycle's top, its member of least
+    BFS depth, and the class, the reference for the BFS."""
     disc = [0] * g.n
     low = [0] * g.n
     timer = 1
@@ -266,23 +266,13 @@ def _tarjan_decompose(g):
             order.append(nxt)
         cycles.append(tuple(order))
     cycles.sort(key=lambda c: (min(c), c))
-    vertex_cycles = [[] for _ in range(g.n)]
-    for i, cyc in enumerate(cycles):
-        for v in cyc:
-            vertex_cycles[v].append(i)
     if not cycles:
         tag = GraphClass.TREE
     elif len(cycles) == 1:
         tag = GraphClass.ONE_ALMOST_TREE
     else:
         tag = GraphClass.CACTUS
-    return CactusDecomposition(
-        cycles=tuple(cycles),
-        vertex_cycles=tuple(tuple(c) for c in vertex_cycles),
-        class_tag=tag,
-        root_cycle_indices=tuple(i for i, c in enumerate(cycles) if g.root in c),
-        tops=tuple(min(c, key=g.bfs.depth.__getitem__) for c in cycles),
-    )
+    return tuple(cycles), tuple(min(c, key=g.bfs.depth.__getitem__) for c in cycles), tag
 
 
 def _assert_chords_are_non_tree_edges(g):
@@ -308,7 +298,8 @@ def test_decompose_matches_tarjan_oracle(g, chords, data):
         with pytest.raises(NotCactusError):
             validate_and_decompose(g)
         return
-    assert validate_and_decompose(g) == _tarjan_decompose(g)
+    d = validate_and_decompose(g)
+    assert (d.cycles, d.tops, d.class_tag) == _tarjan_decompose(g)
 
 
 @st.composite
@@ -351,7 +342,7 @@ def _rotations_and_reflections(cyc):
 def test_chord_walk_is_the_decomposition_up_to_order(g):
     """The chord walk raises what the canonical decomposition raises, has
     its class, and holds its cycles, each read from its top, with their
-    tops; the dominator tree is the same from either."""
+    tops; the dominator tree is the same in either."""
     walk = _outcome(fundamental_cycles, g)
     decomp = _outcome(validate_and_decompose, g)
     if isinstance(decomp, type):
@@ -366,8 +357,7 @@ def test_chord_walk_is_the_decomposition_up_to_order(g):
         assert decomp.tops[i] == top
         matched.append(i)
     assert sorted(matched) == list(range(len(decomp.cycles)))
-    from_walk, from_decomp = dominator_tree(g, walk), dominator_tree(g, decomp)
-    assert (from_walk.idom, from_walk.size) == (from_decomp.idom, from_decomp.size)
+    assert (walk.idom, walk.size) == (decomp.idom, decomp.size)
 
 
 @given(st.one_of(cacti(), root_cycle_cacti()))
@@ -494,10 +484,15 @@ def _assert_tolerances(g, sub, tol):
         assert tol(m) == (max(feasible) if feasible else None), m
 
 
+def _root_cycles(g, walk):
+    """The indices of ``walk``'s cycles through the root."""
+    return [i for i, top in enumerate(walk.tops) if top == g.root]
+
+
 @given(root_cycle_cacti())
 def test_tolerance_matches_definition(g):
     d = validate_and_decompose(g)
-    for c in d.root_cycle_indices:
+    for c in _root_cycles(g, d):
         for u in d.cycles[c][1:]:
             sub = break_subgraph(g, d, c, u)
             _assert_tolerances(g, sub, lambda m: tolerance(g, d, u, c, m))
@@ -506,7 +501,7 @@ def test_tolerance_matches_definition(g):
 @given(root_cycle_cacti())
 def test_tolerance_edge_matches_definition(g):
     d = validate_and_decompose(g)
-    for c in d.root_cycle_indices:
+    for c in _root_cycles(g, d):
         cyc = d.cycles[c]
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             sub = break_subgraph_edge(g, d, c, (a, b))
@@ -525,7 +520,7 @@ def test_induced_subgraph_drop_edge_and_mapping():
 
 @given(relabelled_cacti())
 def test_dominator_tree_matches_covered_sets(g):
-    _assert_dominators_match_networkx(g, validate_and_decompose(g))
+    _assert_dominators_match_networkx(g)
 
 
 @given(st.one_of(relabelled_cacti(), root_cycle_cacti()), st.data())
@@ -542,23 +537,24 @@ def test_dominator_tree_of_views_matches_networkx(g, data):
         sub = state.reduced_view()
         assert sub.graph._bfs_tree is None
         _assert_chords_are_non_tree_edges(sub.graph)
-        _assert_dominators_match_networkx(sub.graph, validate_and_decompose(sub.graph))
+        _assert_dominators_match_networkx(sub.graph)
         state.spread()
 
 
-def _assert_dominators_match_networkx(g, d):
-    dom = dominator_tree(g, d)
-    assert dom.order[0] == g.root
-    assert sorted(dom.order) == list(range(g.n))
-    assert dom.size[g.root] == g.n
+def _assert_dominators_match_networkx(g):
+    """Both forms of g's chord walk hold networkx's immediate dominators, a
+    vertex's covered set as its size, and a root cycle's as the sum of its
+    members' sizes but the root's."""
     idoms = nx.immediate_dominators(oracles.to_nx(g).to_directed(), g.root)
-    assert dom.idom[g.root] == -1
-    for v in range(g.n):
-        if v != g.root:
-            assert dom.idom[v] == idoms[v]
-            assert dom.size[v] == len(covered_set(g, (), {v}))
-    for i in d.root_cycle_indices:
-        c = d.cycles[i]
-        assert c[0] == g.root
-        expected = len(covered_set(g, (), set(c) - {g.root}))
-        assert dom.cycle_weight(c) == sum(dom.size[v] for v in c[1:]) == expected
+    for walk in (fundamental_cycles(g), validate_and_decompose(g)):
+        assert walk.idom[g.root] == -1
+        assert walk.size[g.root] == g.n
+        for v in range(g.n):
+            if v != g.root:
+                assert walk.idom[v] == idoms[v]
+                assert walk.size[v] == len(covered_set(g, (), {v}))
+        for i in _root_cycles(g, walk):
+            c = walk.cycles[i]
+            assert c[0] == g.root
+            expected = len(covered_set(g, (), set(c) - {g.root}))
+            assert sum(walk.size[v] for v in c[1:]) == expected

@@ -32,7 +32,7 @@ def test_tadpole_shape():
     # the root joins cycle and tail: the unique degree-3 vertex
     degree3 = [v for v in range(g.n) if g.degree(v) == 3]
     assert degree3 == [g.root]
-    tail = [v for v in range(g.n) if not d.is_cycle_vertex(v)]
+    tail = [v for v in range(g.n) if v not in d.cycles[0]]
     assert len(tail) == 3
 
 
@@ -62,7 +62,7 @@ def test_alge_tight_shape():
         assert d.class_tag is GraphClass.CACTUS
         assert len(d.cycles) == 2
         assert all(len(c) == 8 and g.root in c for c in d.cycles)
-        assert d.root_cycle_indices == (0, 1)
+        assert d.tops == (g.root, g.root)
         # pendant load sits on the first two vertices of each cycle arm
         heavy = sorted(
             v for v in range(g.n) if v != g.root and g.degree(v) == beta + 2
@@ -138,9 +138,9 @@ def test_random_one_almost_tree_shape(n, seed, through_root):
     d = validate_and_decompose(g)
     assert d.class_tag is GraphClass.ONE_ALMOST_TREE
     if through_root is True:
-        assert d.root_cycle_indices == (0,)
+        assert d.tops == (g.root,)
     if through_root is False:
-        assert d.root_cycle_indices == ()
+        assert d.tops != (g.root,)
 
 
 def test_random_one_almost_tree_of_three_is_the_triangle():

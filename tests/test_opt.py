@@ -137,13 +137,38 @@ def test_upper_bound_counts_doomed_vertices():
     assert opt_upper_bound(Instance(star, (0,))) == 0
 
 
-@given(st.integers(0, 2**20))
-def test_normalize_nonredundant_preserves_profit(seed):
-    inst = _random_instance(seed)
-    res = solve_opt(inst)
-    norm = normalize_nonredundant(inst, res.schedule)
+def _overfull_schedule(seed):
+    """A cactus and a valid schedule that protects, all in round 1, three
+    or more vertices, often three or more members of one cycle, with the
+    sequence that brings as many firefighters."""
+    rng = random.Random(seed)
+    g = random_cactus(rng.randint(4, 30), rng.uniform(0.5, 1.0), rng.randint(3, 10), seed)
+    others = [v for v in range(g.n) if v != g.root]
+    picked = set(rng.sample(others, rng.randint(0, 3)))
+    full = [c for c in validate_and_decompose(g).cycles if len(set(c) - {g.root}) >= 3]
+    if full:
+        members = [v for v in rng.choice(full) if v != g.root]
+        picked |= set(rng.sample(members, rng.randint(3, len(members))))
+    if len(picked) < 3:
+        picked |= set(rng.sample(others, 3))
+    schedule = tuple((1, v) for v in rng.sample(sorted(picked), len(picked)))
+    return Instance(g, (len(schedule),)), schedule
+
+
+@given(st.integers(0, 2**20), st.booleans())
+def test_normalize_nonredundant_preserves_profit(seed, overfull):
+    """Normalizing keeps a schedule's profit, on the optimum's schedules and
+    on over-full ones, which the optimum rarely gives."""
+    if overfull:
+        inst, schedule = _overfull_schedule(seed)
+        value = replay(inst, schedule)[0]
+    else:
+        inst = _random_instance(seed)
+        res = solve_opt(inst)
+        schedule, value = res.schedule, res.value
+    norm = normalize_nonredundant(inst, schedule)
     profit, state = replay(inst, norm)
-    assert profit == res.value
+    assert profit == value
     # at most two protections per cycle survive
     decomp = validate_and_decompose(inst.graph)
     protected = {v for v, s in enumerate(state.status) if s is Status.PROTECTED}
