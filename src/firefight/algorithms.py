@@ -17,7 +17,8 @@ makes per-placement weights add up to the final profit.  A break is
 decided on the residual game too, once its policy's cheap guard passes:
 its live arcs are the view's root cycles, its sizes the view's weights,
 and a cut cycle's territory is one BFS of the game graph through the
-available vertices.  No decision builds a view.
+available vertices (``_territory``, the package's one territory walk).
+No decision builds a view.
 
 The residual game also holds the rest of a game's strategy state: the
 break policy and the cool-down, an int, the rounds left; building it checks
@@ -26,7 +27,9 @@ each decision straight into the game state, which validates it, and
 records it as a :class:`ProtectEvent`.  Every record, a break's included,
 is in the ids of the graph the game is played on; :func:`decision_view`
 rebuilds the view a decision weighed, for a caller who wants its ids.  The
-``*_round`` functions play round one of a game on the graph they are given.
+``*_round`` functions play round one of a game on the graph they are given,
+and :func:`improved_break` decides the cactus break on a fresh residual
+game of its graph, so every break runs one core.
 
 Square-root comparisons are done in exact integer arithmetic throughout:
 ``w >= sqrt(W)`` becomes ``w*w >= W`` and population targets use
@@ -44,12 +47,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
-from .engine import AVAILABLE, BURNED, GameState, Instance, TraceEntry
+from .engine import AVAILABLE, GameState, Instance, TraceEntry
 from .graph import (
     CycleWalk,
     Graph,
@@ -130,25 +132,22 @@ class ProtectEvent:
     brk: BreakDetail | None
 
 
-# A territory function walks the territory a root cycle (root first) opens
-# once cut at one end, at the vertex or, when ``at_edge``, at its root edge:
-# root distances in BFS order, the root's 0 first, and each member's reach.
-Territory = Callable[[tuple[int, ...], int, bool], tuple[dict[int, int], dict[int, int]]]
-
-
 def _territory(
-    adj: tuple[tuple[int, ...], ...], status: list, cyc: tuple[int, ...], cut: int, at_edge: bool
+    res: _Residual, cyc: tuple[int, ...], cut: int, at_edge: bool
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """The territory root cycle ``cyc`` (root first) opens once cut at its
-    end ``cut``, or at that end's root edge when ``at_edge``.
+    """The territory root cycle ``cyc`` (root first) of the residual game
+    ``res`` opens once cut at its end ``cut``, or at that end's root edge
+    when ``at_edge``.
 
-    One BFS from the cycle's other end through available vertices, which
-    never enters the cut vertex: burned vertices play the root, already
-    visited.  Each visited vertex hangs off the member the walk entered it
-    through.  Returns the root distances in BFS order, the root's 0 first,
-    and each member's reach, the farthest distance among the vertices that
-    hang off it: the last one visited.
+    One BFS of the game graph from the cycle's other end through available
+    vertices, which never enters the cut vertex: burned vertices play the
+    root, already visited.  Each visited vertex hangs off the member the
+    walk entered it through.  Returns the root distances in BFS order, the
+    root's 0 first, and each member's reach, the farthest distance among
+    the vertices that hang off it: the last one visited.
     """
+    adj = res.state.instance.graph.adjacency
+    status = res.state.status
     root = cyc[0]
     start = cyc[-1] if cut == cyc[1] else cyc[1]
     members = set(cyc)
@@ -167,19 +166,20 @@ def _territory(
 
 
 def _deepest_cut(
-    territory: Territory, anchors: list[tuple[tuple[int, ...], int]], target: int, at_edge: bool
+    res: _Residual, anchors: list[tuple[tuple[int, ...], int]], target: int, at_edge: bool
 ) -> tuple[int, int, tuple[int, ...], dict[int, int], dict[int, int]] | None:
     """The deepest cut among candidate anchors, ties to the lower anchor.
 
-    ``anchors`` holds (root cycle, root neighbor) pairs; the cut is the
-    anchor, or its root edge when ``at_edge``, and its depth is the largest
-    fire travel distance that keeps ``target`` opened vertices safe.
-    Returns (depth, anchor, cycle, distances, reach), or None if none does.
+    ``anchors`` holds (root cycle, root neighbor) pairs of the residual
+    game ``res``; the cut is the anchor, or its root edge when ``at_edge``,
+    and its depth is the largest fire travel distance that keeps ``target``
+    opened vertices safe.  Returns (depth, anchor, cycle, distances, reach),
+    or None if none does.
     """
     best = None
     for cyc, u in anchors:
-        dist, reach = territory(cyc, u, at_edge)
-        t = break_depth(dist, target)
+        dist, reach = _territory(res, cyc, u, at_edge)
+        t = break_depth(list(dist.values()), target)
         if t is not None and (best is None or (t, -u) > (best[0], -best[1])):
             best = (t, u, cyc, dist, reach)
     return best
@@ -190,25 +190,22 @@ def _from_anchor(cycle: tuple[int, ...], anchor: int) -> tuple[int, ...]:
     return cycle if cycle[1] == anchor else (cycle[0],) + tuple(reversed(cycle[1:]))
 
 
-def _improved_break(
-    cycles: list[tuple[tuple[int, ...], int]], size: Sequence[int], territory: Territory,
-    eta_sq: int,
-) -> BreakDetail:
-    """The cactus break over root ``cycles`` (root first) with their weights,
-    the vertices' dominator-subtree ``size``s and a ``territory`` function;
-    see :func:`improved_break`."""
-    eligible = [(cyc, w) for cyc, w in cycles if w * w >= eta_sq]
+def _improved_break(res: _Residual, eta_sq: int) -> BreakDetail:
+    """The cactus break over the root cycles of the residual game ``res``,
+    their live arcs and weights; see :func:`improved_break`."""
+    eligible = [(i, w) for i, (_, _, w) in res.arcs.items() if w * w >= eta_sq]
     if not eligible:
         raise NoEligibleCycleError("no root cycle reaches the weight threshold")
     heaviest = max(w for _, w in eligible)
     target = ceil_sqrt(heaviest)
     anchors = []
-    for cyc, w in eligible:
+    for i, w in eligible:
+        cyc = res.root_cycle(i)
         for u in (cyc[1], cyc[-1]):
-            rest = w - size[u]
+            rest = w - res.size[u]
             if rest >= 0 and rest * rest >= heaviest:
                 anchors.append((cyc, u))
-    best = _deepest_cut(territory, anchors, target, at_edge=True)
+    best = _deepest_cut(res, anchors, target, at_edge=True)
     if best is None:
         raise NoEligibleBreakVertexError("no root neighbor leaves enough territory")
     depth, anchor, cyc, dist, reach = best
@@ -237,18 +234,12 @@ def improved_break(g: Graph, walk: CycleWalk, eta_sq: int) -> BreakDetail:
     BFS of the territory the cycle opens when the anchor's root edge is
     cut.  The winner's walk gives the protected vertex, the first along the
     opened cycle with territory at depth ``depth`` or beyond hanging off
-    it, and its cool-down.  A game decides the same break on its residual
-    game, in the game's ids.
+    it, and its cool-down.  This is the break a game decides on its
+    residual game, here on a fresh game of ``g``, as the ``*_round``
+    functions play theirs.
     """
-    status = [AVAILABLE] * g.n
-    status[g.root] = BURNED
-    size = walk.size
-    cycles = [
-        (cyc, sum(map(size.__getitem__, cyc[1:])))
-        for cyc, top in zip(walk.cycles, walk.tops)
-        if top == g.root
-    ]
-    return _improved_break(cycles, size, partial(_territory, g.adjacency, status), eta_sq)
+    res = _Residual(GameState(Instance(g, ())), walk, AlgorithmKind.ALG_C)
+    return _improved_break(res, eta_sq)
 
 
 # A break policy answers a lone firefighter facing the root cycle ``i`` of
@@ -262,7 +253,7 @@ def _tolerance_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail | None:
     """1-almost-tree break: the more tolerant root neighbor of the cycle."""
     cyc = res.root_cycle(i)
     target = ceil_sqrt(w_cyc)
-    best = _deepest_cut(res.territory, [(cyc, cyc[1]), (cyc, cyc[-1])], target, at_edge=False)
+    best = _deepest_cut(res, [(cyc, cyc[1]), (cyc, cyc[-1])], target, at_edge=False)
     if best is None:  # cannot happen for a break-branch cycle; stay safe
         return None
     depth, anchor = best[:2]
@@ -282,9 +273,8 @@ def _guarded_improved_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail |
     n = res.state.instance.graph.n
     if w_cyc * w_cyc <= n or res.cooldown > 0:
         return None
-    cycles = [(res.root_cycle(j), arc[2]) for j, arc in res.arcs.items()]
     try:
-        return _improved_break(cycles, res.size, res.territory, n)
+        return _improved_break(res, n)
     except (NoEligibleCycleError, NoEligibleBreakVertexError) as exc:
         # the guard makes this unreachable except on tiny cycles; fall back
         log.warning("cycle break found no eligible vertex (%s); protecting greedily", exc)
@@ -320,17 +310,16 @@ class _Residual:
     so both rankings agree with a view rebuilt from scratch.
 
     A break is decided here too, in game ids: the live arcs are the root
-    cycles (:meth:`root_cycle`), the sizes give their anchors, and a
-    cycle's territory is walked through the available vertices
-    (``territory``), and its record is given in those ids.
+    cycles (:meth:`root_cycle`) and ``arcs`` their weights, the sizes give
+    their anchors, a cycle's territory is walked through the available
+    vertices of the game state (:func:`_territory`), and the break's record
+    is given in those ids.
     """
 
     def __init__(self, state: GameState, walk: CycleWalk, kind: AlgorithmKind):
         self.policy = _checked(kind, walk).policy
         g = state.instance.graph
         self.state, self.cycles, self.cooldown, self.saved = state, walk.cycles, 0, 0
-        # the state's status list is updated in place, so the walk sees the position
-        self.territory: Territory = partial(_territory, g.adjacency, state.status)
         self.size = list(walk.size)
         self.stamp = [0] * g.n
         self.cand = bytearray(g.n)

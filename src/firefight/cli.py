@@ -78,9 +78,12 @@ def _node_budget() -> int:
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
         try:
-            return parse_int(env)
+            budget = parse_int(env)
         except ValueError:
             raise BadParamsError(f"{BUDGET_ENV} must be an integer, got {ascii(env)}")
+        if budget < 0:
+            raise BadParamsError(f"{BUDGET_ENV} must be at least 0, got {budget}")
+        return budget
     return DEFAULT_NODE_BUDGET
 
 
@@ -308,7 +311,7 @@ def cmd_check_lemmas(args) -> int:
         if result.counterexample is not None:
             ce_path = args.out or f"counterexample-{name}.txt"
             with open(ce_path, "w", encoding="utf-8") as fh:
-                fh.write(result.counterexample + "\n")
+                fh.write(result.counterexample)
             failures += 1
         _emit(
             args,

@@ -411,11 +411,11 @@ def _cycle_for_break(walk: CycleWalk, g: Graph, c: int, cut) -> tuple[int, ...]:
 
 
 def break_subgraph(g: Graph, walk: CycleWalk, c: int, v: int) -> Subgraph:
-    """Territory that stays reachable after breaking root cycle ``c`` at ``v``.
+    """The territory that stays reachable after breaking root cycle ``c`` at ``v``.
 
     The induced subgraph on the root plus everything the cycle covers, with
-    v's own covered set removed.  The reference definition behind
-    :func:`break_distances`.
+    v's own covered set removed: the definition behind :func:`tolerance`,
+    which reads the root distances off the BFS the view keeps.
     """
     cyc = _cycle_for_break(walk, g, c, v)
     keep = {g.root} | covered_set(g, (), set(cyc) - {g.root})
@@ -429,45 +429,27 @@ def break_subgraph_edge(g: Graph, walk: CycleWalk, c: int, e: tuple[int, int]) -
     return induced_subgraph(g, keep, g.root, drop_edge=e)
 
 
-def break_distances(
-    g: Graph, walk: CycleWalk, c: int, cut: int | tuple[int, int]
-) -> dict[int, int]:
-    """Root distances over root cycle ``c``'s territory once it is broken at
-    vertex ``cut`` or severed at edge ``cut``, in BFS order from the root (0).
-
-    One BFS of g - root from the cycle's root neighbors, which never enters
-    the broken vertex (so its covered set drops out) nor crosses the cut edge.
-    """
-    cyc = _cycle_for_break(walk, g, c, cut)
-    edge = cut if isinstance(cut, tuple) else ()
-    dist = {g.root: 0}
-    order = [g.root]
-    for u in order:  # the list grows behind the loop: a FIFO queue
-        for v in (cyc[1], cyc[-1]) if u == g.root else g.adjacency[u]:
-            if v not in dist and v != cut and not (u in edge and v in edge):
-                dist[v] = dist[u] + 1
-                order.append(v)
-    return dist
-
-
-def break_depth(dist: dict[int, int], m: int) -> int | None:
-    """Largest d keeping ``m`` vertices at >= d: the m-th last BFS distance, or None."""
+def break_depth(dists: list[int], m: int) -> int | None:
+    """Largest d keeping ``m`` vertices at >= d, given the root distances in
+    nondecreasing order: the m-th last distance, or None."""
     if m < 1:
         raise InvalidTargetError("population target must be at least 1")
-    return list(dist.values())[-m] if len(dist) >= m else None
+    return dists[-m] if len(dists) >= m else None
 
 
 def tolerance(g: Graph, walk: CycleWalk, u: int, c: int, m: int) -> int | None:
     """Largest d such that breaking cycle ``c`` at ``u`` keeps at least ``m``
     vertices at distance >= d from the root.  None when even d=0 falls short.
 
-    One BFS of the territory the break opens (:func:`break_distances`).
+    Read off the root distances of the break's view (:func:`break_subgraph`),
+    which its construction already found by BFS.
     """
-    return break_depth(break_distances(g, walk, c, u), m)
+    return break_depth(sorted(break_subgraph(g, walk, c, u).graph.bfs.depth), m)
 
 
 def tolerance_edge(
     g: Graph, walk: CycleWalk, e: tuple[int, int], c: int, m: int
 ) -> int | None:
-    """Edge variant of :func:`tolerance`: sever ``e`` instead of a vertex."""
-    return break_depth(break_distances(g, walk, c, tuple(e)), m)
+    """Edge variant of :func:`tolerance`: sever ``e`` instead of a vertex
+    (:func:`break_subgraph_edge`)."""
+    return break_depth(sorted(break_subgraph_edge(g, walk, c, tuple(e)).graph.bfs.depth), m)

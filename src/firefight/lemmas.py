@@ -29,7 +29,7 @@ from .graph import (
     break_subgraph,
     covered_set,
     count_safe,
-    validate_and_decompose,
+    fundamental_cycles,
     weight,
     _distances,
 )
@@ -106,16 +106,18 @@ def _count_fn(sub: Subgraph) -> Callable[[int], int]:
     return count
 
 
-def _cycle_index(decomp, cycle: tuple[int, ...]) -> int:
+def _cycle_index(walk, cycle: tuple[int, ...]) -> int:
     want = frozenset(cycle)
-    for i, cyc in enumerate(decomp.cycles):
+    for i, cyc in enumerate(walk.cycles):
         if frozenset(cyc) == want:
             return i
-    raise LookupError("cycle not found in decomposition")
+    raise LookupError("cycle not found in the chord walk")
 
 
 def _describe(instance: Instance, detail: str) -> str:
-    return detail + "\n" + serialize_instance(instance)
+    """An instance file of ``instance`` that opens with ``detail`` as comment
+    lines, so the counterexample parses back as the failing instance."""
+    return "".join(f"# {line}\n" for line in detail.splitlines()) + serialize_instance(instance)
 
 
 @_suite("count-monotone")
@@ -191,16 +193,16 @@ def _trial_covered_oracle(rng: random.Random):
 @_suite("neighbors-best")
 def _trial_neighbors_best(rng: random.Random):
     g = random_one_almost_tree(rng.randint(4, 12), _seed(rng), through_root=True)
-    decomp = validate_and_decompose(g)
-    ci = decomp.tops.index(g.root)
-    cyc = decomp.cycles[ci]
+    walk = fundamental_cycles(g)
+    ci = walk.tops.index(g.root)
+    cyc = walk.cycles[ci]
     u1, up = cyc[1], cyc[-1]
     w1 = weight(g, (), [u1])
     wp = weight(g, (), [up])
-    c1 = _count_fn(break_subgraph(g, decomp, ci, u1))
-    cp = _count_fn(break_subgraph(g, decomp, ci, up))
+    c1 = _count_fn(break_subgraph(g, walk, ci, u1))
+    cp = _count_fn(break_subgraph(g, walk, ci, up))
     for uh in cyc[1:]:
-        ch = _count_fn(break_subgraph(g, decomp, ci, uh))
+        ch = _count_fn(break_subgraph(g, walk, ci, uh))
         for d in range(g.n + 2):
             if not (ch(d) <= c1(d) + w1 or ch(d) <= cp(d) + wp):
                 return False, _describe(
@@ -217,18 +219,18 @@ def _trial_break_quality(rng: random.Random):
     g = random_one_almost_tree(
         n, _seed(rng), cycle_len=rng.randint(max(3, n // 2), n), through_root=True
     )
-    decomp = validate_and_decompose(g)
-    choices = alg_a_round(g, decomp, 1)
+    walk = fundamental_cycles(g)
+    choices = alg_a_round(g, walk, 1)
     if not choices or choices[0].reason != "break":
         return None
     brk = choices[0].brk
     assert brk is not None
-    ci = _cycle_index(decomp, brk.cycle)
-    cyc = decomp.cycles[ci]
+    ci = _cycle_index(walk, brk.cycle)
+    cyc = walk.cycles[ci]
     w_cyc = brk.cycle_weight
-    c_hat = _count_fn(break_subgraph(g, decomp, ci, brk.vertex))
+    c_hat = _count_fn(break_subgraph(g, walk, ci, brk.vertex))
     for uh in cyc[1:]:
-        ch = _count_fn(break_subgraph(g, decomp, ci, uh))
+        ch = _count_fn(break_subgraph(g, walk, ci, uh))
         for d in range(g.n + 2):
             if ch(d) ** 2 > 4 * w_cyc * (c_hat(d) + 1) ** 2:
                 return False, _describe(
@@ -243,11 +245,11 @@ def _algc_break_context(rng: random.Random):
     """A graph where the cactus strategy's one-firefighter branch breaks."""
     n = rng.randint(6, 13)
     g = random_cactus(n, rng.uniform(0.5, 1.0), rng.randint(4, max(4, n)), _seed(rng))
-    decomp = validate_and_decompose(g)
-    (choice,), _ = alg_c_round(g, decomp, 1, 0)
+    walk = fundamental_cycles(g)
+    (choice,), _ = alg_c_round(g, walk, 1, 0)
     if choice.brk is None:
         return None
-    return g, decomp, choice.brk
+    return g, walk, choice.brk
 
 
 @_suite("improved-break-feasibility")
@@ -255,9 +257,9 @@ def _trial_improved_break_feasibility(rng: random.Random):
     ctx = _algc_break_context(rng)
     if ctx is None:
         return None
-    g, decomp, brk = ctx
-    ci = _cycle_index(decomp, brk.cycle)
-    c = _count_fn(break_subgraph(g, decomp, ci, brk.vertex))(brk.depth)
+    g, walk, brk = ctx
+    ci = _cycle_index(walk, brk.cycle)
+    c = _count_fn(break_subgraph(g, walk, ci, brk.vertex))(brk.depth)
     w_hat = weight(g, (), [brk.vertex])
     if (c + w_hat) ** 2 < brk.cycle_weight:
         return False, _describe(
@@ -273,19 +275,19 @@ def _trial_secured_break(rng: random.Random):
     ctx = _algc_break_context(rng)
     if ctx is None:
         return None
-    g, decomp, brk = ctx
+    g, walk, brk = ctx
     n = g.n
-    ci = _cycle_index(decomp, brk.cycle)
-    c_hat = _count_fn(break_subgraph(g, decomp, ci, brk.vertex))
+    ci = _cycle_index(walk, brk.cycle)
+    c_hat = _count_fn(break_subgraph(g, walk, ci, brk.vertex))
     w_hat = weight(g, (), [brk.vertex])
-    for cj, (cyc, top) in enumerate(zip(decomp.cycles, decomp.tops)):
+    for cj, (cyc, top) in enumerate(zip(walk.cycles, walk.tops)):
         if top != g.root:
             continue
         w_cyc = weight(g, (), set(cyc) - {g.root})
         if w_cyc * w_cyc < n:
             continue
         for u in cyc[1:]:
-            cu = _count_fn(break_subgraph(g, decomp, cj, u))
+            cu = _count_fn(break_subgraph(g, walk, cj, u))
             for d in range(1, g.n + 2):
                 if cu(d) ** 2 > 4 * n * (c_hat(d) + w_hat) ** 2:
                     return False, _describe(
@@ -347,9 +349,9 @@ def _trial_nonredundant(rng: random.Random):
             f"normalization changed profit: {opt.value} -> {p_norm} "
             f"(schedule {opt.schedule} -> {norm})",
         )
-    decomp = validate_and_decompose(inst.graph)
+    walk = fundamental_cycles(inst.graph)
     protected = [v for _, v in norm]
-    for cyc in decomp.cycles:
+    for cyc in walk.cycles:
         inside = [v for v in protected if v in set(cyc)]
         if len(inside) > 2:
             return False, _describe(
@@ -365,7 +367,7 @@ def _trial_cycle_respecting(rng: random.Random):
     psi = sorted(v for _, v in opt.schedule)
     g = inst.graph
     on_cycles: list[set[int]] = [set() for _ in range(g.n)]
-    for i, cyc in enumerate(validate_and_decompose(g).cycles):
+    for i, cyc in enumerate(fundamental_cycles(g).cycles):
         for v in cyc:
             on_cycles[v].add(i)
     # finest partition with whole cycles kept together: join on shared cycle
@@ -393,7 +395,7 @@ def _trial_cycle_respecting(rng: random.Random):
 
 
 def _kinds_for(g: Graph) -> list[AlgorithmKind]:
-    tag = validate_and_decompose(g).class_tag
+    tag = fundamental_cycles(g).class_tag
     return [kind for kind in AlgorithmKind if kind.accepts(tag)]
 
 
@@ -493,8 +495,8 @@ def _trial_memo_consistency(rng: random.Random):
 def _trial_algc_three_per_cycle(rng: random.Random):
     inst = random_instance(rng, "cactus", 4, 14)
     protected = [ev.vertex for ev in run_algorithm(inst, AlgorithmKind.ALG_C).events]
-    decomp = validate_and_decompose(inst.graph)
-    for cyc in decomp.cycles:
+    walk = fundamental_cycles(inst.graph)
+    for cyc in walk.cycles:
         inside = [v for v in protected if v in set(cyc)]
         if len(inside) > 3:
             return False, _describe(

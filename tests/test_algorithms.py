@@ -817,9 +817,10 @@ def test_run_algorithm_never_builds_a_view(monkeypatch):
 def test_breaks_equal_view_built_reference():
     """Every break a game decides on its residual game is the break the
     view-built reference decides on the decision's view, renamed into the
-    game's ids: ``improved_break`` on the view's own decomposition for
-    alg-c, the covered_set tolerance reference for alg-a.  Some breaks come
-    after greedy protections of the same round."""
+    game's ids: the covered_set reference of ``improved_break`` on the
+    view's own decomposition for alg-c, which shares no code with the
+    game's break core, and the covered_set tolerance reference for alg-a.
+    Some breaks come after greedy protections of the same round."""
     games = []
     for seed in range(240):
         rng = random.Random(seed)
@@ -845,7 +846,7 @@ def test_breaks_equal_view_built_reference():
             view = sub.graph
             d = validate_and_decompose(view)
             if kind is AlgorithmKind.ALG_C:
-                expected = improved_break(view, d, inst.graph.n)
+                expected = _reference_improved_break(view, d, inst.graph.n)
             else:
                 expected = _reference_tolerance_break(view, d)
             assert e.brk == _renamed(expected, sub.to_orig), (inst, kind, k)

@@ -10,10 +10,14 @@ from pathlib import Path
 import pytest
 
 import firefight
-from firefight import algorithms, cli, graph
+from firefight import algorithms, cli, graph, lemmas
 from firefight.algorithms import within_bound
 from firefight.cli import main
+from firefight.engine import Instance
+from firefight.fileformat import parse_instance
 from firefight.graph import GraphClass
+from firefight.instances import make_tadpole
+from firefight.lemmas import SUITES, SuiteResult
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +143,29 @@ def test_check_lemmas_single_suite(capsys):
     assert rec["counterexample"] == ""
 
 
+def test_counterexample_file_is_an_instance_file(capsys, monkeypatch, tmp_path):
+    inst = Instance(make_tadpole(4, 2), (1, 0, 1))
+    detail = "a failure made up for this test\nover two lines"
+
+    def failing(trials, seed):
+        return SuiteResult("count-monotone", 1, 1, 1, lemmas._describe(inst, detail))
+
+    monkeypatch.setitem(SUITES, "count-monotone", failing)
+    path = tmp_path / "counterexample.txt"
+    code, out, _ = run_cli(
+        capsys, "check-lemmas", "--suite", "count-monotone", "--out", str(path)
+    )
+    assert code == 1
+    (rec,) = records(out)
+    assert (rec["passed"], rec["counterexample"]) == (False, str(path))
+    text = path.read_text()
+    assert text.startswith("# a failure made up for this test\n# over two lines\nversion 1\n")
+    assert parse_instance(text) == inst
+    code, out, _ = run_cli(capsys, "run", "--instance", str(path), "--alg", "alg-c")
+    assert code == 0
+    assert records(out)[0]["n"] == inst.graph.n
+
+
 def test_check_lemmas_unknown_suite(capsys):
     code, out, err = run_cli(capsys, "check-lemmas", "--suite", "no-such-suite")
     assert code == 2
@@ -248,6 +275,20 @@ def test_bad_node_budget_is_quoted_in_ascii(capsys, monkeypatch, tadpole_file, e
     code, out, err = run_cli(capsys, "opt", "--instance", str(tadpole_file))
     assert (code, out) == (2, "")
     assert err == f"error: FIREFIGHT_NODE_BUDGET must be an integer, got {quoted}\n"
+
+
+@pytest.mark.parametrize(
+    "env, code, message",
+    [
+        ("-1", 2, "FIREFIGHT_NODE_BUDGET must be at least 0, got -1"),
+        # a budget of 0 is valid and runs out at the first node
+        ("0", 3, "node budget 0 exhausted"),
+    ],
+)
+def test_node_budget_below_one(capsys, monkeypatch, env, code, message):
+    monkeypatch.setenv("FIREFIGHT_NODE_BUDGET", env)
+    got = run_cli(capsys, "adversary", "--alg", "alg-e", "--beta", "3")
+    assert got == (code, "", f"error: {message}\n")
 
 
 def test_memo_cap_exits_3(capsys, monkeypatch, tadpole_file):
