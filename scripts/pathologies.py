@@ -14,8 +14,9 @@ vertices (n = 200001) with one firefighter and then about 50000 rounds of
 burning, which a game must play in one pass, and `alg-c` and `alg-e` on
 ``flower-80``, 80 root cycles of 320 vertices each (n = 25521) with one
 firefighter in each of 25600 rounds, where `alg-c` breaks 40 cycles, and
-before each break walks the territory behind both root neighbors of every
-heavy root cycle, `alg-c` and `alg-e` on ``chain-spider-4x12500``, 4
+before each break weighs both root neighbors of every heavy root cycle by
+arithmetic on its arc positions, its members hanging nothing to walk,
+`alg-c` and `alg-e` on ``chain-spider-4x12500``, 4
 legs of 3- to 6-cycles chained to depth 12500 (n = 87487) with one or two
 single firefighters, where three legs burn after the last decision, which
 a game need not play, `parse_instance` on ``cactus-200k``, the instance

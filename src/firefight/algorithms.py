@@ -11,14 +11,17 @@ rebuild that view per round or per placement; it keeps the residual game
 (``_Residual``) in its own ids from round to round: one chord walk per
 game, which gives the dominator tree too, never a canonical decomposition,
 then O(log n) per candidate change as the fire spreads and firefighters are
-placed.  Within a round a strategy may place several firefighters; each
-placement drops the territory it covers from the residual, which is what
-makes per-placement weights add up to the final profit.  A break is
-decided on the residual game too, once its policy's cheap guard passes:
-its live arcs are the view's root cycles, its sizes the view's weights,
-and a cut cycle's territory is one BFS of the game graph through the
-available vertices (``_territory``, the package's one territory walk).
-No decision builds a view.
+placed.  A root cycle is one arc and puts forward one candidate, so
+opening, sealing or breaking it takes a fixed number of Python steps plus
+C-level passes over its members.  Within a round a strategy may place
+several firefighters; each placement drops the territory it covers from
+the residual, which is what makes per-placement weights add up to the
+final profit.  A break is decided on the residual game too, once its
+policy's cheap guard passes: its arcs are the view's root cycles, its
+sizes the view's weights, and a cut cycle's territory is read off arc
+positions and one profile per cycle, the depths of what hangs off its
+members (``_territory``, the package's one territory walk, which visits
+only that).  No decision builds a view.
 
 The residual game also holds the rest of a game's strategy state: the
 break policy and the cool-down, an int, the rounds left; building it checks
@@ -48,8 +51,9 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from itertools import islice
-from typing import Callable, NamedTuple
+from itertools import chain, compress, repeat
+from operator import add, contains, le, neg, sub
+from typing import Callable, NamedTuple, Sequence
 
 from .engine import AVAILABLE, GameState, Instance, TraceEntry
 from .graph import (
@@ -132,96 +136,140 @@ class ProtectEvent:
     brk: BreakDetail | None
 
 
-def _territory(
-    res: _Residual, cyc: tuple[int, ...], cut: int, at_edge: bool
-) -> tuple[dict[int, int], dict[int, int]]:
-    """The territory root cycle ``cyc`` (root first) of the residual game
-    ``res`` opens once cut at its end ``cut``, or at that end's root edge
-    when ``at_edge``.
+def _territory(res: _Residual, arc: _Arc) -> tuple[list[int], list[int]]:
+    """The profile of root cycle ``arc`` of the residual game ``res``: what
+    its cuts' territories hold beyond the arc itself, as two aligned lists,
+    the position of the member each vertex hangs off and its depth below it.
 
-    One BFS of the game graph from the cycle's other end through available
-    vertices, which never enters the cut vertex: burned vertices play the
-    root, already visited.  Each visited vertex hangs off the member the
-    walk entered it through.  Returns the root distances in BFS order, the
-    root's 0 first, and each member's reach, the farthest distance among
-    the vertices that hang off it: the last one visited.
+    A cut at either end of the arc, or at that end's root edge, leaves the
+    arc a path from its other end, so a member's root distance follows from
+    its position, and what hangs off it lies that far plus its depth
+    (:func:`_cut`).  What hangs off a member is reached through it alone:
+    the profile is one BFS of the game graph from the members of size above
+    1 that never enters the cycle.  Members of size 1 are not visited, nor
+    is the arc walked.  Nothing hanging off a live member changes, so an
+    arc's profile is walked once, and a cut drops the members the fire has
+    taken since by their positions.
     """
-    adj = res.state.instance.graph.adjacency
-    status = res.state.status
-    root = cyc[0]
-    start = cyc[-1] if cut == cyc[1] else cyc[1]
-    members = set(cyc)
-    skip = -1 if at_edge else cut
-    dist = {root: 0, start: 1}
-    order = [start]
-    via = [start]  # via[k]: the member order[k] hangs off
-    for u, top in zip(order, via):  # both grow behind the loop: a FIFO queue
-        d = dist[u] + 1
-        for v in adj[u]:
-            if v not in dist and v != skip and status[v] is AVAILABLE:
-                dist[v] = d
-                order.append(v)
-                via.append(v if v in members else top)
-    return dist, dict(zip(via, islice(dist.values(), 1, None)))
+    if arc.profile is None:
+        cyc, lo, hi = arc.cyc, arc.lo, arc.hi
+        pos = list(compress(range(lo, hi), map((1).__lt__, map(res.size.__getitem__, cyc[lo:hi]))))
+        heavy = len(pos)
+        order = list(map(cyc.__getitem__, pos))
+        depth = [0] * heavy
+        seen = dict.fromkeys(cyc)
+        adj = res.state.instance.graph.adjacency
+        for x, p, d in zip(order, pos, depth):  # the lists grow behind the loop: a FIFO queue
+            d += 1
+            for y in adj[x]:
+                if y not in seen:
+                    seen[y] = None
+                    order.append(y)
+                    pos.append(p)
+                    depth.append(d)
+        arc.profile = pos[heavy:], depth[heavy:]
+    return arc.profile
+
+
+def _cut(
+    arc: _Arc, profile: tuple[list[int], list[int]], anchor: int, at_edge: bool
+) -> tuple[list[int], list[int], Sequence[int]]:
+    """Root cycle ``arc`` cut at its end ``anchor``, or at that end's root
+    edge when ``at_edge``, read off its ``profile`` by C-level passes.
+
+    The fire then enters at the other end: the member at position p lies
+    ``hi - p`` from the root when the anchor is the ``lo`` end and
+    ``p - lo + 1`` when it is the other, so the anchor lies farthest, at
+    the arc's length.  A cut at the anchor drops it and what hangs off it.
+    Returns the root distances of the vertices hanging off the members
+    kept, the positions of the members they hang off, and the territory's
+    root distances, the root's 0 first, nondecreasing.
+    """
+    lo, hi = arc.lo, arc.hi
+    pos, depth = profile
+    if anchor == arc.cyc[lo]:
+        kept = range(lo + (not at_edge), hi)
+        member_dist = map(sub, repeat(hi), pos)
+    else:
+        kept = range(lo, hi - (not at_edge))
+        member_dist = map(sub, pos, repeat(lo - 1))
+    live = list(map(contains, repeat(kept), pos))
+    hanging = list(compress(map(add, member_dist, depth), live))
+    dists: Sequence[int] = range(len(kept) + 1)  # the root and the members
+    if hanging:
+        dists = sorted(chain(dists, hanging))
+    return hanging, list(compress(pos, live)), dists
 
 
 def _deepest_cut(
-    res: _Residual, anchors: list[tuple[tuple[int, ...], int]], target: int, at_edge: bool
-) -> tuple[int, int, tuple[int, ...], dict[int, int], dict[int, int]] | None:
+    res: _Residual, cuts: list[tuple[_Arc, tuple[int, ...]]], target: int, at_edge: bool
+) -> tuple[int, int, _Arc, list[int], list[int]] | None:
     """The deepest cut among candidate anchors, ties to the lower anchor.
 
-    ``anchors`` holds (root cycle, root neighbor) pairs of the residual
-    game ``res``; the cut is the anchor, or its root edge when ``at_edge``,
-    and its depth is the largest fire travel distance that keeps ``target``
-    opened vertices safe.  Returns (depth, anchor, cycle, distances, reach),
+    ``cuts`` holds (root cycle, its candidate anchors) pairs of the
+    residual game ``res``; the cut is the anchor, or its root edge when
+    ``at_edge``, and its depth is the largest fire travel distance that
+    keeps ``target`` opened vertices safe.  Every anchor of a cycle reads
+    its one profile.  Returns (depth, anchor, cycle, and the distances and
+    member positions of its hanging vertices as :func:`_cut` gives them),
     or None if none does.
     """
     best = None
-    for cyc, u in anchors:
-        dist, reach = _territory(res, cyc, u, at_edge)
-        t = break_depth(list(dist.values()), target)
-        if t is not None and (best is None or (t, -u) > (best[0], -best[1])):
-            best = (t, u, cyc, dist, reach)
+    for arc, anchors in cuts:
+        profile = _territory(res, arc)
+        for u in anchors:
+            hanging, at, dists = _cut(arc, profile, u, at_edge)
+            t = break_depth(dists, target)
+            if t is not None and (best is None or (t, -u) > (best[0], -best[1])):
+                best = (t, u, arc, hanging, at)
     return best
-
-
-def _from_anchor(cycle: tuple[int, ...], anchor: int) -> tuple[int, ...]:
-    """A root cycle (root first) oriented to run (root, anchor, ...)."""
-    return cycle if cycle[1] == anchor else (cycle[0],) + tuple(reversed(cycle[1:]))
 
 
 def _improved_break(res: _Residual, eta_sq: int) -> BreakDetail:
     """The cactus break over the root cycles of the residual game ``res``,
     their live arcs and weights; see :func:`improved_break`."""
-    eligible = [(i, w) for i, (_, _, w) in res.arcs.items() if w * w >= eta_sq]
+    eligible = [arc for arc in res.arcs.values() if arc.weight * arc.weight >= eta_sq]
     if not eligible:
         raise NoEligibleCycleError("no root cycle reaches the weight threshold")
-    heaviest = max(w for _, w in eligible)
+    heaviest = max(arc.weight for arc in eligible)
     target = ceil_sqrt(heaviest)
-    anchors = []
-    for i, w in eligible:
-        cyc = res.root_cycle(i)
-        for u in (cyc[1], cyc[-1]):
-            rest = w - res.size[u]
-            if rest >= 0 and rest * rest >= heaviest:
-                anchors.append((cyc, u))
-    best = _deepest_cut(res, anchors, target, at_edge=True)
+    size = res.size
+    cuts = []
+    for arc in eligible:
+        anchors = tuple(u for u in arc.ends() if (arc.weight - size[u]) ** 2 >= heaviest)
+        if anchors:
+            cuts.append((arc, anchors))
+    best = _deepest_cut(res, cuts, target, at_edge=True)
     if best is None:
         raise NoEligibleBreakVertexError("no root neighbor leaves enough territory")
-    depth, anchor, cyc, dist, reach = best
-    cyc = _from_anchor(cyc, anchor)
-    for u_hat in cyc[1:]:
-        if reach[u_hat] >= depth:
-            return BreakDetail(
-                vertex=u_hat,
-                anchor=anchor,
-                depth=depth,
-                cooldown=dist[u_hat],
-                cycle=cyc,
-                target=target,
-                cycle_weight=heaviest,
-            )
-    raise NoEligibleBreakVertexError("no cycle vertex covers the required depth")
+    depth, anchor, arc, hanging, at = best
+    # the first member from the anchor with territory at depth or beyond
+    # hanging off it: the anchor itself, which lies farthest, when the arc
+    # is that long, or else the member nearest the anchor among those that
+    # hang a vertex that deep
+    lo, hi = arc.lo, arc.hi
+    if depth <= hi - lo:
+        vertex, cooldown = anchor, hi - lo
+    else:
+        deep = list(compress(at, map(le, repeat(depth), hanging)))
+        if not deep:
+            raise NoEligibleBreakVertexError("no cycle vertex covers the required depth")
+        if anchor == arc.cyc[lo]:
+            p = min(deep)
+            cooldown = hi - p
+        else:
+            p = max(deep)
+            cooldown = p - lo + 1
+        vertex = arc.cyc[p]
+    return BreakDetail(
+        vertex=vertex,
+        anchor=anchor,
+        depth=depth,
+        cooldown=cooldown,
+        cycle=(res.state.instance.graph.root, *arc.read_from(anchor)),
+        target=target,
+        cycle_weight=heaviest,
+    )
 
 
 def improved_break(g: Graph, walk: CycleWalk, eta_sq: int) -> BreakDetail:
@@ -230,11 +278,11 @@ def improved_break(g: Graph, walk: CycleWalk, eta_sq: int) -> BreakDetail:
     Considers root cycles whose weight squared (read off the dominator tree
     of g's chord ``walk``, in either form) is at least ``eta_sq``.  Among
     their root neighbors that leave enough territory behind, the anchor
-    maximizes the edge tolerance at the square-root population target: one
-    BFS of the territory the cycle opens when the anchor's root edge is
-    cut.  The winner's walk gives the protected vertex, the first along the
-    opened cycle with territory at depth ``depth`` or beyond hanging off
-    it, and its cool-down.  This is the break a game decides on its
+    maximizes the edge tolerance at the square-root population target,
+    read off one profile of each cycle (:func:`_territory`) for both its
+    root neighbors.  The protected vertex is the first along the opened
+    cycle with territory at depth ``depth`` or beyond hanging off it, and
+    the cool-down its distance.  This is the break a game decides on its
     residual game, here on a fresh game of ``g``, as the ``*_round``
     functions play theirs.
     """
@@ -251,9 +299,9 @@ BreakPolicy = Callable[["_Residual", int, int], BreakDetail | None]
 
 def _tolerance_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail | None:
     """1-almost-tree break: the more tolerant root neighbor of the cycle."""
-    cyc = res.root_cycle(i)
+    arc = res.arcs[i]
     target = ceil_sqrt(w_cyc)
-    best = _deepest_cut(res, [(cyc, cyc[1]), (cyc, cyc[-1])], target, at_edge=False)
+    best = _deepest_cut(res, [(arc, arc.ends())], target, at_edge=False)
     if best is None:  # cannot happen for a break-branch cycle; stay safe
         return None
     depth, anchor = best[:2]
@@ -262,7 +310,7 @@ def _tolerance_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail | None:
         anchor=anchor,
         depth=depth,
         cooldown=0,
-        cycle=_from_anchor(cyc, anchor),
+        cycle=(res.state.instance.graph.root, *arc.read_from(anchor)),
         target=target,
         cycle_weight=w_cyc,
     )
@@ -281,6 +329,49 @@ def _guarded_improved_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail |
         return None
 
 
+class _Arc:
+    """A root cycle of the residual game: cycle ``i`` of the walk read from
+    its top, which burned, as ``cyc``, its live members ``cyc[lo:hi]`` of
+    total size ``weight``.  The fire takes members at the two ends only.
+    ``heap`` holds every member keyed (-size, id, position); its top, once
+    the members that left are popped, is the arc's best, the one candidate
+    the arc puts forward."""
+
+    __slots__ = ("i", "cyc", "lo", "hi", "weight", "heap", "profile")
+
+    def __init__(self, i: int, cyc: tuple[int, ...], size: list[int]):
+        members = cyc[1:]
+        sizes = list(map(size.__getitem__, members))
+        self.i, self.cyc, self.lo, self.hi, self.weight = i, cyc, 1, len(cyc), sum(sizes)
+        self.heap = list(zip(map(neg, sizes), members, range(1, len(cyc))))
+        heapify(self.heap)
+        self.profile: tuple[list[int], list[int]] | None = None  # see _territory
+
+    def ends(self) -> tuple[int, int]:
+        return self.cyc[self.lo], self.cyc[self.hi - 1]
+
+    def read_from(self, end: int) -> tuple[int, ...]:
+        """The live members, from ``end`` to the other end."""
+        cyc, lo, hi = self.cyc, self.lo, self.hi
+        return cyc[lo:hi] if cyc[lo] == end else cyc[hi - 1 : lo - 1 : -1]
+
+    def best(self) -> int:
+        """The heaviest live member, ties to the lower id."""
+        heap, lo, hi = self.heap, self.lo, self.hi
+        while not lo <= heap[0][2] < hi:
+            heappop(heap)
+        return heap[0][1]
+
+    def runner_up(self) -> int:
+        """The second largest live member size."""
+        heap = self.heap
+        top = heappop(heap)
+        self.best()
+        w = -heap[0][0]
+        heappush(heap, top)
+        return w
+
+
 class _Residual:
     """A game's strategy state, in the game's own ids, kept across rounds:
     the live part of the position, the strategy's break ``policy`` and its
@@ -292,54 +383,56 @@ class _Residual:
 
     Live vertices are the truly available ones; the burned region plays the
     reduced view's root.  ``size[v]`` is live v's dominator-subtree size in
-    the view.  It starts as a list copy of the walk's ``size``, so a game
-    never changes a walk its caller holds.  A spread changes no live size:
-    a live vertex keeps dominating what it dominated.  A protection inside
-    a root cycle opens it into two paths, whose sizes become chain sums,
-    once per cycle.  The territory a protection covers needs no walk: the
-    fire never reaches it, and ``saved`` adds up its size.  Candidates are
-    dominated by the burned region alone, so their territories are disjoint
-    and ``saved`` is the profit the protections so far secure.
+    the view.  It starts as a list copy of the walk's ``size``, ``own``, so
+    a game never changes a walk its caller holds.  A spread changes no live
+    size: a live vertex keeps dominating what it dominated.  The territory
+    a protection covers needs no walk: the fire never reaches it, and
+    ``saved`` adds up its size.  Candidates are dominated by the burned
+    region alone, so their territories are disjoint and ``saved`` is the
+    profit the protections so far secure.
 
-    Candidates (root neighbors and live root-cycle members) sit in a lazy
-    heap keyed (-size, id, stamp); an entry is current while it carries its
-    vertex's stamp.  A cycle opens when its top burns (``topped[top]``).  A
-    root cycle is its live arc, ``arcs[i] = [start, length, weight]`` with
-    positions in the walk's ``cycles[i]``, ranked in a second lazy heap by
-    (-weight, smaller end, larger end).  View ids keep the original order,
-    so both rankings agree with a view rebuilt from scratch.
+    A cycle opens when its top burns (``topped[top]``) into a root cycle,
+    one :class:`_Arc` in ``arcs``, ranked in a lazy heap by (-weight,
+    smaller end, larger end).  The candidates are the root neighbors and
+    the live arc members; a lazy heap keyed (-size, id, stamp) holds the
+    root neighbors off the arcs and each arc's best, so no arc member but
+    its best is pushed, and an entry is current while it carries its
+    vertex's stamp.  ``mark[v]`` is the arc v ends or is the best of, or
+    the chain it ends; ``cand[v]`` is set once the spread need not push v.
+    A protection on an arc opens it into two chains, paths from the fire
+    to the protection, each put forward by its end alone, worth the sum of
+    its sizes; the fire moves a chain's end one member on, whose size is
+    the end's less the end's own.  So opening, sealing or breaking a root
+    cycle takes a fixed number of steps plus C-level passes over its
+    members, and a burned vertex O(log n).  View ids keep the original
+    order, so the rankings agree with a view rebuilt from scratch.
 
-    A break is decided here too, in game ids: the live arcs are the root
-    cycles (:meth:`root_cycle`) and ``arcs`` their weights, the sizes give
-    their anchors, a cycle's territory is walked through the available
-    vertices of the game state (:func:`_territory`), and the break's record
-    is given in those ids.
+    A break is decided here too, in game ids: the arcs are the root cycles
+    and their weights, the sizes give their anchors, a cycle's territory is
+    its arc positions plus the depths of what hangs off its members
+    (:func:`_territory`), and the break's record is given in those ids.
     """
 
     def __init__(self, state: GameState, walk: CycleWalk, kind: AlgorithmKind):
         self.policy = _checked(kind, walk).policy
         g = state.instance.graph
         self.state, self.cycles, self.cooldown, self.saved = state, walk.cycles, 0, 0
+        self.own = walk.size
         self.size = list(walk.size)
         self.stamp = [0] * g.n
         self.cand = bytearray(g.n)
+        self.mark: list[_Arc | tuple[tuple[int, ...], int, int] | None] = [None] * g.n
         self.heap: list[tuple[int, int, int]] = []
-        self.on_cycle = [-1] * g.n  # the root cycle v is a live member of
         self.topped: list[tuple[int, ...]] = [()] * g.n  # the cycles v is the top of
         for i, top in enumerate(walk.tops):
             self.topped[top] += (i,)
-        self.arcs: dict[int, list[int]] = {}
+        self.arcs: dict[int, _Arc] = {}
         self.cycle_heap: list[tuple[int, int, int, int, int]] = []
         self.burn([g.root])
 
     def _push(self, v: int) -> None:
         self.stamp[v] += 1
-        self.cand[v] = 1
         heappush(self.heap, (-self.size[v], v, self.stamp[v]))
-
-    def _drop(self, v: int) -> None:
-        self.stamp[v] += 1
-        self.cand[v] = 0
 
     def best(self) -> tuple[int, int] | None:
         """(size, vertex) of the heaviest candidate, ties to the lower id."""
@@ -352,17 +445,24 @@ class _Residual:
         return None
 
     def second(self) -> int:
-        """The second largest candidate size."""
-        top = heappop(self.heap)
-        w2 = self.best()[0]
-        heappush(self.heap, top)
+        """The second largest candidate size: the next entry's, or, when the
+        top is an arc's best, its runner-up's."""
+        heap = self.heap
+        top = heappop(heap)
+        rest = self.best()
+        w2 = rest[0] if rest else 0
+        arc = self.mark[top[1]]
+        if type(arc) is _Arc:
+            w2 = max(w2, arc.runner_up())
+        heappush(heap, top)
         return w2
 
-    def _rank(self, i: int) -> None:
-        start, length, w = self.arcs[i]
-        cyc = self.cycles[i]
-        a, b = sorted((cyc[start], cyc[(start + length - 1) % len(cyc)]))
-        heappush(self.cycle_heap, (-w, a, b, i, length))
+    def _rank(self, arc: _Arc) -> None:
+        cyc, lo, hi = arc.cyc, arc.lo, arc.hi
+        a, b = cyc[lo], cyc[hi - 1]
+        if b < a:
+            a, b = b, a
+        heappush(self.cycle_heap, (-arc.weight, a, b, arc.i, hi - lo))
 
     def heaviest(self) -> tuple[int, tuple[int, int], int] | None:
         """(weight, sorted ends, index) of the top root cycle, ties to the smaller end."""
@@ -370,101 +470,109 @@ class _Residual:
         while heap:
             w, a, b, i, length = heap[0]
             arc = self.arcs.get(i)
-            if arc is not None and arc[1] == length:  # an arc only ever shrinks
+            if arc is not None and arc.hi - arc.lo == length:  # an arc only ever shrinks
                 return -w, (a, b), i
             heappop(heap)
         return None
 
-    def _members(self, i: int) -> tuple[int, ...]:
-        start, length, _ = self.arcs[i]
-        cyc = self.cycles[i]
-        end = start + length
-        return cyc[start:end] if end <= len(cyc) else cyc[start:] + cyc[:end - len(cyc)]
-
     def _open(self, i: int, top: int) -> None:
-        """Cycle i becomes a root cycle, its top ``top`` having burned: its
-        other members join the candidates in one pass, one heapify when
-        they outnumber the heap."""
+        """Cycle i becomes a root cycle, its top ``top`` having burned: one
+        arc, which C-level passes weigh and rank, whose best joins the
+        candidates."""
         cyc = self.cycles[i]
-        self.arcs[i] = arc = [(cyc.index(top) + 1) % len(cyc), len(cyc) - 1, 0]
-        members = self._members(i)
-        size, stamp, cand, on_cycle = self.size, self.stamp, self.cand, self.on_cycle
-        arc[2] = sum(map(size.__getitem__, members))
-        entries = []
-        for u in members:
-            on_cycle[u] = i
-            if not cand[u]:
-                stamp[u] += 1
-                cand[u] = 1
-                entries.append((-size[u], u, stamp[u]))
-        heap = self.heap
-        if len(entries) > len(heap):
-            heap += entries
-            heapify(heap)
-        else:
-            for e in entries:
-                heappush(heap, e)
-        self._rank(i)
+        if cyc[0] != top:  # a canonical cycle may start elsewhere
+            k = cyc.index(top)
+            cyc = cyc[k:] + cyc[:k]
+        self.arcs[i] = arc = _Arc(i, cyc, self.size)
+        a, b, best = cyc[1], cyc[-1], arc.heap[0][1]
+        self.cand[a] = self.cand[b] = 1
+        self.mark[a] = self.mark[b] = self.mark[best] = arc
+        self._push(best)
+        self._rank(arc)
 
     def burn(self, burned: list[int]) -> None:
         """The fire took ``burned``: they leave, their live neighbors join."""
         adj = self.state.instance.graph.adjacency
         status = self.state.status
-        cand, on_cycle, topped = self.cand, self.on_cycle, self.topped
+        size, stamp, cand, mark, topped, heap = (
+            self.size, self.stamp, self.cand, self.mark, self.topped, self.heap
+        )
         for v in burned:
-            if cand[v]:
-                self._drop(v)
-            i = on_cycle[v]
-            if i >= 0:  # an end of a root cycle's live arc
-                on_cycle[v] = -1
-                arc = self.arcs[i]
-                cyc = self.cycles[i]
-                if cyc[arc[0]] == v:
-                    arc[0] = (arc[0] + 1) % len(cyc)
-                arc[1] -= 1
-                arc[2] -= self.size[v]
-                if arc[1] >= 2:
-                    self._rank(i)
-                else:  # dissolved: a lone member is just a root neighbor
-                    for u in self._members(i):
-                        on_cycle[u] = -1
-                    del self.arcs[i]
+            stamp[v] += 1
+            m = mark[v]
+            if m is not None:  # the end of an arc or of a chain
+                if type(m) is _Arc:
+                    self._shrink(m, v)
+                else:
+                    self._advance(m, v)
             for i in topped[v]:
                 self._open(i, v)
             for u in adj[v]:
                 if status[u] is AVAILABLE and not cand[u]:
-                    self._push(u)
+                    cand[u] = 1
+                    stamp[u] += 1
+                    heappush(heap, (-size[u], u, stamp[u]))
 
-    def protect(self, v: int) -> None:
-        """v is protected: its size is saved, it leaves, and a root cycle
-        through it opens."""
+    def _shrink(self, arc: _Arc, v: int) -> None:
+        """The fire took ``v``, an end of ``arc``: the next member ends it,
+        and a new best is put forward if v was the best; an arc of one
+        member is just that root neighbor."""
+        cyc = arc.cyc
+        if cyc[arc.lo] == v:
+            arc.lo += 1
+            u = cyc[arc.lo]
+        else:
+            arc.hi -= 1
+            u = cyc[arc.hi - 1]
+        arc.weight -= self.size[v]
+        self.cand[u] = 1
+        if arc.heap[0][1] == v:
+            best = arc.best()
+            self.mark[best] = arc
+            self._push(best)
+        if arc.hi - arc.lo >= 2:
+            self.mark[u] = arc
+            self._rank(arc)
+        else:  # its best, a current entry, stays as a root neighbor
+            self.mark[u] = None
+            del self.arcs[arc.i]
+
+    def _advance(self, chain: tuple[tuple[int, ...], int, int], v: int) -> None:
+        """The fire took ``v``, the end ``cyc[pos]`` of a chain (cyc, pos,
+        step): the next member ends it, worth the rest of the chain, unless
+        it is the protection that made the chain."""
+        cyc, pos, step = chain
+        u = cyc[pos + step]
+        if self.state.status[u] is AVAILABLE:
+            self.size[u] = self.size[v] - self.own[v]
+            self.mark[u] = (cyc, pos + step, step)
+            self.cand[u] = 1
+            self._push(u)
+
+    def protect(self, v: int, brk: BreakDetail | None = None) -> None:
+        """v is protected: its size is saved and it leaves.  A protection on
+        an arc is one of its ends or its best, which mark it, or the vertex
+        of a break ``brk``, on the arc its anchor ends; it opens the arc
+        into two chains, one per side of v, each put forward by its end at
+        the fire with the sum of the side's sizes."""
         self.saved += self.size[v]
-        self._drop(v)
-        i = self.on_cycle[v]
-        if i < 0:
+        self.stamp[v] += 1
+        arc = self.mark[v if brk is None else brk.anchor]
+        if type(arc) is not _Arc:
             return
-        members = self._members(i)
-        del self.arcs[i]
-        j = members.index(v)
-        size, stamp, cand, on_cycle = self.size, self.stamp, self.cand, self.on_cycle
-        # each side is a path from its end at the fire to v: sizes become
-        # chain sums, and its members leave the candidates
-        for side in (members[:j][::-1], members[j + 1:]):
-            acc = 0
-            for u in side:
-                acc += size[u]
-                size[u] = acc
-                on_cycle[u] = -1
-                stamp[u] += 1
-                cand[u] = 0
+        del self.arcs[arc.i]
+        cyc, lo, hi = arc.cyc, arc.lo, arc.hi
+        best = arc.heap[0][1]
+        mark, size = self.mark, self.size
+        mark[cyc[lo]] = mark[cyc[hi - 1]] = mark[best] = None
+        self.stamp[best] += 1  # the arc's entry; a chain end gets its own
+        p = cyc.index(v, lo, hi)
+        for end, side, step in ((lo, cyc[lo:p], 1), (hi - 1, cyc[p + 1 : hi], -1)):
             if side:
-                self._push(side[-1])
-        on_cycle[v] = -1
-
-    def root_cycle(self, i: int) -> tuple[int, ...]:
-        """Root cycle i in game ids: the root, which stands for the burned
-        region, then its live arc."""
-        return (self.state.instance.graph.root, *self._members(i))
+                e = cyc[end]
+                size[e] = sum(map(size.__getitem__, side))
+                mark[e] = (cyc, end, step)
+                self._push(e)
 
 
 def _step(res: _Residual, f_left: int) -> tuple[list[int], str, BreakDetail | None]:
@@ -511,7 +619,7 @@ def _round(res: _Residual) -> list[ProtectEvent]:
         locs, reason, brk = _step(res, f)
         for v in locs:
             state.protect(v)
-            res.protect(v)
+            res.protect(v, brk)
             events.append(ProtectEvent(len(state.trace), state.round, v, reason, brk))
         f -= len(locs)
     return events

@@ -309,7 +309,13 @@ def cmd_check_lemmas(args) -> int:
         result = run_suite(name, args.trials, args.seed)
         ce_path = ""
         if result.counterexample is not None:
-            ce_path = args.out or f"counterexample-{name}.txt"
+            if not args.out:
+                ce_path = f"counterexample-{name}.txt"
+            elif len(names) > 1:  # one file per failing suite: ce.txt -> ce-<suite>.txt
+                stem, ext = os.path.splitext(args.out)
+                ce_path = f"{stem}-{name}{ext}"
+            else:
+                ce_path = args.out
             with open(ce_path, "w", encoding="utf-8") as fh:
                 fh.write(result.counterexample)
             failures += 1

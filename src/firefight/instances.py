@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algorithms import AlgorithmKind, run_algorithm
 from .engine import Instance, ProtectionSchedule
 from .graph import MAX_VERTICES, Graph
-from .optimum import DEFAULT_NODE_BUDGET, check_mask_budget, solve_opt
+from .optimum import DEFAULT_NODE_BUDGET, check_mask_budget, check_node_budget, solve_opt
 
 
 class BadParamsError(ValueError):
@@ -116,6 +116,7 @@ def tadpole_adversary_run(
     """
     if beta < 2:
         raise BadParamsError("need beta >= 2")
+    check_node_budget(node_budget)
     alpha = beta * beta + 1
     check_mask_budget(alpha + beta + 1)  # the tadpole's n, before any game is played
     g = make_tadpole(alpha, beta)

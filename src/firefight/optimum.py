@@ -105,6 +105,13 @@ def check_mask_budget(n: int) -> None:
         )
 
 
+def check_node_budget(node_budget: int) -> None:
+    """Refuse a negative search-node budget as a bad parameter; 0 is a
+    budget, which the first node searched exhausts."""
+    if node_budget < 0:
+        raise ValueError(f"node_budget must be at least 0, got {node_budget}")
+
+
 @dataclass(frozen=True)
 class OptResult:
     value: int
@@ -262,8 +269,10 @@ def solve_opt(
 
     Deterministic: candidate subsets are enumerated in ascending vertex
     order and only strict improvements replace the incumbent, so the
-    returned schedule is reproducible.
+    returned schedule is reproducible.  A negative ``node_budget`` raises
+    ValueError before any work.
     """
+    check_node_budget(node_budget)
     g = instance.graph
     n = g.n
     if n > max_n:

@@ -3,6 +3,7 @@ import logging
 import random
 import sys
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -597,12 +598,15 @@ def _expected_residual(sub):
 
 
 def _residual_now(res):
-    """The same two things as the residual game holds them."""
-    sizes = {v: res.size[v] for v in range(len(res.cand)) if res.cand[v]}
+    """The same two things as the residual game holds them: the current
+    entries of its candidate heap, each arc's live members in place of its
+    best, and the arcs' weights."""
+    sizes = {v: -w for w, v, s in res.heap if s == res.stamp[v]}
     cycles = []
-    for i, (start, length, w) in res.arcs.items():
-        cyc = res.cycles[i]
-        cycles.append((-w, min(cyc[start], cyc[(start + length - 1) % len(cyc)])))
+    for arc in res.arcs.values():
+        for u in arc.cyc[arc.lo : arc.hi]:  # the best's entry carries its size
+            assert sizes.setdefault(u, res.size[u]) == res.size[u]
+        cycles.append((-arc.weight, min(arc.ends())))
     return sizes, [(end, -w) for w, end in sorted(cycles)]
 
 
@@ -790,6 +794,17 @@ def _flower(petals, size):
     return Graph.from_edges(1 + petals * (size - 1), edges)
 
 
+def _hairy_flower(petals, size, rng):
+    """``_flower`` with zero, one or two leaves hanging off each non-root vertex."""
+    g = _flower(petals, size)
+    edges, n = list(g.edges()), g.n
+    for v in range(1, g.n):
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            edges.append((v, n))
+            n += 1
+    return Graph.from_edges(n, edges)
+
+
 def test_run_algorithm_never_builds_a_view(monkeypatch):
     """No decision of a game builds the position's reduced view or lists
     its live part, not even for a break: greedy picks, pairs and breaks all
@@ -836,8 +851,15 @@ def test_breaks_equal_view_built_reference():
         if style < 2:
             g = random_one_almost_tree(rng.randint(4, 30), seed) if style == 0 else g
             games.append((Instance(_relabelled(g, rng), seq), AlgorithmKind.ALG_A))
-    breaks = {AlgorithmKind.ALG_A: 0, AlgorithmKind.ALG_C: 0, "after greedy": 0}
-    for inst, kind in games:
+    # petals whose members hang leaves: a later break reads the profiles an
+    # earlier one walked, of arcs the fire has shortened since
+    hairy = len(games)
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = _hairy_flower(rng.randint(2, 5), rng.randint(5, 12), rng)
+        games.append((Instance(_relabelled(g, rng), (1,) * rng.randint(4, 12)), AlgorithmKind.ALG_C))
+    breaks = {AlgorithmKind.ALG_A: 0, AlgorithmKind.ALG_C: 0, "after greedy": 0, "hairy": 0}
+    for j, (inst, kind) in enumerate(games):
         r = run_algorithm(inst, kind)
         for k, e in enumerate(r.events):
             if e.reason != "break":
@@ -852,10 +874,12 @@ def test_breaks_equal_view_built_reference():
             assert e.brk == _renamed(expected, sub.to_orig), (inst, kind, k)
             assert e.brk.vertex == e.vertex
             breaks[kind] += 1
+            breaks["hairy"] += j >= hairy
             before = r.events[k - 1] if k else None
             breaks["after greedy"] += before is not None and (before.round, before.reason) == (e.round, "greedy")
     assert breaks[AlgorithmKind.ALG_C] >= 40 and breaks[AlgorithmKind.ALG_A] >= 40, breaks
     assert breaks["after greedy"] >= 10, breaks
+    assert breaks["hairy"] >= 30, breaks
 
 
 def _play_on_canonical(inst, kind):
@@ -1007,3 +1031,60 @@ def test_one_bfs_per_graph(monkeypatch):
         assert len({id(x) for x in bfsed}) == len(bfsed)
         views += len(bfsed) - 1
     assert views >= 5, views
+
+
+def _package_lines(play):
+    """The ``line`` events ``play()`` runs in the package, the chord walk's
+    aside: the Python steps of a game beyond its O(n) walk."""
+    package = algorithms.__file__.rsplit("algorithms.py", 1)[0]
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def call(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(package) and code.co_name != "fundamental_cycles":
+            return local
+        return None
+
+    sys.settrace(call)
+    try:
+        play()
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+# how many times the package's Python steps may grow when the cycle grows 10x
+ROOT_CYCLE_LINE_GROWTH = (11, 10)
+
+
+def test_root_cycle_work_does_not_grow_with_the_cycle():
+    """Opening, sealing and breaking a root cycle take a fixed number of
+    Python steps, whatever its length: on tadpoles whose cycle grows from
+    1000 to 10000 vertices beside a fixed tail, the package's line events
+    in games of alg-a, alg-c and alg-e (the chord walk's aside) grow by at
+    most ROOT_CYCLE_LINE_GROWTH.  Sequence (1, 1, 1) makes a greedy pick
+    of the tail, then a break for alg-a and alg-c; (2, 1) seals the cycle
+    with a pair.  A Python pass over the members would make the ratio
+    about 10."""
+    beta = 100  # beta**2 >= alpha: the tail is picked first
+    tadpoles = [make_tadpole(alpha, beta) for alpha in (1000, 10000)]
+    for g in tadpoles:
+        g.bfs  # built once per graph, outside the count
+    reasons = set()
+    for kind in (AlgorithmKind.ALG_A, AlgorithmKind.ALG_C, AlgorithmKind.ALG_E):
+        for seq in ((1, 1, 1), (2, 1)):
+            small, big = (
+                _package_lines(lambda: run_algorithm(Instance(g, seq), kind)) for g in tadpoles
+            )
+            growth = Fraction(big, small)
+            assert growth <= Fraction(*ROOT_CYCLE_LINE_GROWTH), (kind, seq, small, big)
+            events = run_algorithm(Instance(tadpoles[1], seq), kind).events
+            reasons.add((kind, seq, tuple(e.reason for e in events)))
+    assert (AlgorithmKind.ALG_A, (1, 1, 1), ("greedy", "break", "greedy")) in reasons, reasons
+    assert (AlgorithmKind.ALG_C, (1, 1, 1), ("greedy", "break", "greedy")) in reasons, reasons
+    assert all(r[:2] == ("pair", "pair") for k, s, r in reasons if s == (2, 1)), reasons

@@ -166,6 +166,28 @@ def test_counterexample_file_is_an_instance_file(capsys, monkeypatch, tmp_path):
     assert records(out)[0]["n"] == inst.graph.n
 
 
+def test_every_failing_suite_keeps_its_counterexample(capsys, monkeypatch, tmp_path):
+    """With several suites, ``--out F`` writes each failing suite's
+    counterexample beside F, the suite's name before its extension, and
+    names that file in the suite's record."""
+    made = {
+        "count-monotone": Instance(make_tadpole(4, 2), (1, 0, 1)),
+        "neighbors-best": Instance(make_tadpole(5, 3), (2,)),
+    }
+    for name, inst in made.items():
+        result = SuiteResult(name, 1, 1, 1, lemmas._describe(inst, f"{name} made up"))
+        monkeypatch.setitem(SUITES, name, lambda trials, seed, result=result: result)
+    path = tmp_path / "ce.txt"
+    code, out, _ = run_cli(capsys, "check-lemmas", "--trials", "2", "--out", str(path))
+    assert code == 1
+    failed = {rec["suite"]: rec["counterexample"] for rec in records(out) if not rec["passed"]}
+    assert failed == {name: str(tmp_path / f"ce-{name}.txt") for name in made}
+    for name, inst in made.items():
+        assert parse_instance((tmp_path / f"ce-{name}.txt").read_text()) == inst
+    assert not path.exists()
+    assert len(records(out)) == len(SUITES) == 16
+
+
 def test_check_lemmas_unknown_suite(capsys):
     code, out, err = run_cli(capsys, "check-lemmas", "--suite", "no-such-suite")
     assert code == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from firefight.algorithms import AlgorithmKind
 from firefight.engine import Instance, Status, replay
 from firefight.graph import Graph, validate_and_decompose
 from firefight.instances import (
@@ -16,6 +17,7 @@ from firefight.instances import (
     random_one_almost_tree,
     random_sequence,
     random_tree,
+    tadpole_adversary_run,
 )
 from firefight import optimum
 from firefight.optimum import (
@@ -75,6 +77,22 @@ def test_budget_and_size_guards():
         solve_opt(Instance(g, (1, 1, 1)), node_budget=3)
     with pytest.raises(GraphTooLargeError):
         solve_opt(Instance(g, (1,)), max_n=11)
+
+
+def test_negative_node_budget_is_a_bad_parameter():
+    """A negative node budget is refused up front as a bad parameter, by the
+    solver and by the adversary run that calls it; a budget of 0 is one
+    that the search exhausts."""
+    g = random_cactus(12, 0.5, 6, 3)
+    runs = (
+        lambda budget: solve_opt(Instance(g, (1, 1, 1)), node_budget=budget),
+        lambda budget: tadpole_adversary_run(AlgorithmKind.ALG_E, 3, node_budget=budget),
+    )
+    for run in runs:
+        with pytest.raises(ValueError, match=r"^node_budget must be at least 0, got -1$"):
+            run(-1)
+        with pytest.raises(SearchBudgetExceededError):
+            run(0)
 
 
 def test_mask_budget_is_checked_before_any_mask_is_built():
