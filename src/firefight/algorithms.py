@@ -147,10 +147,13 @@ def _territory(res: _Residual, arc: _Arc) -> tuple[list[int], list[int]]:
     (:func:`_cut`).  What hangs off a member is reached through it alone:
     the profile is one BFS of the game graph from the members of size above
     1 that never enters the cycle.  Members of size 1 are not visited, nor
-    is the arc walked.  Nothing hanging off a live member changes, so an
-    arc's profile is walked once, and a cut drops the members the fire has
-    taken since by their positions.
+    is the arc walked, and a bare arc, all of size 1, hangs nothing: its
+    profile is empty, read off without a scan.  Nothing hanging off a live
+    member changes, so an arc's profile is walked once, and a cut drops the
+    members the fire has taken since by their positions.
     """
+    if arc.bare:
+        return [], []
     if arc.profile is None:
         cyc, lo, hi = arc.cyc, arc.lo, arc.hi
         pos = list(compress(range(lo, hi), map((1).__lt__, map(res.size.__getitem__, cyc[lo:hi]))))
@@ -332,19 +335,31 @@ def _guarded_improved_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail |
 class _Arc:
     """A root cycle of the residual game: cycle ``i`` of the walk read from
     its top, which burned, as ``cyc``, its live members ``cyc[lo:hi]`` of
-    total size ``weight``.  The fire takes members at the two ends only.
-    ``heap`` holds every member keyed (-size, id, position); its top, once
-    the members that left are popped, is the arc's best, the one candidate
-    the arc puts forward."""
+    total size ``weight``, their sizes read off ``size``, which changes for
+    no live member.  The fire takes members at the two ends only.  The arc
+    is ``bare`` when every member has size 1, so hangs nothing.
 
-    __slots__ = ("i", "cyc", "lo", "hi", "weight", "heap", "profile")
+    The arc's best, the one candidate it puts forward, is found at open by
+    C-level passes over the sizes (the largest, then the lowest id of that
+    size); ``at`` is its position, which :meth:`best` keeps current once
+    members leave.  ``heap`` is None until that best leaves while two
+    members or more stay, or the runner-up of an arc that is not bare is
+    asked; it is then built once, from the live members keyed (-size, id,
+    position), and its top, once the members that left are popped, is the
+    best."""
+
+    __slots__ = ("i", "cyc", "lo", "hi", "weight", "size", "bare", "at", "heap", "profile")
 
     def __init__(self, i: int, cyc: tuple[int, ...], size: list[int]):
         members = cyc[1:]
         sizes = list(map(size.__getitem__, members))
         self.i, self.cyc, self.lo, self.hi, self.weight = i, cyc, 1, len(cyc), sum(sizes)
-        self.heap = list(zip(map(neg, sizes), members, range(1, len(cyc))))
-        heapify(self.heap)
+        self.size = size
+        top = max(sizes)
+        self.bare = top == 1
+        best = min(members) if self.bare else min(compress(members, map(top.__eq__, sizes)))
+        self.at = cyc.index(best, 1)
+        self.heap: list[tuple[int, int, int]] | None = None
         self.profile: tuple[list[int], list[int]] | None = None  # see _territory
 
     def ends(self) -> tuple[int, int]:
@@ -355,19 +370,33 @@ class _Arc:
         cyc, lo, hi = self.cyc, self.lo, self.hi
         return cyc[lo:hi] if cyc[lo] == end else cyc[hi - 1 : lo - 1 : -1]
 
-    def best(self) -> int:
-        """The heaviest live member, ties to the lower id."""
-        heap, lo, hi = self.heap, self.lo, self.hi
+    def _heap(self) -> list[tuple[int, int, int]]:
+        """The member heap, built from the live members on first use, with
+        the members that left popped off its top."""
+        cyc, lo, hi, heap = self.cyc, self.lo, self.hi, self.heap
+        if heap is None:
+            live = cyc[lo:hi]
+            heap = list(zip(map(neg, map(self.size.__getitem__, live)), live, range(lo, hi)))
+            heapify(heap)
+            self.heap = heap
         while not lo <= heap[0][2] < hi:
             heappop(heap)
-        return heap[0][1]
+        return heap
+
+    def best(self) -> int:
+        """The heaviest live member, ties to the lower id."""
+        if not self.lo <= self.at < self.hi:
+            self.at = self._heap()[0][2]
+        return self.cyc[self.at]
 
     def runner_up(self) -> int:
-        """The second largest live member size."""
-        heap = self.heap
+        """The second largest live member size: 1 on a bare arc, which
+        always keeps two members."""
+        if self.bare:
+            return 1
+        heap = self._heap()
         top = heappop(heap)
-        self.best()
-        w = -heap[0][0]
+        w = -self._heap()[0][0]
         heappush(heap, top)
         return w
 
@@ -399,13 +428,16 @@ class _Residual:
     its best is pushed, and an entry is current while it carries its
     vertex's stamp.  ``mark[v]`` is the arc v ends or is the best of, or
     the chain it ends; ``cand[v]`` is set once the spread need not push v.
-    A protection on an arc opens it into two chains, paths from the fire
-    to the protection, each put forward by its end alone, worth the sum of
-    its sizes; the fire moves a chain's end one member on, whose size is
-    the end's less the end's own.  So opening, sealing or breaking a root
-    cycle takes a fixed number of steps plus C-level passes over its
-    members, and a burned vertex O(log n).  View ids keep the original
-    order, so the rankings agree with a view rebuilt from scratch.
+    An arc's best is read off it without forcing its member heap (see
+    :class:`_Arc`), so opening an arc heapifies nothing, and each arc
+    builds at most one heap.  A protection on an arc opens it into two
+    chains, paths from the fire to the protection, each put forward by its
+    end alone, worth the sum of its sizes, or its member count on a bare
+    arc; the fire moves a chain's end one member on, whose size is the
+    end's less the end's own.  So opening, sealing or breaking a root cycle
+    takes a fixed number of steps plus C-level passes over its members, and
+    a burned vertex O(log n).  View ids keep the original order, so the
+    rankings agree with a view rebuilt from scratch.
 
     A break is decided here too, in game ids: the arcs are the root cycles
     and their weights, the sizes give their anchors, a cycle's territory is
@@ -484,7 +516,7 @@ class _Residual:
             k = cyc.index(top)
             cyc = cyc[k:] + cyc[:k]
         self.arcs[i] = arc = _Arc(i, cyc, self.size)
-        a, b, best = cyc[1], cyc[-1], arc.heap[0][1]
+        a, b, best = cyc[1], cyc[-1], cyc[arc.at]
         self.cand[a] = self.cand[b] = 1
         self.mark[a] = self.mark[b] = self.mark[best] = arc
         self._push(best)
@@ -516,8 +548,9 @@ class _Residual:
     def _shrink(self, arc: _Arc, v: int) -> None:
         """The fire took ``v``, an end of ``arc``: the next member ends it,
         and a new best is put forward if v was the best; an arc of one
-        member is just that root neighbor."""
+        member is just that root neighbor, its best."""
         cyc = arc.cyc
+        was_best = cyc[arc.at] == v
         if cyc[arc.lo] == v:
             arc.lo += 1
             u = cyc[arc.lo]
@@ -526,11 +559,12 @@ class _Residual:
             u = cyc[arc.hi - 1]
         arc.weight -= self.size[v]
         self.cand[u] = 1
-        if arc.heap[0][1] == v:
-            best = arc.best()
+        alive = arc.hi - arc.lo >= 2
+        if was_best:
+            best = arc.best() if alive else u
             self.mark[best] = arc
             self._push(best)
-        if arc.hi - arc.lo >= 2:
+        if alive:
             self.mark[u] = arc
             self._rank(arc)
         else:  # its best, a current entry, stays as a root neighbor
@@ -554,23 +588,25 @@ class _Residual:
         an arc is one of its ends or its best, which mark it, or the vertex
         of a break ``brk``, on the arc its anchor ends; it opens the arc
         into two chains, one per side of v, each put forward by its end at
-        the fire with the sum of the side's sizes."""
+        the fire with the sum of the side's sizes, on a bare arc its member
+        count."""
         self.saved += self.size[v]
         self.stamp[v] += 1
         arc = self.mark[v if brk is None else brk.anchor]
         if type(arc) is not _Arc:
             return
         del self.arcs[arc.i]
-        cyc, lo, hi = arc.cyc, arc.lo, arc.hi
-        best = arc.heap[0][1]
+        cyc, lo, hi, at = arc.cyc, arc.lo, arc.hi, arc.at
+        best = cyc[at]
         mark, size = self.mark, self.size
         mark[cyc[lo]] = mark[cyc[hi - 1]] = mark[best] = None
         self.stamp[best] += 1  # the arc's entry; a chain end gets its own
-        p = cyc.index(v, lo, hi)
-        for end, side, step in ((lo, cyc[lo:p], 1), (hi - 1, cyc[p + 1 : hi], -1)):
-            if side:
+        # on a bare arc v is an end or the best, found without a scan
+        p = at if v == best else hi - 1 if v == cyc[hi - 1] else cyc.index(v, lo, hi)
+        for end, a, b, step in ((lo, lo, p, 1), (hi - 1, p + 1, hi, -1)):
+            if a < b:
                 e = cyc[end]
-                size[e] = sum(map(size.__getitem__, side))
+                size[e] = b - a if arc.bare else sum(map(size.__getitem__, cyc[a:b]))
                 mark[e] = (cyc, end, step)
                 self._push(e)
 

@@ -157,8 +157,12 @@ def _ratio_row(inst: Instance, kind: AlgorithmKind, budget: int) -> dict:
     }
 
 
+# the fewest vertices a generated trial instance has
+_TRIAL_MIN_N = 3
+
+
 def _gen_trial_instance(gen: str, rng_seed: int, n_max: int, even: bool) -> Instance:
-    inst = random_instance(random.Random(rng_seed), gen, 3, n_max, even)
+    inst = random_instance(random.Random(rng_seed), gen, _TRIAL_MIN_N, n_max, even)
     return dataclasses.replace(inst, name=f"{gen}-{rng_seed}")
 
 
@@ -168,6 +172,11 @@ def _check_trials(args) -> None:
 
 
 def _check_n_max(args) -> None:
+    if args.n_max < _TRIAL_MIN_N:
+        raise BadParamsError(
+            f"--n-max {args.n_max} is below {_TRIAL_MIN_N},"
+            " the fewest vertices a generated instance has"
+        )
     if args.n_max > DEFAULT_MAX_N:
         raise BadParamsError(
             f"--n-max {args.n_max} is above the exact solver's limit of {DEFAULT_MAX_N} vertices"
@@ -177,6 +186,8 @@ def _check_n_max(args) -> None:
 def cmd_ratio(args) -> int:
     budget = _node_budget()
     kind = AlgorithmKind(args.alg)
+    if args.instance is not None and args.gen is not None:
+        raise BadParamsError("ratio takes --instance or --gen, not both")
     if args.instance is not None:
         instances = [_load_instance(args.instance)]
     elif args.gen is not None:

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import logging
 import random
 import sys
@@ -651,16 +652,24 @@ def _check_reduced_view(state):
 def test_derived_views_equal_rebuilds(monkeypatch):
     """The residual game a game keeps across rounds equals, at every
     decision, a from-scratch rebuild of the live position: at a round's
-    first decision (a view) and after earlier ones (a strip).  The
-    position's reduced view, which no game builds, is checked there too."""
-    counts = {"views": 0, "strips": 0}
+    first decision (a view) and after earlier ones (a strip).  While a root
+    cycle is live, the runner-up a pair weighs is the rebuild's second
+    largest candidate size, on bare arcs (every member of size 1) and on
+    arcs that hang vertices.  The position's reduced view, which no game
+    builds, is checked there too."""
+    counts = {"views": 0, "strips": 0, "bare": 0, "not bare": 0}
     step = algorithms._step
 
     def checked_step(res, *args):
         state = res.state
-        assert _residual_now(res) == _expected_residual(_live_view(state))
+        expected = _expected_residual(_live_view(state))
+        assert _residual_now(res) == expected
         _check_reduced_view(state)
         counts["strips" if state.trace and state.trace[-1].round == state.round else "views"] += 1
+        if res.heaviest() is not None:
+            assert res.second() == sorted(expected[0].values())[-2]
+            counts["bare"] += any(arc.bare for arc in res.arcs.values())
+            counts["not bare"] += not all(arc.bare for arc in res.arcs.values())
         return step(res, *args)
 
     monkeypatch.setattr(algorithms, "_step", checked_step)
@@ -676,7 +685,19 @@ def test_derived_views_equal_rebuilds(monkeypatch):
             inst = Instance(_relabelled(inst.graph, rng), inst.sequence)
         for kind in (AlgorithmKind.ALG_C, AlgorithmKind.ALG_E):
             run_algorithm(inst, kind)
+    # bare root cycles, relabelled so the best of an arc sits anywhere on it
+    for seed in range(60):
+        rng = random.Random(seed)
+        if seed % 2:
+            g = make_tadpole(rng.randint(2, 40), rng.randint(1, 8))
+        else:
+            g = _flower(rng.randint(2, 5), rng.randint(3, 12))
+        seq = tuple(rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(1, 6)))
+        inst = Instance(_relabelled(g, rng), seq)
+        for kind in (AlgorithmKind.ALG_C, AlgorithmKind.ALG_E):
+            run_algorithm(inst, kind)
     assert counts["views"] >= 700 and counts["strips"] >= 300, counts
+    assert counts["bare"] >= 600 and counts["not bare"] >= 450, counts
 
 
 def test_decision_view_is_the_decided_graph(monkeypatch):
@@ -1088,3 +1109,40 @@ def test_root_cycle_work_does_not_grow_with_the_cycle():
     assert (AlgorithmKind.ALG_A, (1, 1, 1), ("greedy", "break", "greedy")) in reasons, reasons
     assert (AlgorithmKind.ALG_C, (1, 1, 1), ("greedy", "break", "greedy")) in reasons, reasons
     assert all(r[:2] == ("pair", "pair") for k, s, r in reasons if s == (2, 1)), reasons
+
+
+def test_member_heaps_are_built_only_when_needed(monkeypatch):
+    """An opened root cycle's best is found without a heap, and a bare
+    arc's runner-up is 1, so a member heap is built only once the best
+    leaves the arc, and at most once per arc.  On a fixed relabelling of
+    a tadpole, whose bare cycle's best lies inside it and is protected or
+    split off before the fire reaches it, no game builds one; on the
+    tadpole as made, vertex 1, the lowest id and so the best, is an end of
+    the cycle and burns in round 1, so alg-e builds one."""
+    calls = 0
+
+    def counted(heap):
+        nonlocal calls
+        calls += 1
+        heapq.heapify(heap)
+
+    monkeypatch.setattr(algorithms, "heapify", counted)
+    g = make_tadpole(577, 24)
+    relabelled = _relabelled(g, random.Random(1))
+    for kind in (AlgorithmKind.ALG_A, AlgorithmKind.ALG_C, AlgorithmKind.ALG_E):
+        for seq in ((1, 1, 1), (2, 1), (1, 3)):
+            calls = 0
+            run_algorithm(Instance(relabelled, seq), kind)
+            assert calls == 0, (kind, seq, calls)
+    for seq in ((1, 1, 1), (1, 3)):
+        calls = 0
+        r = run_algorithm(Instance(g, seq), AlgorithmKind.ALG_E)
+        assert r.events[0].vertex == 578  # the tail's head, so the fire takes vertex 1
+        assert calls == 1, (seq, calls)
+    # the fire takes a triangle's best, vertex 1, which hangs vertex 3, and
+    # its other member at once: an arc left one member needs no heap
+    triangle = [(0, 1), (1, 2), (2, 0), (1, 3)]
+    g = Graph.from_edges(9, triangle + [(0, 4), (4, 5), (5, 6), (6, 7), (7, 8)])
+    calls = 0
+    r = run_algorithm(Instance(g, (1, 1)), AlgorithmKind.ALG_E)
+    assert [e.vertex for e in r.events] == [4, 3] and calls == 0

@@ -442,6 +442,36 @@ def test_ratio_n_max_beyond_the_solver_is_refused_before_any_draw(capsys, monkey
     assert err.startswith("error: ") and "--n-max" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n_max", ["2", "-5"])
+def test_ratio_n_max_below_the_smallest_instance_is_refused(capsys, monkeypatch, n_max):
+    # every generated instance has at least 3 vertices, so a lower --n-max
+    # would rate 3-vertex instances without a word
+    drawn = []
+    monkeypatch.setattr(cli, "_gen_trial_instance", lambda *a: drawn.append(a))
+    code, out, err = run_cli(
+        capsys, "ratio", "--gen", "tree", "--alg", "alg-c", "--n-max", n_max, "--trials", "5"
+    )
+    assert (code, out, drawn) == (2, "", [])
+    assert err.startswith("error: ") and f"--n-max {n_max} " in err and err.count("\n") == 1
+
+
+def test_ratio_n_max_at_the_smallest_instance_runs(capsys):
+    code, out, _ = run_cli(
+        capsys, "ratio", "--gen", "tree", "--alg", "alg-c", "--n-max", "3", "--trials", "2"
+    )
+    assert code == 0 and [r["n"] for r in records(out)[:2]] == [3, 3]
+
+
+def test_ratio_refuses_an_instance_with_a_generator(capsys, tadpole_file):
+    # --gen, --trials, --seed, --n-max and --even would be dropped in silence
+    code, out, err = run_cli(
+        capsys, "ratio", "--instance", str(tadpole_file), "--gen", "tree", "--alg", "alg-c"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--instance" in err and "--gen" in err
+    assert err.count("\n") == 1
+
+
 def test_ratio_n_max_at_the_solver_limit_runs(capsys):
     code, out, _ = run_cli(
         capsys, "ratio", "--gen", "tree", "--alg", "alg-c", "--n-max", "30", "--trials", "2"
