@@ -24,7 +24,10 @@ file of ``random_cactus(200000, 0.7, 50, 3)`` with firefighters
 1,1,2,1,1,1,2,1, and `alg-c` on that instance once parsed, and the exact
 optimum of ``random_cactus(40, 0.5, 8, s)`` with eight
 single firefighters for s = 1, 2, 3, long runs of single firefighters
-whose search passes the incumbent's value down to stay small.
+whose search passes the incumbent's value down to stay small, and of
+``grid-5x6``, a 5 x 6 grid rooted at a corner, with four single
+firefighters: no view of it is a cactus, so every one-firefighter last
+round values each candidate by its own flood.
 Each case is run ``--repeat`` times; the median wall time in seconds is
 printed as one JSON object per case, with the instance size and the pinned
 results (a profit, the strategy's and the optimum's profits of an
@@ -118,6 +121,13 @@ def _chain_spider(legs, depth):
     return Graph.from_edges(n, edges)
 
 
+def _grid(rows, cols):
+    """A ``rows`` x ``cols`` grid rooted at a corner, vertex 0."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
 def _cases():
     """(name, n, play, expected results) of every case."""
     # a 3937-vertex cycle plus a 63-vertex tail at the root: n = 4001
@@ -165,6 +175,8 @@ def _cases():
     ] + [
         (f"opt/cactus40-1x8-s{s}", 40, _optimum(Instance(random_cactus(40, 0.5, 8, s), (1,) * 8)), {"value": value})
         for s, value in ((1, 25), (2, 35), (3, 36))
+    ] + [
+        ("opt/grid-5x6-1x4", 30, _optimum(Instance(_grid(5, 6), (1,) * 4)), {"value": 10}),
     ]
 
 

@@ -166,6 +166,11 @@ def _gen_trial_instance(gen: str, rng_seed: int, n_max: int, even: bool) -> Inst
     return dataclasses.replace(inst, name=f"{gen}-{rng_seed}")
 
 
+# the options only ratio --gen reads, with their defaults there; the parser
+# leaves them None, so ratio --instance refuses one even at its default
+_RATIO_GEN_DEFAULTS = {"trials": 200, "seed": 0, "n_max": 14, "even": False}
+
+
 def _check_trials(args) -> None:
     if args.trials < 1:
         raise BadParamsError(f"--trials must be at least 1, got {args.trials}")
@@ -189,8 +194,15 @@ def cmd_ratio(args) -> int:
     if args.instance is not None and args.gen is not None:
         raise BadParamsError("ratio takes --instance or --gen, not both")
     if args.instance is not None:
+        for name in _RATIO_GEN_DEFAULTS:
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise BadParamsError(f"ratio takes {flag} only with --gen, not with --instance")
         instances = [_load_instance(args.instance)]
     elif args.gen is not None:
+        for name, default in _RATIO_GEN_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         _check_trials(args)
         _check_n_max(args)
         # drawn one at a time, so memory does not grow with --trials
@@ -269,7 +281,9 @@ def _parse_seq(text: str) -> tuple[int, ...]:
 
 
 def cmd_gen(args) -> int:
-    seq = _parse_seq(args.seq)
+    if args.generator == "alge-tight" and args.seq is not None:
+        raise BadParamsError("gen alge-tight writes its own sequence and takes no --seq")
+    seq = _parse_seq(args.seq or "")
     if args.generator == "tadpole":
         g = make_tadpole(args.alpha, args.beta)
         inst = Instance(g, seq, name=f"tadpole-{args.alpha}-{args.beta}")
@@ -375,10 +389,13 @@ def _parser() -> argparse.ArgumentParser:
     p_ratio.add_argument("--instance")
     p_ratio.add_argument("--alg", choices=algs, required=True)
     p_ratio.add_argument("--gen", choices=("tree", "one-almost-tree", "cactus"))
-    p_ratio.add_argument("--trials", type=int, default=200)
-    p_ratio.add_argument("--seed", type=int, default=0)
-    p_ratio.add_argument("--n-max", type=int, default=14)
-    p_ratio.add_argument("--even", action="store_true", help="even-only firefighter sequences")
+    # --gen's defaults are _RATIO_GEN_DEFAULTS
+    p_ratio.add_argument("--trials", type=int)
+    p_ratio.add_argument("--seed", type=int)
+    p_ratio.add_argument("--n-max", type=int)
+    p_ratio.add_argument(
+        "--even", action="store_true", default=None, help="even-only firefighter sequences"
+    )
     p_ratio.set_defaults(cmd=cmd_ratio.__name__)
 
     p_adv = sub.add_parser("adversary", help="adaptive tadpole lower-bound run")
@@ -396,7 +413,7 @@ def _parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--cycle-fraction", type=float, default=0.5)
     p_gen.add_argument("--max-cycle-len", type=int, default=6)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--seq", default="", help="firefighter sequence, e.g. '1,0,2'")
+    p_gen.add_argument("--seq", help="firefighter sequence, e.g. '1,0,2'")
     p_gen.add_argument("--out", help="output path (default: print to stderr)")
     p_gen.set_defaults(cmd=cmd_gen.__name__)
 

@@ -42,8 +42,10 @@ prunings keep it exact:
 Once the sequence is exhausted no further protection is possible, so the
 remaining spread collapses into R.  A last round with one firefighter
 needs no search: protecting v saves v's subtree in the dominator tree of
-R minus the burned set, rooted at the burned set merged into one source,
-so one depth-first pass with low points values every candidate.
+the view of R with the burned set merged into its root, so on a cactus
+view the view's chord walk (:func:`~firefight.graph.fundamental_cycles`)
+values every candidate at once.  A view that is no cactus values each
+candidate by one flood.
 
 One round before such a last round, with one firefighter too, a candidate
 off the fire's front lets the fire take the whole front, so its child is
@@ -65,8 +67,10 @@ from dataclasses import dataclass
 
 from .engine import Instance, ProtectionSchedule
 from .graph import (
+    CycleWalk,
     Graph,
     NotCactusError,
+    Subgraph,
     contract,
     fundamental_cycles,
     validate_and_decompose,
@@ -122,67 +126,23 @@ class OptResult:
     pruned: int  # children skipped because they cannot strictly beat alpha or the incumbent
 
 
-def lowpoint_dfs(nbr: list[int], burned: int, roots: int, avail: int) -> list[int]:
-    """How many vertices each u of ``avail`` alone cuts off from ``burned``.
-
-    One depth-first pass over ``avail`` from ``burned`` merged into one
-    source s with discovery time 0; ``roots`` are s's neighbors in avail.
-    ``saved[u]`` is u itself and every DFS subtree below it whose low point
-    does not reach above u: exactly the vertices u dominates (Hopcroft &
-    Tarjan 1973).
-    """
-    n = len(nbr)
-    disc = [0] * n
-    low = [0] * n
-    size = [1] * n
-    saved = [1] * n
-    up = [0] * n  # the vertices discovered before u, as a mask
-    t = 0
-    seen = 0
-    stack: list[tuple[int, int]] = []
-    mm = roots
-    while mm:
-        b = mm & -mm
-        mm ^= b
-        if seen & b:
-            continue
-        seen |= b
-        t += 1
-        c = b.bit_length() - 1
-        disc[c] = low[c] = t
-        stack.append((c, nbr[c] & avail))
-        while stack:
-            u, rest = stack[-1]
-            rest &= ~seen
-            if rest:
-                b = rest & -rest
-                stack[-1] = (u, rest ^ b)
-                w = b.bit_length() - 1
-                up[w] = seen
-                seen |= b
-                t += 1
-                disc[w] = low[w] = t
-                stack.append((w, nbr[w] & avail))
-                continue
-            stack.pop()
-            # only neighbors discovered earlier can lower the low point
-            am = nbr[u] & up[u]
-            lu = 0 if nbr[u] & burned else low[u]
-            while am:
-                b = am & -am
-                am ^= b
-                d = disc[b.bit_length() - 1]
-                if d < lu:
-                    lu = d
-            low[u] = lu
-            if stack:
-                p = stack[-1][0]
-                size[p] += size[u]
-                if lu >= disc[p]:
-                    saved[p] += size[u]
-                if lu < low[p]:
-                    low[p] = lu
-    return saved
+def _view(g: Graph, merged: int, kept: int) -> tuple[Subgraph, CycleWalk | None]:
+    """The view of g with the vertices of ``merged`` merged into its root,
+    those of ``kept`` kept and the rest dropped, with its chord walk, or
+    with None when the view is no cactus."""
+    index = [-1] * g.n
+    k = 0
+    for v in range(g.n):
+        if (merged >> v) & 1:
+            index[v] = 0
+        elif (kept >> v) & 1:
+            k += 1
+            index[v] = k
+    sub = contract(g, index)
+    try:
+        return sub, fundamental_cycles(sub.graph)
+    except NotCactusError:
+        return sub, None
 
 
 def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
@@ -207,20 +167,10 @@ def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
     sums makes that direction immaterial.  No canonical decomposition is
     built.  O(n + m).
     """
-    index = [-1] * g.n
-    k = 0
-    for v in range(g.n):
-        if (front >> v) & 1:
-            index[v] = 0
-        elif (avail >> v) & 1:
-            k += 1
-            index[v] = k
-    sub = contract(g, index)
-    view = sub.graph
-    try:
-        walk = fundamental_cycles(view)
-    except NotCactusError:
+    sub, walk = _view(g, front, avail)
+    if walk is None:
         return None
+    view = sub.graph
     idom, saved, order = walk.idom, walk.size, view.bfs.order
     arc = [0] * view.n
     for cyc in walk.cycles:
@@ -312,13 +262,25 @@ def solve_opt(
     def best_single(burned: int, ring: int, region: int) -> tuple[int, int]:
         """(saved, v) of the best lone protection in ``region``.
 
-        Ties go to the lowest id, as in the ascending search.  O(n + m) for
-        all candidates together.
+        Protecting v saves v's subtree in the dominator tree of the view
+        with ``burned`` merged into its root, the walk's ``size``: O(n + m)
+        for all candidates together.  A view that is no cactus values each
+        candidate by one flood that avoids it.  Ties go to the lowest id,
+        as in the ascending search: view ids keep g's order, and max keeps
+        the first of equals.
         """
         avail = region & ~burned
-        saved = lowpoint_dfs(nbr, burned, grow(ring) & avail, avail)
-        # max keeps the first of equals, so ties go to the lowest id
-        v = max((u for u in range(n) if (avail >> u) & 1), key=saved.__getitem__)
+        sub, walk = _view(g, burned, avail)
+        if walk is not None:
+            i = max(range(1, sub.graph.n), key=walk.size.__getitem__)
+            return walk.size[i], sub.to_orig[i]
+        size = region.bit_count()
+        saved = {
+            u: size - flood(ring, burned, region & ~(1 << u)).bit_count()
+            for u in range(n)
+            if (avail >> u) & 1
+        }
+        v = max(saved, key=saved.__getitem__)
         return saved[v], v
 
     nodes = 0

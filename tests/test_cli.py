@@ -472,6 +472,46 @@ def test_ratio_refuses_an_instance_with_a_generator(capsys, tadpole_file):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("given, flag", [
+    (("--trials", "0"), "--trials"),
+    (("--trials", "200"), "--trials"),
+    (("--seed", "0"), "--seed"),
+    (("--seed", "4"), "--seed"),
+    (("--n-max", "99"), "--n-max"),
+    (("--n-max", "14"), "--n-max"),
+    (("--even",), "--even"),
+])
+def test_ratio_instance_refuses_a_gen_option(capsys, tadpole_file, given, flag):
+    # only --gen reads these; --instance refuses them, even at their defaults
+    code, out, err = run_cli(
+        capsys, "ratio", "--instance", str(tadpole_file), "--alg", "alg-c", *given
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+
+
+def test_ratio_gen_options_at_their_defaults_change_nothing(capsys):
+    base = ("ratio", "--gen", "tree", "--alg", "alg-a", "--trials", "3")
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0 and len(records(out)) == 4
+    again = run_cli(capsys, *base, "--seed", "0", "--n-max", "14")
+    assert again == (code, out, "")
+
+
+def test_gen_alge_tight_refuses_a_sequence(capsys, tmp_path):
+    # the family writes its own sequence (2, 0, 0, 0, 4)
+    path = tmp_path / "tight.ff"
+    for seq in ("1,1", ""):
+        code, out, err = run_cli(
+            capsys, "gen", "alge-tight", "--beta", "2", "--seq", seq, "--out", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "--seq" in err and err.count("\n") == 1
+        assert not path.exists()
+    code, out, _ = run_cli(capsys, "gen", "alge-tight", "--beta", "2", "--out", str(path))
+    assert code == 0 and records(out)[0]["sequence"] == [2, 0, 0, 0, 4]
+
+
 def test_ratio_n_max_at_the_solver_limit_runs(capsys):
     code, out, _ = run_cli(
         capsys, "ratio", "--gen", "tree", "--alg", "alg-c", "--n-max", "30", "--trials", "2"

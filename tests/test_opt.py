@@ -495,3 +495,42 @@ def test_solver_digest():
         res = solve_opt(inst, max_n=inst.graph.n)
         h.update(repr((res.value, res.schedule)).encode())
     assert h.hexdigest() == SOLVER_SHA256
+
+
+def _non_cactus_corpus():
+    """Connected graphs that are no cactus, with the root anywhere."""
+    rng = random.Random("solver-counters")
+    graphs = []
+    while len(graphs) < 200:
+        n = rng.randint(6, 14)
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        for _ in range(rng.randint(2, 6)):
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        g = Graph.from_edges(n, sorted(edges), rng.randrange(n))
+        if not oracles.is_cactus(oracles.to_nx(g)):
+            head = tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 2)))
+            graphs.append((g, head))
+    return graphs
+
+
+# sha256 over (nodes_explored, memo_hits, memo_entries, pruned) of every
+# corpus solve and of the no-cactus solves ending in one firefighter and in
+# two single ones, memo on and off: the `opt` record prints the node count,
+# so a change to how much the search explores changes it
+SOLVER_COUNTERS_SHA256 = "5d6c53d9dffd0110d4c13de67c1397d565bd91f725a6a25b99bbf5843ced117c"
+
+
+def test_solver_counters_digest():
+    h = hashlib.sha256()
+
+    def add(res):
+        h.update(repr((res.nodes_explored, res.memo_hits, res.memo_entries, res.pruned)).encode())
+
+    for inst in _digest_corpus():
+        add(solve_opt(inst, max_n=inst.graph.n))
+    for g, head in _non_cactus_corpus():
+        for tail in ((1,), (1, 1)):
+            for use_memo in (True, False):
+                add(solve_opt(Instance(g, (*head, *tail)), use_memo=use_memo))
+    assert h.hexdigest() == SOLVER_COUNTERS_SHA256
