@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .algorithms import AlgorithmError, AlgorithmKind, run_algorithm, within_bound
 from .engine import GameError, Instance
-from .fileformat import ParseError, parse_instance, parse_int, serialize_instance
+from .fileformat import parse_instance, parse_int, serialize_instance
 from .graph import GraphError
 from .instances import (
     BadParamsError,
@@ -166,9 +166,34 @@ def _gen_trial_instance(gen: str, rng_seed: int, n_max: int, even: bool) -> Inst
     return dataclasses.replace(inst, name=f"{gen}-{rng_seed}")
 
 
-# the options only ratio --gen reads, with their defaults there; the parser
-# leaves them None, so ratio --instance refuses one even at its default
-_RATIO_GEN_DEFAULTS = {"trials": 200, "seed": 0, "n_max": 14, "even": False}
+# The options each path of ratio and gen reads, with their defaults (None:
+# none).  The parser leaves every option of both commands None, and
+# _read_options fills in the chosen path's defaults and refuses any other
+# option of its command that was given, even at another path's default.
+_READS = {
+    "ratio": {
+        "--instance": {"instance": None, "alg": None},
+        "--gen": {"gen": None, "alg": None, "trials": 200, "seed": 0, "n_max": 14, "even": False},
+    },
+    "gen": {
+        "tadpole": {"alpha": 10, "beta": 3, "seq": "", "out": None},
+        "alge-tight": {"beta": 3, "out": None},
+        "tree": {"n": 12, "seed": 0, "seq": "", "out": None},
+        "one-almost-tree": {"n": 12, "seed": 0, "seq": "", "out": None},
+        "cactus": {"n": 12, "cycle_fraction": 0.5, "max_cycle_len": 6, "seed": 0, "seq": "", "out": None},
+    },
+}
+
+
+def _read_options(args, command: str, path: str) -> None:
+    reads = _READS[command][path]
+    for options in _READS[command].values():
+        for name in options:
+            if name not in reads and getattr(args, name) is not None:
+                raise BadParamsError(f"{command} {path} takes no --{name.replace('_', '-')}")
+    for name, default in reads.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
 
 
 def _check_trials(args) -> None:
@@ -194,15 +219,10 @@ def cmd_ratio(args) -> int:
     if args.instance is not None and args.gen is not None:
         raise BadParamsError("ratio takes --instance or --gen, not both")
     if args.instance is not None:
-        for name in _RATIO_GEN_DEFAULTS:
-            if getattr(args, name) is not None:
-                flag = "--" + name.replace("_", "-")
-                raise BadParamsError(f"ratio takes {flag} only with --gen, not with --instance")
+        _read_options(args, "ratio", "--instance")
         instances = [_load_instance(args.instance)]
     elif args.gen is not None:
-        for name, default in _RATIO_GEN_DEFAULTS.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)
+        _read_options(args, "ratio", "--gen")
         _check_trials(args)
         _check_n_max(args)
         # drawn one at a time, so memory does not grow with --trials
@@ -268,8 +288,6 @@ def cmd_adversary(args) -> int:
 
 
 def _parse_seq(text: str) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
     parts = text.replace(",", " ").split()
     try:
         seq = tuple(parse_int(p) for p in parts)
@@ -281,30 +299,20 @@ def _parse_seq(text: str) -> tuple[int, ...]:
 
 
 def cmd_gen(args) -> int:
-    if args.generator == "alge-tight" and args.seq is not None:
-        raise BadParamsError("gen alge-tight writes its own sequence and takes no --seq")
-    seq = _parse_seq(args.seq or "")
-    if args.generator == "tadpole":
+    gen = args.generator
+    _read_options(args, "gen", gen)
+    seq = _parse_seq(args.seq or "")  # alge-tight writes its own
+    if gen == "alge-tight":
+        inst = make_alge_tight(args.beta)
+    elif gen == "tadpole":
         g = make_tadpole(args.alpha, args.beta)
         inst = Instance(g, seq, name=f"tadpole-{args.alpha}-{args.beta}")
-    elif args.generator == "alge-tight":
-        inst = make_alge_tight(args.beta)
-    elif args.generator == "tree":
-        inst = Instance(random_tree(args.n, args.seed), seq, name=f"tree-{args.n}-{args.seed}")
-    elif args.generator == "one-almost-tree":
-        inst = Instance(
-            random_one_almost_tree(args.n, args.seed),
-            seq,
-            name=f"one-almost-tree-{args.n}-{args.seed}",
-        )
-    elif args.generator == "cactus":
-        inst = Instance(
-            random_cactus(args.n, args.cycle_fraction, args.max_cycle_len, args.seed),
-            seq,
-            name=f"cactus-{args.n}-{args.seed}",
-        )
     else:
-        raise BadParamsError(f"unknown generator {args.generator!r}")
+        if gen == "cactus":
+            g = random_cactus(args.n, args.cycle_fraction, args.max_cycle_len, args.seed)
+        else:
+            g = {"tree": random_tree, "one-almost-tree": random_one_almost_tree}[gen](args.n, args.seed)
+        inst = Instance(g, seq, name=f"{gen}-{args.n}-{args.seed}")
     text = serialize_instance(inst)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -389,7 +397,7 @@ def _parser() -> argparse.ArgumentParser:
     p_ratio.add_argument("--instance")
     p_ratio.add_argument("--alg", choices=algs, required=True)
     p_ratio.add_argument("--gen", choices=("tree", "one-almost-tree", "cactus"))
-    # --gen's defaults are _RATIO_GEN_DEFAULTS
+    # the defaults of ratio's and gen's options are in _READS
     p_ratio.add_argument("--trials", type=int)
     p_ratio.add_argument("--seed", type=int)
     p_ratio.add_argument("--n-max", type=int)
@@ -404,15 +412,13 @@ def _parser() -> argparse.ArgumentParser:
     p_adv.set_defaults(cmd=cmd_adversary.__name__)
 
     p_gen = sub.add_parser("gen", help="write an instance file")
-    p_gen.add_argument(
-        "generator", choices=("tadpole", "alge-tight", "tree", "one-almost-tree", "cactus")
-    )
-    p_gen.add_argument("--alpha", type=int, default=10)
-    p_gen.add_argument("--beta", type=int, default=3)
-    p_gen.add_argument("--n", type=int, default=12)
-    p_gen.add_argument("--cycle-fraction", type=float, default=0.5)
-    p_gen.add_argument("--max-cycle-len", type=int, default=6)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("generator", choices=tuple(_READS["gen"]))
+    p_gen.add_argument("--alpha", type=int)
+    p_gen.add_argument("--beta", type=int)
+    p_gen.add_argument("--n", type=int)
+    p_gen.add_argument("--cycle-fraction", type=float)
+    p_gen.add_argument("--max-cycle-len", type=int)
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--seq", help="firefighter sequence, e.g. '1,0,2'")
     p_gen.add_argument("--out", help="output path (default: print to stderr)")
     p_gen.set_defaults(cmd=cmd_gen.__name__)
@@ -440,16 +446,8 @@ def main(argv=None) -> int:
     except SearchBudgetExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (
-        BadParamsError,
-        ParseError,
-        GraphTooLargeError,
-        AlgorithmError,
-        GameError,
-        GraphError,
-        OSError,
-        ValueError,
-    ) as exc:
+    # ValueError also covers BadParamsError, ParseError and UnknownSuiteError
+    except (GraphTooLargeError, AlgorithmError, GameError, GraphError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     for rows in args.tables.values():  # one table per record type, first seen first

@@ -12,6 +12,9 @@ blank lines ignored):
     sequence <f1> <f2> ...    # possibly no numbers at all
 
 Vertex ids are 0-based.  parse_instance(serialize_instance(x)) == x.
+A line ends only at LF, CR LF or CR, the ends open() translates, so a
+comment runs to one of them; a name may hold no other character that
+str.splitlines() breaks at.
 
 The parser reads each line as whitespace-separated tokens and works out a
 column only when it raises a ParseError.  Lines and columns count from 1,
@@ -32,6 +35,9 @@ from .graph import MAX_VERTICES, Graph, GraphError
 FORMAT_VERSION = 1
 
 _TOKEN = re.compile(r"\S+")
+# what str.splitlines() also breaks at besides '\n' and '\r': whitespace
+# inside a line here, and refused inside a name, which could not round-trip
+_OTHER_BREAK = re.compile(r"[\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 class ParseError(ValueError):
@@ -101,7 +107,9 @@ def parse_instance(text: str) -> Instance:
     rows = []
     # one check of the whole text spares the check of each token
     strict = not text.isascii() or "_" in text
-    for no, raw in enumerate(text.splitlines(), start=1):
+    # a line ends at '\n', '\r\n' or '\r', the ends open() translates
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for no, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0]
         tokens = body.split()
         if tokens:
@@ -115,7 +123,12 @@ def parse_instance(text: str) -> Instance:
         no, body, tokens, _ = rows[pos]
         if len(tokens) < 2:
             raise ParseError(no, body.index("name") + len("name") + 1, "'name' needs a value")
-        name = body.split(None, 1)[1].rstrip()
+        rest = body.split(None, 1)[1]
+        name = rest.rstrip()
+        brk = _OTHER_BREAK.search(name)
+        if brk:
+            column = len(body) - len(rest) + brk.start() + 1
+            raise ParseError(no, column, f"name holds the line break {ascii(brk.group())}")
         pos += 1
     row, n = _value(rows, pos, "n", "n", minimum=1)
     if n > MAX_VERTICES:

@@ -2,6 +2,8 @@ import argparse
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -472,24 +474,6 @@ def test_ratio_refuses_an_instance_with_a_generator(capsys, tadpole_file):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("given, flag", [
-    (("--trials", "0"), "--trials"),
-    (("--trials", "200"), "--trials"),
-    (("--seed", "0"), "--seed"),
-    (("--seed", "4"), "--seed"),
-    (("--n-max", "99"), "--n-max"),
-    (("--n-max", "14"), "--n-max"),
-    (("--even",), "--even"),
-])
-def test_ratio_instance_refuses_a_gen_option(capsys, tadpole_file, given, flag):
-    # only --gen reads these; --instance refuses them, even at their defaults
-    code, out, err = run_cli(
-        capsys, "ratio", "--instance", str(tadpole_file), "--alg", "alg-c", *given
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and flag in err and err.count("\n") == 1
-
-
 def test_ratio_gen_options_at_their_defaults_change_nothing(capsys):
     base = ("ratio", "--gen", "tree", "--alg", "alg-a", "--trials", "3")
     code, out, _ = run_cli(capsys, *base)
@@ -498,16 +482,86 @@ def test_ratio_gen_options_at_their_defaults_change_nothing(capsys):
     assert again == (code, out, "")
 
 
-def test_gen_alge_tight_refuses_a_sequence(capsys, tmp_path):
-    # the family writes its own sequence (2, 0, 0, 0, 4)
+# the first argv of each path of ratio and gen; a test runs it in the
+# directory of the tadpole_file fixture, where "tadpole.ff" is that file
+_PATH_ARGV = {
+    ("ratio", "--instance"): ["ratio", "--instance", "tadpole.ff", "--alg", "alg-c"],
+    ("ratio", "--gen"): ["ratio", "--gen", "tree", "--alg", "alg-a"],
+    **{("gen", g): ["gen", g] for g in cli._READS["gen"]},
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _given_at(name, default):
+    return [_flag(name)] if isinstance(default, bool) else [_flag(name), str(default)]
+
+
+def _refusal_cases():
+    """(argv, flag): each option of ratio and gen given to each path that
+    does not read it, at the default of a path that does (a sample value
+    for one without default), then commands written out in full."""
+    samples = {"instance": "tadpole.ff", "gen": "tree"}
+    cases = []
+    for command, paths in cli._READS.items():
+        defaults = {}
+        for reads in paths.values():
+            for name, default in reads.items():
+                defaults.setdefault(name, samples.get(name) if default is None else default)
+        for path, reads in paths.items():
+            argv = _PATH_ARGV[command, path] + (["--out", "o.ff"] if command == "gen" else [])
+            cases += [
+                (argv + _given_at(name, default), _flag(name))
+                for name, default in defaults.items()
+                if name not in reads
+            ]
+    written_out = [
+        ("gen tadpole --alpha 5 --beta 2 --n 50 --seed 3 --cycle-fraction 0.9 --seq 1", "--n"),
+        ("gen tree --n 6 --alpha 99 --beta 7", "--alpha"),
+        ("ratio --instance tadpole.ff --alg alg-c --trials 0", "--trials"),
+        ("ratio --instance tadpole.ff --alg alg-c --seed 4", "--seed"),
+        ("ratio --instance tadpole.ff --alg alg-c --n-max 99", "--n-max"),
+        ("gen alge-tight --beta 2 --seq 1,1 --out o.ff", "--seq"),
+    ]
+    cases += [(argv.split(), flag) for argv, flag in written_out]
+    return [pytest.param(argv, flag, id=shlex.join(argv)) for argv, flag in cases]
+
+
+@pytest.mark.parametrize("argv, flag", _refusal_cases())
+def test_unread_option_is_refused(capsys, monkeypatch, tadpole_file, argv, flag):
+    # a dropped option would leave a run that ignores what it was given
+    monkeypatch.chdir(tadpole_file.parent)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(re.escape(flag) + r"(?![\w-])", err), err
+    assert not Path("o.ff").exists()
+
+
+def _default_cases():
+    """(argv, option argv): each option of each path of ratio and gen given
+    at its default; --even's default, off, cannot be given."""
+    cases = []
+    for (command, path), argv in _PATH_ARGV.items():
+        for name, default in cli._READS[command][path].items():
+            if default is not None and not isinstance(default, bool):
+                given = _given_at(name, default)
+                cases.append(pytest.param(argv, given, id=shlex.join(argv + given)))
+    return cases
+
+
+@pytest.mark.parametrize("argv, given", _default_cases())
+def test_option_at_its_default_changes_nothing(capsys, monkeypatch, tadpole_file, argv, given):
+    monkeypatch.chdir(tadpole_file.parent)
+    left_out = run_cli(capsys, *argv)
+    assert left_out[0] == 0 and left_out[1]
+    assert run_cli(capsys, *argv, *given) == left_out
+
+
+def test_gen_alge_tight_writes_its_own_sequence(capsys, tmp_path):
     path = tmp_path / "tight.ff"
-    for seq in ("1,1", ""):
-        code, out, err = run_cli(
-            capsys, "gen", "alge-tight", "--beta", "2", "--seq", seq, "--out", str(path)
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and "--seq" in err and err.count("\n") == 1
-        assert not path.exists()
     code, out, _ = run_cli(capsys, "gen", "alge-tight", "--beta", "2", "--out", str(path))
     assert code == 0 and records(out)[0]["sequence"] == [2, 0, 0, 0, 4]
 

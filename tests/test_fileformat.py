@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from firefight.engine import Instance
 from firefight.fileformat import (
@@ -194,6 +194,62 @@ def test_parse_rejects_disconnected_graph_with_position():
     text = "version 1\nn 4\nroot 0\nedges 2\n0 1\n2 3\nsequence 1\n"
     with pytest.raises(ParseError):
         parse_instance(text)
+
+
+# every character besides LF and CR that str.splitlines() breaks at
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("brk", _OTHER_BREAKS)
+def test_only_lf_and_cr_end_a_line(brk):
+    # a comment runs past the character, and a line holding only it is blank
+    text = f"version 1\n# note{brk}n 99\n{brk}\nn 3\nroot 0\nedges 2\n0 1\n1 2\nsequence 1\n"
+    assert parse_instance(text).graph.n == 3
+    with pytest.raises(ParseError) as exc:
+        parse_instance(text.replace("root 0", "root 7"))
+    assert (exc.value.line, exc.value.column) == (5, 6)
+    # inside a line it separates tokens like a space
+    assert parse_instance(text.replace("n 3", f"n{brk}3")).graph.n == 3
+
+
+def test_cr_and_crlf_end_a_line():
+    inst = parse_instance("version 1\rn 2\r\nroot 0\redges 1\r\n0 1\rsequence 1\r")
+    assert (inst.graph.n, inst.sequence) == (2, (1,))
+    with pytest.raises(ParseError) as exc:
+        parse_instance("version 1\r\nn 2\rroot 5\n")
+    assert (exc.value.line, exc.value.column) == (3, 6)
+
+
+@pytest.mark.parametrize("brk", _OTHER_BREAKS)
+def test_parse_refuses_a_line_break_inside_a_name(brk):
+    # serialize_instance could not write such a name back
+    with pytest.raises(ParseError) as exc:
+        parse_instance(f"version 1\nname  a{brk}b\nn 2\nroot 0\nedges 1\n0 1\nsequence\n")
+    assert (exc.value.line, exc.value.column) == (2, 8)
+    assert exc.value.message == f"name holds the line break {ascii(brk)}"
+    # at either end it is whitespace, which the name drops
+    text = f"version 1\nname {brk}a b{brk}\nn 2\nroot 0\nedges 1\n0 1\nsequence\n"
+    assert parse_instance(text).name == "a b"
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**20),
+    st.lists(st.tuples(st.integers(0, 99), st.sampled_from(_OTHER_BREAKS + "\r\n #")), max_size=4),
+)
+def test_what_parses_round_trips(seed, inserts):
+    # characters dropped into a valid file, each at a share of its length
+    inst = Instance(random_cactus(4, 0.5, 4, seed), (1, 2), name="a b")
+    text = serialize_instance(inst)
+    for share, ch in inserts:
+        pos = share * (len(text) + 1) // 100
+        text = text[:pos] + ch + text[pos:]
+    try:
+        parsed = parse_instance(text)
+    except ParseError:
+        return
+    again = serialize_instance(parsed)
+    assert serialize_instance(parse_instance(again)) == again
 
 
 @pytest.mark.parametrize(
