@@ -47,7 +47,6 @@ the subtrees of its non-root vertices.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
@@ -66,8 +65,6 @@ from .graph import (
     covered_set,  # unused here, but the benchmark's tests wrap it under this module's name
     fundamental_cycles,
 )
-
-log = logging.getLogger(__name__)
 
 
 class AlgorithmError(Exception):
@@ -254,9 +251,8 @@ def _improved_break(res: _Residual, eta_sq: int) -> BreakDetail:
     if depth <= hi - lo:
         vertex, cooldown = anchor, hi - lo
     else:
+        # a depth beyond the arc is some hanging vertex's distance
         deep = list(compress(at, map(le, repeat(depth), hanging)))
-        if not deep:
-            raise NoEligibleBreakVertexError("no cycle vertex covers the required depth")
         if anchor == arc.cyc[lo]:
             p = min(deep)
             cooldown = hi - p
@@ -300,14 +296,13 @@ def improved_break(g: Graph, walk: CycleWalk, eta_sq: int) -> BreakDetail:
 BreakPolicy = Callable[["_Residual", int, int], BreakDetail | None]
 
 
-def _tolerance_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail | None:
-    """1-almost-tree break: the more tolerant root neighbor of the cycle."""
+def _tolerance_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail:
+    """1-almost-tree break: the more tolerant root neighbor of the cycle.
+    There is one: no member outweighs the best pick w1, and w1 * w1 < w_cyc,
+    so a cut at either end u keeps w_cyc - size[u] + 1 > sqrt(w_cyc) distances."""
     arc = res.arcs[i]
     target = ceil_sqrt(w_cyc)
-    best = _deepest_cut(res, [(arc, arc.ends())], target, at_edge=False)
-    if best is None:  # cannot happen for a break-branch cycle; stay safe
-        return None
-    depth, anchor = best[:2]
+    depth, anchor = _deepest_cut(res, [(arc, arc.ends())], target, at_edge=False)[:2]
     return BreakDetail(
         vertex=anchor,
         anchor=anchor,
@@ -320,16 +315,16 @@ def _tolerance_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail | None:
 
 
 def _guarded_improved_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail | None:
-    """Cactus break: only on cycles of weight above sqrt(n), never in a cool-down."""
+    """Cactus break: only on cycles of weight above sqrt(n), never in a
+    cool-down, and never on a weight-2 cycle, which is then the triangle.
+    Past the guard both ends u of cycle ``i``, the heaviest, are anchors: no
+    member outweighs the best pick w1, so size[u] < sqrt(w_cyc), and from
+    w_cyc = 3 on (w_cyc - size[u])**2 >= w_cyc; a cut at either keeps
+    w_cyc + 1 >= ceil(sqrt(w_cyc)) distances."""
     n = res.state.instance.graph.n
-    if w_cyc * w_cyc <= n or res.cooldown > 0:
+    if w_cyc * w_cyc <= n or w_cyc == 2 or res.cooldown > 0:
         return None
-    try:
-        return _improved_break(res, n)
-    except (NoEligibleCycleError, NoEligibleBreakVertexError) as exc:
-        # the guard makes this unreachable except on tiny cycles; fall back
-        log.warning("cycle break found no eligible vertex (%s); protecting greedily", exc)
-        return None
+    return _improved_break(res, n)
 
 
 class _Arc:

@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import math
 import os
 import random
@@ -132,13 +131,9 @@ def _ratio_row(inst: Instance, kind: AlgorithmKind, budget: int) -> dict:
     result = run_algorithm(inst, kind)
     alg_profit = result.profit
     opt = solve_opt(inst, node_budget=budget)
-    if alg_profit > 0:
-        exact = Fraction(opt.value, alg_profit)
-        ratio: object = float(exact)
-    elif opt.value == 0:
-        ratio = 1.0
-    else:
-        ratio = "inf"
+    # every strategy protects while the fire can still spread, so ALG = 0
+    # only when OPT = 0 too
+    ratio = float(Fraction(opt.value, alg_profit)) if alg_profit else 1.0
     terms = kind.bound_for(inst.sequence)
     bound = None if terms is None else terms[0] * math.sqrt(inst.graph.n) + terms[1]
     return {
@@ -238,8 +233,7 @@ def cmd_ratio(args) -> int:
         record = _ratio_row(inst, kind, budget)
         _emit(args, record)
         trials += 1
-        if isinstance(record["ratio"], float):
-            worst = max(worst, record["ratio"])
+        worst = max(worst, record["ratio"])
         if not record["bound_satisfied"]:
             failures += 1
     if trials > 1:
@@ -260,14 +254,7 @@ def cmd_adversary(args) -> int:
     kind = AlgorithmKind(args.alg)
     report = tadpole_adversary_run(kind, args.beta, node_budget=_node_budget())
     ratio = report.ratio
-    if isinstance(ratio, Fraction):
-        ratio_str = f"{ratio.numerator}/{ratio.denominator}"
-        ratio_num: object = float(ratio)
-        met = ratio >= report.bound
-    else:
-        ratio_str = "inf"
-        ratio_num = "inf"
-        met = True
+    met = ratio >= report.bound
     _emit(
         args,
         {
@@ -278,8 +265,8 @@ def cmd_adversary(args) -> int:
             "sequence": list(report.sequence),
             "alg_profit": report.alg_profit,
             "opt_profit": report.opt_profit,
-            "ratio": ratio_num,
-            "ratio_exact": ratio_str,
+            "ratio": float(ratio),
+            "ratio_exact": f"{ratio.numerator}/{ratio.denominator}",
             "bound": float(report.bound),
             "bound_met": met,
         },
@@ -437,7 +424,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # table rows live on this call's args, so calls in one process share none
     args.tables, args.t_last = {}, time.perf_counter()
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(message)s")
     try:
         # the parser keeps the command's name, not the function, and the
         # module is asked for it per call, so a replaced cmd_* is the one

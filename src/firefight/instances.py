@@ -9,7 +9,6 @@ All random generators are pure functions of their seed.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,7 +95,7 @@ class AdversaryReport:
     sequence: tuple[int, ...]
     alg_profit: int
     opt_profit: int
-    ratio: Fraction | float
+    ratio: Fraction
     bound: Fraction
 
 
@@ -122,8 +121,8 @@ def tadpole_adversary_run(
     g = make_tadpole(alpha, beta)
     name = f"tadpole-{alpha}-{beta}"
     probe = run_algorithm(Instance(g, (1,), name=name), kind)
-    first = probe.trace[0].vertex if probe.trace else None
-    if first is None or 1 <= first <= alpha:
+    # the root has neighbors, so the probe protects
+    if 1 <= probe.trace[0].vertex <= alpha:
         case = 1
         sequence: tuple[int, ...] = (1,)
         alg_profit = probe.profit
@@ -134,11 +133,6 @@ def tadpole_adversary_run(
     opt = solve_opt(
         Instance(g, sequence, name=name), node_budget=node_budget, max_n=g.n
     )
-    ratio: Fraction | float
-    if alg_profit > 0:
-        ratio = Fraction(opt.value, alg_profit)
-    else:
-        ratio = math.inf
     bound = min(Fraction(beta), Fraction(beta * beta, beta + 1))
     return AdversaryReport(
         kind=kind,
@@ -147,7 +141,7 @@ def tadpole_adversary_run(
         sequence=sequence,
         alg_profit=alg_profit,
         opt_profit=opt.value,
-        ratio=ratio,
+        ratio=Fraction(opt.value, alg_profit),
         bound=bound,
     )
 

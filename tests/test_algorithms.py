@@ -255,12 +255,12 @@ def test_round_functions_report_breaks_in_their_graph_ids():
 
 def test_break_without_eligible_vertex_falls_back_to_greedy(caplog):
     # a triangle's cycle outweighs the best pick squared, but cutting either
-    # root edge leaves too little territory behind
+    # root edge leaves too little territory behind: the guard stays greedy
+    # on a cycle of weight 2, and nothing is logged
     triangle = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-    with caplog.at_level(logging.WARNING, logger="firefight.algorithms"):
+    with caplog.at_level(logging.DEBUG):
         r = run_algorithm(Instance(triangle, (1,)), AlgorithmKind.ALG_C)
-    warnings = [m for m in caplog.messages if "cycle break found no eligible vertex" in m]
-    assert len(warnings) == 1
+    assert caplog.records == []
     assert [(e.vertex, e.reason, e.brk) for e in r.events] == [(1, "greedy", None)]
     assert r.profit == 1
 
@@ -749,7 +749,7 @@ def test_decision_view_is_the_decided_graph(monkeypatch):
     assert seen["pairs"] >= 400 and seen["breaks"] >= 40 and seen["strips"] >= 200, seen
 
 
-def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
+def test_game_builds_views_only_for_breaks(monkeypatch):
     """A game walks its chords once, which gives its dominator tree too,
     builds no view, not even for a break, and no game canonicalizes its
     cycles: its policies decide on the residual game, however many rounds
@@ -782,26 +782,22 @@ def test_game_builds_views_only_for_breaks(monkeypatch, caplog):
         games.append(Instance(_relabelled(random_cactus(n, 0.8, 12, seed), rng), seq))
         games.append(Instance(random_one_almost_tree(n, seed), seq))
     played = {"games": 0, "long games": 0, "consulted": 0}
-    with caplog.at_level(logging.WARNING, logger="firefight.algorithms"):
-        for inst in games:
-            for kind in AlgorithmKind:
-                calls.update(dict.fromkeys(calls, 0))
-                caplog.clear()
-                try:
-                    r = run_algorithm(inst, kind)
-                except WrongGraphClassError:
-                    continue
-                # a consulted policy breaks, or logs that it found nothing to break
-                consulted = sum(e.reason == "break" for e in r.events) + len(caplog.records)
-                assert calls == {
-                    "reduced_view": 0,
-                    "contract": 0,
-                    "fundamental_cycles": 1,
-                    "validate_and_decompose": 0,
-                }, (kind, calls)
-                played["games"] += 1
-                played["long games"] += len({t.round for t in r.trace}) >= 5
-                played["consulted"] += consulted
+    for inst in games:
+        for kind in AlgorithmKind:
+            calls.update(dict.fromkeys(calls, 0))
+            try:
+                r = run_algorithm(inst, kind)
+            except WrongGraphClassError:
+                continue
+            assert calls == {
+                "reduced_view": 0,
+                "contract": 0,
+                "fundamental_cycles": 1,
+                "validate_and_decompose": 0,
+            }, (kind, calls)
+            played["games"] += 1
+            played["long games"] += len({t.round for t in r.trace}) >= 5
+            played["consulted"] += sum(e.reason == "break" for e in r.events)
     assert played["long games"] >= 60, played
     assert played["consulted"] >= 40, played
 

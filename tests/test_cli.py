@@ -190,6 +190,20 @@ def test_every_failing_suite_keeps_its_counterexample(capsys, monkeypatch, tmp_p
     assert len(records(out)) == len(SUITES) == 16
 
 
+def test_failing_suite_without_out_writes_in_the_working_directory(capsys, monkeypatch, tmp_path):
+    """Without ``--out`` a failing suite's counterexample goes to
+    counterexample-<suite>.txt in the working directory."""
+    inst = Instance(make_tadpole(4, 2), (1, 0, 1))
+    result = SuiteResult("count-monotone", 1, 1, 1, lemmas._describe(inst, "made up"))
+    monkeypatch.setitem(SUITES, "count-monotone", lambda trials, seed: result)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "check-lemmas", "--suite", "count-monotone")
+    assert code == 1
+    (rec,) = records(out)
+    assert (rec["passed"], rec["counterexample"]) == (False, "counterexample-count-monotone.txt")
+    assert parse_instance((tmp_path / rec["counterexample"]).read_text()) == inst
+
+
 def test_check_lemmas_unknown_suite(capsys):
     code, out, err = run_cli(capsys, "check-lemmas", "--suite", "no-such-suite")
     assert code == 2
@@ -268,6 +282,8 @@ def test_node_budget_env(capsys, monkeypatch, tadpole_file):
         ("1,\u0662", "error: bad sequence '1,\\u0662'\n"),
         ("1_0", "error: bad sequence '1_0'\n"),
         ("1,x", "error: bad sequence '1,x'\n"),
+        # parsed, but a count is negative
+        ("1,-1", "error: firefighter counts must be nonnegative\n"),
     ],
 )
 def test_bad_sequence_is_quoted_in_ascii(capsys, seq, message):
@@ -462,6 +478,11 @@ def test_ratio_n_max_at_the_smallest_instance_runs(capsys):
         capsys, "ratio", "--gen", "tree", "--alg", "alg-c", "--n-max", "3", "--trials", "2"
     )
     assert code == 0 and [r["n"] for r in records(out)[:2]] == [3, 3]
+
+
+def test_ratio_needs_an_instance_or_a_generator(capsys):
+    code, out, err = run_cli(capsys, "ratio", "--alg", "alg-c")
+    assert (code, out, err) == (2, "", "error: ratio needs --instance or --gen\n")
 
 
 def test_ratio_refuses_an_instance_with_a_generator(capsys, tadpole_file):
