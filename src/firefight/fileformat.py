@@ -16,7 +16,12 @@ A line ends only at LF, CR LF or CR, the ends open() translates, so a
 comment runs to one of them; a name may hold no other character that
 str.splitlines() breaks at.
 
-The parser reads each line as whitespace-separated tokens and works out a
+The parser reads the text in one pass, a line at a time, as
+whitespace-separated tokens, and puts each edge straight onto the
+adjacency lists: besides those lists it holds only the lines of one block
+of text.  A self-loop or duplicate edge shows on the finished graph, and
+only then are the edge lines read again, to name the first one.  Any
+error on a line wins over an invalid graph.  The parser works out a
 column only when it raises a ParseError.  Lines and columns count from 1,
 and a column points at the token at fault: the first surplus token of a
 line with too many, the keyword of a line with too few.  A missing line is
@@ -28,6 +33,9 @@ line.
 from __future__ import annotations
 
 import re
+import sys
+from itertools import islice
+from typing import Iterator
 
 from .engine import Instance
 from .graph import MAX_VERTICES, Graph, GraphError
@@ -55,6 +63,29 @@ class UnknownVersionError(ParseError):
 # line number, text before '#', its tokens, and whether they hold a '_' or
 # a non-ASCII character, which int() alone would read as part of a number
 _Row = tuple[int, str, list[str], bool]
+
+# characters of text split into lines at once: the parse holds the lines of
+# one block, not of the whole text
+_BLOCK = 1 << 16
+
+
+def _rows(text: str) -> Iterator[_Row]:
+    """The rows of ``text``'s lines that hold a token, one at a time."""
+    # one check of the whole text spares the check of each token
+    strict = not text.isascii() or "_" in text
+    comments = "#" in text
+    # a line ends at '\n', '\r\n' or '\r', the ends open() translates
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    no = start = 0
+    while start >= 0:
+        end = text.find("\n", start + _BLOCK)
+        block = text[start:end] if end >= 0 else text[start:]
+        start = end if end < 0 else end + 1
+        for no, raw in enumerate(block.split("\n"), no + 1):
+            body = raw.split("#", 1)[0] if comments else raw
+            tokens = body.split()
+            if tokens:
+                yield no, body, tokens, strict and (not body.isascii() or "_" in body)
 
 
 def _error(row: _Row, k: int, message: str, kind: type[ParseError] = ParseError) -> ParseError:
@@ -84,80 +115,102 @@ def _int(row: _Row, k: int, what: str, minimum: int = 0) -> int:
     return value
 
 
-def _keyword(rows: list[_Row], i: int, key: str) -> _Row:
-    """Row ``i``, which must start with ``key``."""
-    if i >= len(rows):
-        raise ParseError(rows[-1][0] if rows else 1, 1, f"missing '{key}' line")
-    row = rows[i]
+def _keyword(row: _Row | None, last: _Row | None, key: str) -> _Row:
+    """``row``, which must start with ``key``; None when the text ended
+    after row ``last``."""
+    if row is None:
+        raise ParseError(last[0] if last else 1, 1, f"missing '{key}' line")
     if row[2][0] != key:
         raise _error(row, 0, f"expected '{key}', got {ascii(row[2][0])}")
     return row
 
 
-def _value(rows: list[_Row], i: int, key: str, what: str, minimum: int = 0) -> tuple[_Row, int]:
-    """Row ``i`` and its value, which must be ``key`` and one integer."""
-    row = _keyword(rows, i, key)
+def _value(
+    row: _Row | None, last: _Row | None, key: str, what: str, minimum: int = 0
+) -> tuple[_Row, int]:
+    """``row`` and its value, which must be ``key`` and one integer."""
+    row = _keyword(row, last, key)
     if len(row[2]) != 2:
         k = 2 if len(row[2]) > 2 else 0
         raise _error(row, k, f"'{key}' takes 1 value(s), got {len(row[2]) - 1}")
     return row, _int(row, 1, what, minimum)
 
 
+def _name(row: _Row) -> str:
+    """The value of a 'name' row: the rest of its text, less the spaces at
+    either end."""
+    no, body, tokens, _ = row
+    if len(tokens) < 2:
+        raise ParseError(no, body.index("name") + len("name") + 1, "'name' needs a value")
+    rest = body.split(None, 1)[1]
+    name = rest.rstrip()
+    brk = _OTHER_BREAK.search(name)
+    if brk:
+        column = len(body) - len(rest) + brk.start() + 1
+        raise ParseError(no, column, f"name holds the line break {ascii(brk.group())}")
+    return name
+
+
+def _edge(row: _Row, n: int) -> tuple[int, int]:
+    """The edge of ``row``, read with every check and in their order."""
+    if len(row[2]) != 2:
+        k = 2 if len(row[2]) > 2 else 0
+        raise _error(row, k, "edge line needs exactly two vertex ids")
+    u = _int(row, 0, "edge endpoint")
+    v = _int(row, 1, "edge endpoint")
+    if u >= n or v >= n:
+        k = 0 if u >= n else 1
+        raise _error(row, k, f"vertex {(u, v)[k]} out of range for n={n}")
+    return u, v
+
+
+def _edges(text: str, skip: int, m: int) -> Iterator[tuple[int, int]]:
+    """The ``m`` edges after the first ``skip`` rows of ``text``, whose
+    edge lines have been read once without fault."""
+    for row in islice(_rows(text), skip, skip + m):
+        yield int(row[2][0]), int(row[2][1])
+
+
 def parse_instance(text: str) -> Instance:
-    rows = []
-    # one check of the whole text spares the check of each token
-    strict = not text.isascii() or "_" in text
-    # a line ends at '\n', '\r\n' or '\r', the ends open() translates
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for no, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0]
-        tokens = body.split()
-        if tokens:
-            rows.append((no, body, tokens, strict and (not body.isascii() or "_" in body)))
-    row, version = _value(rows, 0, "version", "version")
+    rows = _rows(text)
+    row, version = _value(next(rows, None), None, "version", "version")
     if version != FORMAT_VERSION:
         raise _error(row, 1, f"unsupported version {version}", UnknownVersionError)
     name = None
-    pos = 1  # the next row to read
-    if pos < len(rows) and rows[pos][2][0] == "name":
-        no, body, tokens, _ = rows[pos]
-        if len(tokens) < 2:
-            raise ParseError(no, body.index("name") + len("name") + 1, "'name' needs a value")
-        rest = body.split(None, 1)[1]
-        name = rest.rstrip()
-        brk = _OTHER_BREAK.search(name)
-        if brk:
-            column = len(body) - len(rest) + brk.start() + 1
-            raise ParseError(no, column, f"name holds the line break {ascii(brk.group())}")
-        pos += 1
-    row, n = _value(rows, pos, "n", "n", minimum=1)
+    head = next(rows, None)
+    if head is not None and head[2][0] == "name":
+        row, name, head = head, _name(head), next(rows, None)
+    row, n = _value(head, row, "n", "n", minimum=1)
     if n > MAX_VERTICES:
         raise _error(row, 1, f"n {n} exceeds the limit of {MAX_VERTICES}")
-    row, root = _value(rows, pos + 1, "root", "root")
+    row, root = _value(next(rows, None), row, "root", "root")
     if root >= n:
         raise _error(row, 1, f"root {root} out of range for n={n}")
-    _, m = _value(rows, pos + 2, "edges", "edge count")
-    pos += 3
-    edges = []
-    for row in rows[pos : pos + m]:
-        if len(row[2]) != 2:
-            k = 2 if len(row[2]) > 2 else 0
-            raise _error(row, k, "edge line needs exactly two vertex ids")
-        u = _int(row, 0, "edge endpoint")
-        v = _int(row, 1, "edge endpoint")
-        if u >= n or v >= n:
-            k = 0 if u >= n else 1
-            raise _error(row, k, f"vertex {(u, v)[k]} out of range for n={n}")
-        edges.append((u, v))
-    if len(edges) < m:
-        raise ParseError(rows[-1][0], 1, "missing 'edge' line")
-    pos += m
-    row = _keyword(rows, pos, "sequence")
+    row, m = _value(next(rows, None), row, "edges", "edge count")
+    # each edge goes straight onto the lists; self-loops and duplicates are
+    # found on the finished graph, which reads the edge lines again to name one
+    adj: list[list[int]] = [[] for _ in range(n)]
+    read = 0
+    # no text has sys.maxsize lines, and islice() refuses a larger count
+    for read, row in enumerate(islice(rows, min(m, sys.maxsize)), 1):
+        try:
+            a, b = row[2]
+            u, v = int(a), int(b)
+        except ValueError:
+            u = -1  # not two plain integers: _edge reads the row again
+        if row[3] or not (0 <= u < n and 0 <= v < n):
+            u, v = _edge(row, n)
+        adj[u].append(v)
+        adj[v].append(u)
+    if read < m:
+        raise ParseError(row[0], 1, "missing 'edge' line")
+    row = _keyword(next(rows, None), row, "sequence")
     sequence = tuple(_int(row, k, "firefighter count") for k in range(1, len(row[2])))
-    if pos + 1 < len(rows):
-        raise _error(rows[pos + 1], 0, "unexpected extra line")
+    extra = next(rows, None)
+    if extra is not None:
+        raise _error(extra, 0, "unexpected extra line")
     try:
-        graph = Graph.from_edges(n, edges, root=root)
+        graph = Graph.from_adjacency(adj, root, _edges(text, 4 if name is None else 5, m))
     except (ValueError, GraphError) as exc:
         raise ParseError(row[0], 1, f"invalid graph: {exc}") from exc
     return Instance(graph, sequence, name=name)
@@ -173,8 +226,7 @@ def serialize_instance(instance: Instance) -> str:
         out.append(f"name {name}")
     out.append(f"n {g.n}")
     out.append(f"root {g.root}")
-    edges = list(g.edges())
-    out.append(f"edges {len(edges)}")
-    out += [f"{u} {v}" for u, v in edges]
+    out.append(f"edges {g.edge_count()}")
+    out += [f"{u} {v}" for u, v in g.edges()]
     out.append("sequence" + "".join(f" {f}" for f in instance.sequence))
     return "\n".join(out) + "\n"

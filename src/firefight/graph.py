@@ -66,11 +66,12 @@ class Graph:
     """Simple undirected connected graph with a root vertex.
 
     ``adjacency[v]`` is the sorted tuple of v's neighbors.  Build through
-    :meth:`from_edges`, which validates simplicity and connectivity; the
-    views :func:`contract` builds are valid by construction and skip it.
-    The graph keeps its BFS from the root (:attr:`bfs`), which
-    :meth:`from_edges` runs for the connectivity check and a view runs on
-    first use; the chord walk (:func:`fundamental_cycles`) reads it.
+    :meth:`from_edges`, or :meth:`from_adjacency` from neighbor lists, which
+    validate simplicity and connectivity; the views :func:`contract` builds
+    are valid by construction and skip it.  The graph keeps its BFS from
+    the root (:attr:`bfs`), which :meth:`from_adjacency` runs for those
+    checks and a view runs on first use; the chord walk
+    (:func:`fundamental_cycles`) reads it.
     """
 
     n: int
@@ -80,26 +81,44 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], root: int = 0) -> "Graph":
+        """The graph on ``n`` vertices with ``edges``, each an unordered
+        pair.  The first faulty edge in input order names the ValueError:
+        an endpoint out of range, a self-loop or a duplicate."""
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         if not 0 <= root < n:
             raise ValueError(f"root {root} out of range")
-        seen: set[tuple[int, int]] = set()
+        edges = list(edges)  # read again only to name a fault
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
+                # a self-loop or duplicate before this edge comes first
+                raise ValueError(_first_fault(edges, n))
             adj[u].append(v)
             adj[v].append(u)
-        g = cls(n, tuple(tuple(sorted(nb)) for nb in adj), root)
-        # connectivity is part of the construction contract: every vertex must matter
-        if len(g.bfs.order) != n:
+        return cls.from_adjacency(adj, root, edges)
+
+    @classmethod
+    def from_adjacency(
+        cls, adj: list[list[int]], root: int, edges: Iterable[tuple[int, int]]
+    ) -> "Graph":
+        """The graph whose vertex v has the neighbors ``adj[v]``, in any
+        order, the lists built from ``edges`` in input order (each edge
+        appended at both ends); sorts the lists in place.  Checks what
+        :meth:`from_edges` checks after the endpoints' range: ValueError
+        names the first self-loop or duplicate of ``edges``, and
+        DisconnectedError a graph the root's BFS does not span.  ``edges``
+        is read only when the BFS shows one of the two."""
+        for nb in adj:
+            nb.sort()
+        n = len(adj)
+        g = cls(n, tuple(map(tuple, adj)), root)
+        tree = g.bfs
+        if len(tree.order) < n or not _simple(tree, sum(map(len, adj)) // 2):
+            fault = _first_fault(edges, n)
+            if fault is not None:
+                raise ValueError(fault)
+            # connectivity is part of the construction contract: every vertex must matter
             raise DisconnectedError("graph is not connected")
         return g
 
@@ -126,6 +145,43 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
+
+
+def _first_fault(edges: Iterable[tuple[int, int]], n: int) -> str | None:
+    """What is wrong with the first faulty edge of ``edges`` on ``n``
+    vertices, in input order: an endpoint out of range, a self-loop or a
+    duplicate; None when no edge is faulty."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) out of range"
+        if u == v:
+            return f"self-loop at {u}"
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return f"duplicate edge {key}"
+        seen.add(key)
+    return None
+
+
+def _simple(tree: BfsTree, m: int) -> bool:
+    """Whether the graph of ``tree``, a BFS that spans it, has neither a
+    self-loop nor a duplicate among its ``m`` edges (counted with their
+    copies).  Each of the n - 1 tree edges is met first from the parent,
+    and each other edge is a chord, met once from its smaller end; so a
+    simple graph has m - n + 1 chords, all distinct, none a tree edge.
+    A self-loop is met only at its own vertex and never counted; a second
+    copy of a tree edge is counted only when the parent is the smaller
+    end, as a chord that is a tree edge; a second copy of another edge
+    repeats its chord.  So the three checks hold exactly when the graph
+    is simple."""
+    chords = tree.chords
+    parent = tree.parent
+    return (
+        len(chords) == m - len(tree.order) + 1
+        and len(set(chords)) == len(chords)
+        and all(parent[v] != u for u, v in chords)
+    )
 
 
 class BfsTree(NamedTuple):

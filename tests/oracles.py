@@ -10,12 +10,43 @@ from collections import defaultdict
 
 import networkx as nx
 
+from firefight.graph import DisconnectedError
+
 
 def to_nx(g) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
+
+
+def from_edges_reference(n, edges, root=0):
+    """``Graph.from_edges`` as one loop that checks each edge as it comes:
+    the sorted adjacency of a simple connected graph, or the error the
+    first faulty argument or edge raises."""
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range")
+    seen = set()
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range")
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(seen)
+    if not nx.is_connected(h):
+        raise DisconnectedError("graph is not connected")
+    return tuple(tuple(sorted(nb)) for nb in adj)
 
 
 def covered_by_reachability(g, removed, s):

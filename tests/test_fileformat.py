@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -74,6 +77,7 @@ def test_round_trip(n, seed):
 
 
 _HEAD = "version 1\nn 2\nroot 0\nedges 1\n"
+_HEAD3 = "version 1\nn 3\nroot 0\nedges 3\n"
 
 
 @pytest.mark.parametrize(
@@ -151,6 +155,14 @@ _HEAD = "version 1\nn 2\nroot 0\nedges 1\n"
             ParseError,
         ),
         (_HEAD + "0 1 7\nsequence\n", 5, 5, "edge line needs exactly two vertex ids", ParseError),
+        # an edge count no text can meet, past sys.maxsize
+        (
+            "version 1\nn 2\nroot 0\nedges 99999999999999999999\n0 1\nsequence\n",
+            6,
+            1,
+            "edge line needs exactly two vertex ids",
+            ParseError,
+        ),
         (_HEAD + "0 7\nsequence\n", 5, 3, "vertex 7 out of range for n=2", ParseError),
         ("version 1\nname  # no value\nn 2\n", 2, 5, "'name' needs a value", ParseError),
         ("version 2\nn 2\n", 1, 9, "unsupported version 2", UnknownVersionError),
@@ -158,6 +170,27 @@ _HEAD = "version 1\nn 2\nroot 0\nedges 1\n"
         (_HEAD + "0 1\nsequence 1\n  # c\n  trailing\n", 8, 3, "unexpected extra line", ParseError),
         # graph complaints (like this self-loop) surface where the graph is built
         (_HEAD + "0 0\nsequence\n", 6, 1, "invalid graph: self-loop at 0", ParseError),
+        # an error on any line wins over a graph complaint
+        (
+            _HEAD3 + "0 1\n1 1\n1 2\nsequence x\n",
+            8,
+            10,
+            "firefighter count must be an integer, got 'x'",
+            ParseError,
+        ),
+        (_HEAD3 + "0 1\n1 2\n1 0\nsequence 1\nextra\n", 9, 1, "unexpected extra line", ParseError),
+        (_HEAD3 + "1 1\n0 1\n0 9\nsequence 1\n", 7, 3, "vertex 9 out of range for n=3", ParseError),
+        # the graph complaint names the first faulty edge in file order
+        (_HEAD3 + "0 1\n1 0\n2 2\nsequence 1\n", 8, 1, "invalid graph: duplicate edge (0, 1)", ParseError),
+        (_HEAD3 + "2 2\n0 1\n1 0\nsequence 1\n", 8, 1, "invalid graph: self-loop at 2", ParseError),
+        (_HEAD3 + "0 1\n1 2\n2 1\nsequence 1\n", 8, 1, "invalid graph: duplicate edge (1, 2)", ParseError),
+        (
+            "version 1\nname x\nn 3\nroot 0\nedges 4\n0 1\n1 2\n0 2\n2 1\nsequence 1\n",
+            10,
+            1,
+            "invalid graph: duplicate edge (1, 2)",
+            ParseError,
+        ),
     ],
 )
 def test_parse_errors_carry_position(text, line, column, message, error):
@@ -194,6 +227,38 @@ def test_parse_rejects_disconnected_graph_with_position():
     text = "version 1\nn 4\nroot 0\nedges 2\n0 1\n2 3\nsequence 1\n"
     with pytest.raises(ParseError):
         parse_instance(text)
+
+
+def test_parse_holds_little_beyond_what_it_keeps():
+    # the parse streams its lines into the adjacency lists: its traced peak
+    # stays within 3x the parsed instance (a list of every line, a row per
+    # line, the edge list and a set of edge keys, all alive at once, came
+    # to about 5.8x)
+    inst = Instance(random_cactus(20000, 0.7, 50, 3), (1, 1, 2, 1))
+    text = serialize_instance(inst)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        parsed = parse_instance(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == inst
+    assert peak - base <= 3 * (kept - base)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_line_numbers_run_on_across_blocks(end):
+    # a file many times longer than the block the parser splits at once
+    n = 20000
+    inst = Instance(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]), (1,))
+    lines = serialize_instance(inst).split("\n")
+    assert parse_instance(end.join(lines)) == inst
+    lines[-3] = "5 x"  # the last edge line
+    with pytest.raises(ParseError) as exc:
+        parse_instance(end.join(lines))
+    assert (exc.value.line, exc.value.column) == (len(lines) - 2, 3)
 
 
 # every character besides LF and CR that str.splitlines() breaks at

@@ -85,6 +85,7 @@ def test_from_edges_sorts_adjacency():
         (3, [(0, 1), (1, 5)], 0),          # endpoint out of range
         (3, [(0, 1), (0, 2)], 7),          # root out of range
         (0, [], 0),                        # no vertices
+        (3, [(0, 1), (1, 2), (0, 2), (2, 1)], 0),  # duplicate edge off the BFS tree
     ],
 )
 def test_from_edges_rejects_malformed(n, edges, root):
@@ -95,6 +96,55 @@ def test_from_edges_rejects_malformed(n, edges, root):
 def test_from_edges_rejects_disconnected():
     with pytest.raises(DisconnectedError):
         Graph.from_edges(4, [(0, 1), (2, 3)])
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """n, edges and a root: a spanning tree in random order and orientation,
+    then edges put in at random places, each in range (at times with a
+    copy, which the BFS meets as a repeated chord), out of range, a
+    self-loop or a copy of an edge in either orientation; at times an edge
+    is dropped, which disconnects the graph."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in draw(st.permutations(tree))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["in range", "out of range", "self-loop", "copy"]))
+        if kind == "in range":
+            edge = (draw(vertex), draw(vertex))
+            if draw(st.booleans()):
+                edges.insert(draw(st.integers(0, len(edges))), edge[::-1])
+        elif kind == "out of range":
+            edge = draw(st.sampled_from([(n, draw(vertex)), (draw(vertex), n + 2), (-1, draw(vertex))]))
+        elif kind == "self-loop":
+            v = draw(vertex)
+            edge = (v, v)
+        elif edges:
+            u, v = draw(st.sampled_from(edges))
+            edge = draw(st.sampled_from([(u, v), (v, u)]))
+        else:
+            continue
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    if edges and draw(st.booleans()):
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    return n, edges, draw(st.integers(0, n))
+
+
+@settings(max_examples=400)
+@given(faulty_edge_lists(), st.booleans())
+def test_from_edges_matches_the_per_edge_reference(case, one_shot):
+    # the same adjacency, or the same exception type and message
+    n, edges, root = case
+
+    def outcome(build):
+        try:
+            return build(n, iter(edges) if one_shot else list(edges), root)
+        except (ValueError, GraphError) as exc:
+            return type(exc), str(exc)
+
+    got = outcome(lambda *args: Graph.from_edges(*args).adjacency)
+    assert got == outcome(oracles.from_edges_reference)
 
 
 @given(connected_graphs(), st.data())
