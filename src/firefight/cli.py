@@ -130,7 +130,7 @@ def cmd_opt(args) -> int:
 def _ratio_row(inst: Instance, kind: AlgorithmKind, budget: int) -> dict:
     result = run_algorithm(inst, kind)
     alg_profit = result.profit
-    opt = solve_opt(inst, node_budget=budget)
+    opt = solve_opt(inst, node_budget=budget, reached=alg_profit)
     # every strategy protects while the fire can still spread, so ALG = 0
     # only when OPT = 0 too
     ratio = float(Fraction(opt.value, alg_profit)) if alg_profit else 1.0

@@ -216,6 +216,11 @@ def parse_instance(text: str) -> Instance:
     return Instance(graph, sequence, name=name)
 
 
+# vertices whose edge lines serialize_instance joins into one string: the
+# lines of one block are all it holds besides the text
+_LINES_BLOCK = 4096
+
+
 def serialize_instance(instance: Instance) -> str:
     g = instance.graph
     out = [f"version {FORMAT_VERSION}"]
@@ -227,6 +232,14 @@ def serialize_instance(instance: Instance) -> str:
     out.append(f"n {g.n}")
     out.append(f"root {g.root}")
     out.append(f"edges {g.edge_count()}")
-    out += [f"{u} {v}" for u, v in g.edges()]
+    adj = g.adjacency
+    for lo in range(0, g.n, _LINES_BLOCK):
+        # one block's edge lines at a time, each block joined into one string
+        block = "\n".join(
+            [f"{u} {v}" for u in range(lo, min(lo + _LINES_BLOCK, g.n)) for v in adj[u] if u < v]
+        )
+        if block:
+            out.append(block)
     out.append("sequence" + "".join(f" {f}" for f in instance.sequence))
-    return "\n".join(out) + "\n"
+    out.append("")  # the closing line end, without a second copy of the text
+    return "\n".join(out)

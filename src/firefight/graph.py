@@ -356,10 +356,18 @@ def fundamental_cycles(g: Graph) -> CycleWalk:
     exactly one cycle, the one holding that edge, and is dominated by that
     top.  Sizes are summed in reverse BFS order.  O(n).
     """
-    order, parent, depth, chords = g.bfs
-    if len(order) != g.n:
+    tree = g.bfs
+    if len(tree.order) != g.n:
         raise DisconnectedError("graph is not connected")
-    walked = [False] * g.n  # tree edge (parent[v], v), keyed by v
+    return _chord_walk(tree, g.n)
+
+
+def _chord_walk(tree: BfsTree, n: int) -> CycleWalk:
+    """The walk of :func:`fundamental_cycles` over ``tree``, a BFS whose
+    vertices are ids below ``n`` and whose root is ``order[0]``; ids the
+    BFS did not reach stay out of every cycle and keep size 1."""
+    order, parent, depth, chords = tree
+    walked = [False] * n  # tree edge (parent[v], v), keyed by v
     idom = list(parent)
     cycles = []
     tops = []
@@ -382,7 +390,7 @@ def fundamental_cycles(g: Graph) -> CycleWalk:
             idom[x] = a
         cycles.append((a, *down))  # the top, down to one chord end, across, back up
         tops.append(a)
-    size = [1] * g.n
+    size = [1] * n
     for v in reversed(order[1:]):
         size[idom[v]] += size[v]
     if not cycles:

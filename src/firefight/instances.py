@@ -131,7 +131,7 @@ def tadpole_adversary_run(
         sequence = (1, 1)
         alg_profit = run_algorithm(Instance(g, sequence, name=name), kind).profit
     opt = solve_opt(
-        Instance(g, sequence, name=name), node_budget=node_budget, max_n=g.n
+        Instance(g, sequence, name=name), node_budget=node_budget, max_n=g.n, reached=alg_profit
     )
     bound = min(Fraction(beta), Fraction(beta * beta, beta + 1))
     return AdversaryReport(

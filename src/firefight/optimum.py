@@ -39,25 +39,34 @@ prunings keep it exact:
   the node fails low before it enumerates anything or runs the one-pass
   last round below, and stores no memo entry.
 
+A caller that already holds a schedule worth ``reached`` (a strategy's
+profit) passes it in, and the root search starts with alpha
+``reached - 1``: branch and bound from a feasible incumbent.  Since the
+optimum is at least ``reached``, the root's value is still exact and its
+schedule the same first strictly best one, found in at most as many
+nodes.  A root that fails low shows no schedule reaches ``reached``, and
+raises :class:`UnreachableValueError`.
+
 Once the sequence is exhausted no further protection is possible, so the
 remaining spread collapses into R.  A last round with one firefighter
 needs no search: protecting v saves v's subtree in the dominator tree of
-the view of R with the burned set merged into its root, so on a cactus
-view the view's chord walk (:func:`~firefight.graph.fundamental_cycles`)
-values every candidate at once.  A view that is no cactus values each
-candidate by one flood.
+R with the burned set merged into its root, so on a cactus the chord walk
+of that region values every candidate at once.  The walk reads R's
+bitmasks in g's own ids (:func:`_region_walk`): g's root stands for the
+merged set, whose neighbors in R are the BFS's first layer, and no view is
+built.  A region that is no cactus values each candidate by one flood.
 
 One round before such a last round, with one firefighter too, a candidate
 off the fire's front lets the fire take the whole front, so its child is
 worth what it and one more protection cut off from the front.  On a
 cactus (a tree, 1-almost tree or cactus input always leaves one) the
-view of the residual with the front merged into its root, its cycles and
-its dominator tree value every such candidate at once (``pair_gains``).
-Only the first best of them can win, so only its child is searched, and
-only if it beats the incumbent; the front's own candidates are searched
-as before.  A residual that is no
-cactus falls back to one child per candidate.  The pass runs only when
-some off-front child could still beat the incumbent by the front bound.
+same walk of the residual with the front merged into its root, its cycles
+and its dominator tree value every such candidate at once
+(``pair_gains``).  Only the first best of them can win, so only its child
+is searched, and only if it beats the incumbent; the front's own
+candidates are searched as before.  A residual that is no cactus falls
+back to one child per candidate.  The pass runs only when some off-front
+child could still beat the incumbent by the front bound.
 """
 
 from __future__ import annotations
@@ -67,12 +76,11 @@ from dataclasses import dataclass
 
 from .engine import Instance, ProtectionSchedule
 from .graph import (
+    BfsTree,
     CycleWalk,
     Graph,
     NotCactusError,
-    Subgraph,
-    contract,
-    fundamental_cycles,
+    _chord_walk,
     validate_and_decompose,
 )
 
@@ -98,6 +106,10 @@ class SearchBudgetExceededError(OptError):
 
 class GraphTooLargeError(OptError):
     pass
+
+
+class UnreachableValueError(OptError):
+    """A warm start's ``reached`` that no schedule attains."""
 
 
 def check_mask_budget(n: int) -> None:
@@ -126,34 +138,76 @@ class OptResult:
     pruned: int  # children skipped because they cannot strictly beat alpha or the incumbent
 
 
-def _view(g: Graph, merged: int, kept: int) -> tuple[Subgraph, CycleWalk | None]:
-    """The view of g with the vertices of ``merged`` merged into its root,
-    those of ``kept`` kept and the rest dropped, with its chord walk, or
-    with None when the view is no cactus."""
-    index = [-1] * g.n
-    k = 0
-    for v in range(g.n):
-        if (merged >> v) & 1:
-            index[v] = 0
-        elif (kept >> v) & 1:
-            k += 1
-            index[v] = k
-    sub = contract(g, index)
+def _region_walk(g: Graph, layer: int, kept: int) -> tuple[list[int], CycleWalk] | None:
+    """The BFS order and the chord walk of the region ``kept`` with a
+    connected set beside it merged into g's root, in g's ids, or None when
+    that is no cactus.  ``layer``, a part of ``kept``, is the set's
+    neighbors in ``kept``: the BFS's first layer, in ascending id order,
+    each one root edge however many edges it has into the set.  The rest
+    of g plays no part.  This is the walk of the view that
+    :func:`~firefight.graph.contract` would build, g's root standing for
+    the view's root, but no view is built.  O(n + m).
+    """
+    adj = g.adjacency
+    root = g.root
+    parent = [-1] * g.n
+    depth = [-1] * g.n
+    depth[root] = 0
+    queue = []
+    while layer:
+        b = layer & -layer
+        v = b.bit_length() - 1
+        parent[v] = root
+        depth[v] = 1
+        queue.append(v)
+        layer ^= b
+    chords = []
+    for u in queue:  # the list grows behind the loop: a FIFO queue
+        d = depth[u] + 1
+        p = parent[u]
+        for v in adj[u]:
+            if (kept >> v) & 1:
+                if depth[v] < 0:
+                    depth[v] = d
+                    parent[v] = u
+                    queue.append(v)
+                elif v != p and u < v:  # met from both ends: kept from the smaller
+                    chords.append((u, v))
+    order = [root, *queue]
     try:
-        return sub, fundamental_cycles(sub.graph)
+        return order, _chord_walk(BfsTree(order, parent, depth, chords), g.n)
     except NotCactusError:
-        return sub, None
+        return None
+
+
+def best_single(g: Graph, layer: int, avail: int) -> tuple[int, int] | None:
+    """(saved, v) of the best lone protection v in ``avail``, the region
+    the fire can still reach less the burned set, whose neighbors of the
+    burned set are ``layer``; None when the region with the burned set
+    merged into its root is no cactus.
+
+    Protecting v saves v's subtree in that region's dominator tree, the
+    walk's ``size`` (:func:`_region_walk`): O(n + m) for all candidates
+    together.  Ties go to the lowest id, as in the ascending search.
+    """
+    found = _region_walk(g, layer, avail)
+    if found is None:
+        return None
+    order, walk = found
+    size = walk.size
+    v = max(sorted(order[1:]), key=size.__getitem__)  # max keeps the first of equals
+    return size[v], v
 
 
 def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
     """For every v in ``avail``, indexed by g's ids, the most vertices that
     protecting v now and one more vertex next round cut off from ``front``,
-    the fire's front.  None when the view of ``front | avail``, the front
-    merged into its root, is not a cactus.
+    the fire's front.  None when ``front | avail`` with the front merged
+    into its root is not a cactus.
 
-    With h(u) the size of u's subtree in the view's dominator tree (the
-    vertices u alone cuts off, the walk's ``size``), the best partner w of
-    v is:
+    With h(u) the size of u's subtree in the dominator tree of ``avail``
+    with the front merged into its root (the vertices u alone cuts off, the
+    walk's ``size``), the best partner w of v is:
 
     * the highest dominator of v below the root, worth h of it;
     * any vertex neither above nor below v in the dominator tree, worth
@@ -161,18 +215,26 @@ def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
     * when v sits on a cycle a, c_1 ... c_L (a its top, v = c_i), c_1 or
       c_L, worth h(c_1) + ... + h(c_i) or h(c_i) + ... + h(c_L).
 
-    The cycles and the dominator tree are the view's chord walk
-    (:func:`~firefight.graph.fundamental_cycles`), each cycle read from its
-    top in whichever direction the walk ran; the larger of the two chain
-    sums makes that direction immaterial.  No canonical decomposition is
-    built.  O(n + m).
+    The cycles and the dominator tree are the region's chord walk
+    (:func:`_region_walk`), each cycle read from its top in whichever
+    direction the walk ran; the larger of the two chain sums makes that
+    direction immaterial.  No canonical decomposition is built.  O(n + m).
     """
-    sub, walk = _view(g, front, avail)
-    if walk is None:
+    adj = g.adjacency
+    layer = 0
+    m = avail
+    while m:
+        b = m & -m
+        if any((front >> w) & 1 for w in adj[b.bit_length() - 1]):
+            layer |= b
+        m ^= b
+    found = _region_walk(g, layer, avail)
+    if found is None:
         return None
-    view = sub.graph
-    idom, saved, order = walk.idom, walk.size, view.bfs.order
-    arc = [0] * view.n
+    order, walk = found
+    root = g.root
+    idom, saved = walk.idom, walk.size
+    arc = [0] * g.n
     for cyc in walk.cycles:
         path = cyc[1:]  # c_1 ... c_L: the walk reads each cycle from its top
         total = sum(saved[c] for c in path)
@@ -181,8 +243,8 @@ def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
             prefix += saved[c]
             arc[c] = max(prefix, total - prefix + saved[c])
     # the best and second best h among each vertex's dominator-tree children
-    first = [0] * view.n
-    second = [0] * view.n
+    first = [0] * g.n
+    second = [0] * g.n
     for u in order[1:]:
         p = idom[u]
         h = saved[u]
@@ -190,13 +252,13 @@ def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
             first[p], second[p] = h, first[p]
         elif h > second[p]:
             second[p] = h
-    top_h = [0] * view.n  # h of u's highest dominator below the root
-    unrelated = [0] * view.n  # the best h neither above nor below u
+    top_h = [0] * g.n  # h of u's highest dominator below the root
+    unrelated = [0] * g.n  # the best h neither above nor below u
     gains = [0] * g.n
     for u in order[1:]:
         p = idom[u]
         h = saved[u]
-        best = top_h[u] = h if p == 0 else top_h[p]
+        best = top_h[u] = h if p == root else top_h[p]
         f = first[p]
         other = second[p] if h == f else f
         if other < unrelated[p]:
@@ -204,7 +266,7 @@ def pair_gains(g: Graph, front: int, avail: int) -> list[int] | None:
         unrelated[u] = other
         if h + other > best:
             best = h + other
-        gains[sub.to_orig[u]] = arc[u] if arc[u] > best else best
+        gains[u] = arc[u] if arc[u] > best else best
     return gains
 
 
@@ -214,6 +276,7 @@ def solve_opt(
     node_budget: int = DEFAULT_NODE_BUDGET,
     max_n: int = DEFAULT_MAX_N,
     use_memo: bool = True,
+    reached: int = 0,
 ) -> OptResult:
     """Best achievable profit and one schedule attaining it.
 
@@ -221,6 +284,13 @@ def solve_opt(
     order and only strict improvements replace the incumbent, so the
     returned schedule is reproducible.  A negative ``node_budget`` raises
     ValueError before any work.
+
+    ``reached`` is the value of a schedule the caller already holds, such
+    as a strategy's profit: the search starts with the incumbent
+    ``reached - 1``, so it skips every branch that cannot reach
+    ``reached`` and returns the same value and schedule in at most as many
+    nodes.  A ``reached`` above the optimum raises
+    :class:`UnreachableValueError`.
     """
     check_node_budget(node_budget)
     g = instance.graph
@@ -259,21 +329,15 @@ def solve_opt(
             seen |= front
         return seen
 
-    def best_single(burned: int, ring: int, region: int) -> tuple[int, int]:
-        """(saved, v) of the best lone protection in ``region``.
-
-        Protecting v saves v's subtree in the dominator tree of the view
-        with ``burned`` merged into its root, the walk's ``size``: O(n + m)
-        for all candidates together.  A view that is no cactus values each
-        candidate by one flood that avoids it.  Ties go to the lowest id,
-        as in the ascending search: view ids keep g's order, and max keeps
-        the first of equals.
-        """
+    def last_round(burned: int, ring: int, region: int, layer: int) -> tuple[int, int]:
+        """(saved, v) of the best lone protection in ``region``, whose
+        unburned neighbors of the burned set are ``layer``: one pass on a
+        cactus (:func:`best_single`), otherwise one flood per candidate,
+        each avoiding it."""
         avail = region & ~burned
-        sub, walk = _view(g, burned, avail)
-        if walk is not None:
-            i = max(range(1, sub.graph.n), key=walk.size.__getitem__)
-            return walk.size[i], sub.to_orig[i]
+        found = best_single(g, layer, avail)
+        if found is not None:
+            return found
         size = region.bit_count()
         saved = {
             u: size - flood(ring, burned, region & ~(1 << u)).bit_count()
@@ -357,7 +421,7 @@ def solve_opt(
             nodes += avail_mask.bit_count()
             if nodes > node_budget:
                 raise SearchBudgetExceededError(f"node budget {node_budget} exhausted")
-            saved, v = best_single(burned, ring, region)
+            saved, v = last_round(burned, ring, region, front & ~burned)
             result = (n - region.bit_count() + saved, ((rnd, v),))
         else:
             avail = [v for v in range(n) if (avail_mask >> v) & 1]
@@ -402,7 +466,10 @@ def solve_opt(
         return result
 
     root = 1 << g.root
-    value, sched = dfs(root, root, flood(root, root, (1 << n) - 1), 1, -1)
+    value, sched = dfs(root, root, flood(root, root, (1 << n) - 1), 1, reached - 1)
+    if value < reached:
+        # the root failed low: its value is only the incumbent passed in
+        raise UnreachableValueError(f"no schedule reaches {reached}; the optimum is below it")
     return OptResult(
         value=value,
         schedule=sched,

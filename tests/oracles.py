@@ -2,7 +2,10 @@
 
 Everything here leans on networkx or literal definitions instead of the
 library's own BFS and decomposition code, so a bug in firefight.graph or
-firefight.engine cannot hide by agreeing with itself.
+firefight.engine cannot hide by agreeing with itself.  The exception is
+:func:`region_view` and the two valuations read off it: the contracted
+views the solver's last rounds once built, kept as the reference for the
+walk that replaced them.
 """
 
 import itertools
@@ -10,7 +13,7 @@ from collections import defaultdict
 
 import networkx as nx
 
-from firefight.graph import DisconnectedError
+from firefight.graph import DisconnectedError, NotCactusError, contract, fundamental_cycles
 
 
 def to_nx(g) -> nx.Graph:
@@ -178,6 +181,80 @@ def view_profit(instance, schedule) -> int:
         burned |= {w for u in burned for w in g.adjacency[u]} - protected
     return total
 
+
+def region_view(g, merged, kept):
+    """The view of g with the vertices of ``merged`` merged into its root,
+    those of ``kept`` kept and the rest dropped, with its chord walk, or
+    with None when the view is no cactus: what the solver's one-pass last
+    rounds read before they walked the region in g's own ids.  Built with
+    the package's ``contract`` and ``fundamental_cycles``, on a view graph
+    of its own, so it shares only the chord walk with the solver."""
+    index = [-1] * g.n
+    k = 0
+    for v in range(g.n):
+        if (merged >> v) & 1:
+            index[v] = 0
+        elif (kept >> v) & 1:
+            k += 1
+            index[v] = k
+    sub = contract(g, index)
+    try:
+        return sub, fundamental_cycles(sub.graph)
+    except NotCactusError:
+        return sub, None
+
+
+def view_best_single(g, burned, avail):
+    """``optimum.best_single`` read off :func:`region_view`: the view id of
+    largest size, the lowest of equals, mapped back to g's ids."""
+    sub, walk = region_view(g, burned, avail)
+    if walk is None:
+        return None
+    i = max(range(1, sub.graph.n), key=walk.size.__getitem__)
+    return walk.size[i], sub.to_orig[i]
+
+
+def view_pair_gains(g, front, avail):
+    """``optimum.pair_gains`` read off :func:`region_view`, in view ids and
+    mapped back to g's ids."""
+    sub, walk = region_view(g, front, avail)
+    if walk is None:
+        return None
+    view = sub.graph
+    idom, saved, order = walk.idom, walk.size, view.bfs.order
+    arc = [0] * view.n
+    for cyc in walk.cycles:
+        path = cyc[1:]
+        total = sum(saved[c] for c in path)
+        prefix = 0
+        for c in path:
+            prefix += saved[c]
+            arc[c] = max(prefix, total - prefix + saved[c])
+    first = [0] * view.n
+    second = [0] * view.n
+    for u in order[1:]:
+        p = idom[u]
+        h = saved[u]
+        if h > first[p]:
+            first[p], second[p] = h, first[p]
+        elif h > second[p]:
+            second[p] = h
+    top_h = [0] * view.n
+    unrelated = [0] * view.n
+    gains = [0] * g.n
+    for u in order[1:]:
+        p = idom[u]
+        h = saved[u]
+        best = top_h[u] = h if p == 0 else top_h[p]
+        f = first[p]
+        other = second[p] if h == f else f
+        if other < unrelated[p]:
+            other = unrelated[p]
+        unrelated[u] = other
+        if h + other > best:
+            best = h + other
+        gains[sub.to_orig[u]] = arc[u] if arc[u] > best else best
+    return gains
 
 
 def solve_opt_reference(instance):

@@ -1050,9 +1050,14 @@ def test_one_bfs_per_graph(monkeypatch):
     assert views >= 5, views
 
 
+# the frames of the chord walk, which the line count leaves aside
+_WALK_FRAMES = ("fundamental_cycles", "_chord_walk")
+
+
 def _package_lines(play):
     """The ``line`` events ``play()`` runs in the package, the chord walk's
-    aside: the Python steps of a game beyond its O(n) walk."""
+    aside (``fundamental_cycles`` and the ``_chord_walk`` it calls): the
+    Python steps of a game beyond its O(n) walk."""
     package = algorithms.__file__.rsplit("algorithms.py", 1)[0]
     lines = 0
 
@@ -1063,7 +1068,7 @@ def _package_lines(play):
 
     def call(frame, event, arg):
         code = frame.f_code
-        if code.co_filename.startswith(package) and code.co_name != "fundamental_cycles":
+        if code.co_filename.startswith(package) and code.co_name not in _WALK_FRAMES:
             return local
         return None
 

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from firefight.algorithms import AlgorithmKind
+from firefight.algorithms import AlgorithmKind, run_algorithm
 from firefight.engine import Instance, Status, replay
-from firefight.graph import Graph, validate_and_decompose
+from firefight.graph import Graph, fundamental_cycles, validate_and_decompose
 from firefight.instances import (
     make_tadpole,
     random_cactus,
@@ -24,6 +24,7 @@ from firefight.optimum import (
     MAX_MASK_BYTES,
     GraphTooLargeError,
     SearchBudgetExceededError,
+    UnreachableValueError,
     check_mask_budget,
     normalize_nonredundant,
     opt_upper_bound,
@@ -534,3 +535,98 @@ def test_solver_counters_digest():
             for use_memo in (True, False):
                 add(solve_opt(Instance(g, (*head, *tail)), use_memo=use_memo))
     assert h.hexdigest() == SOLVER_COUNTERS_SHA256
+
+
+def _accepted_profits(inst):
+    """The profit of every strategy that accepts the instance's class."""
+    tag = fundamental_cycles(inst.graph).class_tag
+    return [run_algorithm(inst, kind).profit for kind in AlgorithmKind if kind.accepts(tag)]
+
+
+def _check_warm_starts(inst):
+    cold = solve_opt(inst, max_n=inst.graph.n)
+    for reached in {0, cold.value, *_accepted_profits(inst)}:
+        warm = solve_opt(inst, max_n=inst.graph.n, reached=reached)
+        assert (warm.value, warm.schedule) == (cold.value, cold.schedule), reached
+        assert warm.nodes_explored <= cold.nodes_explored, reached
+        assert replay(inst, warm.schedule)[0] == warm.value
+    with pytest.raises(UnreachableValueError):
+        solve_opt(inst, max_n=inst.graph.n, reached=cold.value + 1)
+
+
+def test_warm_start_keeps_the_cold_solve_on_the_digest_corpus():
+    """Starting from a value some schedule reaches (none, a strategy's
+    profit or the optimum) finds the cold solve's value and first best
+    schedule in at most as many nodes; a value above the optimum raises."""
+    for inst in _digest_corpus():
+        _check_warm_starts(inst)
+
+
+@given(relabelled_cacti(max_n=14), st.lists(st.integers(0, 2), min_size=1, max_size=4))
+@settings(max_examples=60)
+def test_warm_start_keeps_the_cold_solve(g, seq):
+    _check_warm_starts(Instance(g, tuple(seq)))
+
+
+def _residual_states(g, rng, count):
+    """g's neighbor masks with (burned, ring, region) of ``count`` random
+    search positions on g: the region the fire can reach past a random
+    protected set, the ball of a random radius around the root inside it,
+    and that ball's outer ring, with some of the region still unburned."""
+    nbr = [sum(1 << w for w in g.adjacency[u]) for u in range(g.n)]
+    root = 1 << g.root
+    for _ in range(count):
+        protected = sum(1 << v for v in range(g.n) if v != g.root and rng.random() < 0.2)
+        region = _flood(nbr, root, ~protected)
+        burned = ring = root
+        for _ in range(rng.randint(0, 3)):
+            grown = 0
+            for u in range(g.n):
+                if (burned >> u) & 1:
+                    grown |= nbr[u]
+            new = grown & region & ~burned
+            if not new or burned | new == region:
+                break
+            burned |= new
+            ring = new
+        if region != burned:
+            yield nbr, burned, ring, region
+
+
+def test_region_walk_matches_the_view():
+    """The last-round passes walk the region in g's ids and choose as the
+    contracted view's walk did: the same ``best_single`` (saved, v), the
+    same ``pair_gains`` list, and None exactly when the view is no cactus,
+    on random positions of random cacti and of graphs that are no cactus."""
+    rng = random.Random("region-walk")
+    seen = {"cactus": 0, "none": 0, "pairs": 0}
+    for i in range(300):
+        n = rng.randint(3, 20)
+        if i % 2:
+            g = random_cactus(n, rng.uniform(0.3, 1.0), rng.randint(3, 8), rng.randrange(2**30))
+        else:
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            for _ in range(rng.randint(2, 8)):
+                u, v = rng.sample(range(n), 2)
+                edges.add((min(u, v), max(u, v)))
+            g = Graph.from_edges(n, sorted(edges))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])
+        for nbr, burned, ring, region in _residual_states(g, rng, 4):
+            avail = region & ~burned
+            grown = 0
+            for u in range(n):
+                if (ring >> u) & 1:
+                    grown |= nbr[u]
+            front = burned | (grown & region)
+            got = optimum.best_single(g, front & ~burned, avail)
+            assert got == oracles.view_best_single(g, burned, avail)
+            assert (got is None) == (oracles.region_view(g, burned, avail)[1] is None)
+            seen["cactus" if got is not None else "none"] += 1
+            off = region & ~front
+            if off:
+                gains = optimum.pair_gains(g, front, off)
+                assert gains == oracles.view_pair_gains(g, front, off)
+                seen["pairs"] += gains is not None
+    assert min(seen.values()) >= 100, seen
