@@ -5,13 +5,22 @@ identity, and stops at the first failure with a serialized counterexample.
 Trials that do not reach the property's precondition count as vacuous and
 are excluded from ``checked``.  All square-root bounds are verified in
 exact integer arithmetic (both sides squared).
+
+The break suites (neighbors-best, break-quality, improved-break-feasibility
+and secured-break) compare the territories that breaking a root cycle at
+its members leaves: the territory :func:`~firefight.graph.break_subgraph`
+materializes, here never built.  Per cycle they take ``keep``, the root
+and everything the cycle covers, once (:func:`_break_keep`); per member
+one BFS from the root through ``keep``, never entering the member, finds
+the territory's root distances, and :func:`_break_counts` turns their
+histogram into the list of ``count(d)``.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .algorithms import (
@@ -24,13 +33,13 @@ from .algorithms import (
 from .engine import GameState, Instance, profit_of_protections, replay
 from .fileformat import serialize_instance
 from .graph import (
+    CycleWalk,
     Graph,
-    Subgraph,
-    break_subgraph,
     covered_set,
     count_safe,
     fundamental_cycles,
     weight,
+    _cycle_for_break,
     _distances,
 )
 from .instances import (
@@ -91,19 +100,42 @@ def _seed(rng: random.Random) -> int:
     return rng.randrange(2**30)
 
 
-def _count_fn(sub: Subgraph) -> Callable[[int], int]:
-    """count(., d) for one break view: alive minus those closer than d.
+def _break_keep(g: Graph, walk: CycleWalk, c: int) -> frozenset[int]:
+    """The root and every vertex cycle ``c`` covers: where each break of
+    the cycle leaves its territory."""
+    return covered_set(g, (), set(walk.cycles[c]) - {g.root}) | {g.root}
 
-    The view comes from :meth:`Graph.from_edges`, which keeps the BFS it
-    ran to check connectivity, so every vertex has its root distance.
+
+def _break_counts(
+    g: Graph, walk: CycleWalk, c: int, keep: frozenset[int], v: int
+) -> list[int]:
+    """count(d) for d = 0..n+1 of the territory that breaking root cycle
+    ``c`` at ``v`` leaves, ``keep`` being :func:`_break_keep` of the cycle.
+
+    The territory is ``keep`` minus what v covers, the vertex set of
+    :func:`~firefight.graph.break_subgraph`, which checks the same
+    arguments.  On a cactus each vertex of keep that v does not cover
+    reaches the root inside keep (to the cycle, then round it away from
+    v), so one BFS from the root through keep, never entering v, finds
+    the territory with its root distances.  count(d) is the number of
+    those at distance >= d.
     """
-    dists = sorted(sub.graph.bfs.depth)
-    alive = sub.graph.n
-
-    def count(d: int) -> int:
-        return alive - bisect_left(dists, d)
-
-    return count
+    _cycle_for_break(walk, g, c, v)
+    adj = g.adjacency
+    unseen = set(keep) - {g.root, v}
+    layer = [g.root]
+    sizes = []
+    while layer:
+        sizes.append(len(layer))
+        nxt = []
+        for u in layer:
+            for x in adj[u]:
+                if x in unseen:
+                    unseen.remove(x)
+                    nxt.append(x)
+        layer = nxt
+    counts = list(accumulate(reversed(sizes)))[::-1]
+    return counts + [0] * (g.n + 2 - len(counts))
 
 
 def _cycle_index(walk, cycle: tuple[int, ...]) -> int:
@@ -199,16 +231,16 @@ def _trial_neighbors_best(rng: random.Random):
     u1, up = cyc[1], cyc[-1]
     w1 = weight(g, (), [u1])
     wp = weight(g, (), [up])
-    c1 = _count_fn(break_subgraph(g, walk, ci, u1))
-    cp = _count_fn(break_subgraph(g, walk, ci, up))
-    for uh in cyc[1:]:
-        ch = _count_fn(break_subgraph(g, walk, ci, uh))
+    keep = _break_keep(g, walk, ci)
+    counts = [_break_counts(g, walk, ci, keep, u) for u in cyc[1:]]
+    c1, cp = counts[0], counts[-1]
+    for uh, ch in zip(cyc[1:], counts):
         for d in range(g.n + 2):
-            if not (ch(d) <= c1(d) + w1 or ch(d) <= cp(d) + wp):
+            if not (ch[d] <= c1[d] + w1 or ch[d] <= cp[d] + wp):
                 return False, _describe(
                     Instance(g, ()),
-                    f"break at {uh}, d={d}: count {ch(d)} beats both "
-                    f"root neighbors ({c1(d)}+{w1}, {cp(d)}+{wp})",
+                    f"break at {uh}, d={d}: count {ch[d]} beats both "
+                    f"root neighbors ({c1[d]}+{w1}, {cp[d]}+{wp})",
                 )
     return True, ""
 
@@ -228,15 +260,16 @@ def _trial_break_quality(rng: random.Random):
     ci = _cycle_index(walk, brk.cycle)
     cyc = walk.cycles[ci]
     w_cyc = brk.cycle_weight
-    c_hat = _count_fn(break_subgraph(g, walk, ci, brk.vertex))
+    keep = _break_keep(g, walk, ci)
+    c_hat = _break_counts(g, walk, ci, keep, brk.vertex)
     for uh in cyc[1:]:
-        ch = _count_fn(break_subgraph(g, walk, ci, uh))
+        ch = _break_counts(g, walk, ci, keep, uh)
         for d in range(g.n + 2):
-            if ch(d) ** 2 > 4 * w_cyc * (c_hat(d) + 1) ** 2:
+            if ch[d] ** 2 > 4 * w_cyc * (c_hat[d] + 1) ** 2:
                 return False, _describe(
                     Instance(g, ()),
-                    f"break at {brk.vertex}: count({uh},{d})={ch(d)} exceeds "
-                    f"2*sqrt({w_cyc})*(count({brk.vertex},{d})+1)={c_hat(d) + 1}",
+                    f"break at {brk.vertex}: count({uh},{d})={ch[d]} exceeds "
+                    f"2*sqrt({w_cyc})*(count({brk.vertex},{d})+1)={c_hat[d] + 1}",
                 )
     return True, ""
 
@@ -259,7 +292,7 @@ def _trial_improved_break_feasibility(rng: random.Random):
         return None
     g, walk, brk = ctx
     ci = _cycle_index(walk, brk.cycle)
-    c = _count_fn(break_subgraph(g, walk, ci, brk.vertex))(brk.depth)
+    c = _break_counts(g, walk, ci, _break_keep(g, walk, ci), brk.vertex)[brk.depth]
     w_hat = weight(g, (), [brk.vertex])
     if (c + w_hat) ** 2 < brk.cycle_weight:
         return False, _describe(
@@ -278,22 +311,23 @@ def _trial_secured_break(rng: random.Random):
     g, walk, brk = ctx
     n = g.n
     ci = _cycle_index(walk, brk.cycle)
-    c_hat = _count_fn(break_subgraph(g, walk, ci, brk.vertex))
+    c_hat = _break_counts(g, walk, ci, _break_keep(g, walk, ci), brk.vertex)
     w_hat = weight(g, (), [brk.vertex])
     for cj, (cyc, top) in enumerate(zip(walk.cycles, walk.tops)):
         if top != g.root:
             continue
-        w_cyc = weight(g, (), set(cyc) - {g.root})
+        keep = _break_keep(g, walk, cj)
+        w_cyc = len(keep) - 1
         if w_cyc * w_cyc < n:
             continue
         for u in cyc[1:]:
-            cu = _count_fn(break_subgraph(g, walk, cj, u))
+            cu = _break_counts(g, walk, cj, keep, u)
             for d in range(1, g.n + 2):
-                if cu(d) ** 2 > 4 * n * (c_hat(d) + w_hat) ** 2:
+                if cu[d] ** 2 > 4 * n * (c_hat[d] + w_hat) ** 2:
                     return False, _describe(
                         Instance(g, ()),
-                        f"break at {brk.vertex}: count({u},{d})={cu(d)} exceeds "
-                        f"2*sqrt(n)*(count+weight)={c_hat(d)}+{w_hat}",
+                        f"break at {brk.vertex}: count({u},{d})={cu[d]} exceeds "
+                        f"2*sqrt(n)*(count+weight)={c_hat[d]}+{w_hat}",
                     )
     return True, ""
 

@@ -377,6 +377,17 @@ def test_last_round_tie_goes_to_lowest_id(seq, value, schedule):
     assert (res.value, res.schedule) == oracles.solve_opt_reference(inst)
 
 
+def test_last_round_tie_skips_earlier_bfs_vertices():
+    # root cycle 0-5-2-6 with 1 on 5, 3 on 2, and the path 0-4-7: 4, 5 and
+    # 2 each save 2; 4 and 5 come first in BFS order, 2 has the lowest id
+    g = Graph.from_edges(8, [(0, 5), (5, 2), (2, 6), (6, 0), (2, 3), (0, 4), (4, 7), (5, 1)])
+    res = solve_opt(Instance(g, (1,)))
+    assert (res.value, res.schedule) == (2, ((1, 2),))
+    layer = sum(1 << v for v in g.adjacency[g.root])
+    avail = sum(1 << v for v in range(g.n) if v != g.root)
+    assert optimum.best_single(g, layer, avail) == (2, 2)
+
+
 def test_unreachable_protections_share_a_memo_entry():
     # protecting {1, 2} or {1, 3} leaves the same fire in 0-4-{5, 6}: vertex
     # 2 or 3 sits behind 1, so the two states share one entry
