@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
-from operator import add, contains, le, neg, sub
+from operator import add, contains, itemgetter, le, neg, sub
 from typing import Callable, NamedTuple, Sequence
 
 from .engine import AVAILABLE, GameState, Instance, TraceEntry
@@ -153,7 +153,7 @@ def _territory(res: _Residual, arc: _Arc) -> tuple[list[int], list[int]]:
         return [], []
     if arc.profile is None:
         cyc, lo, hi = arc.cyc, arc.lo, arc.hi
-        pos = list(compress(range(lo, hi), map((1).__lt__, map(res.size.__getitem__, cyc[lo:hi]))))
+        pos = list(compress(range(lo, hi), map((1).__lt__, arc.sizes[lo - 1 : hi - 1])))
         heavy = len(pos)
         order = list(map(cyc.__getitem__, pos))
         depth = [0] * heavy
@@ -330,9 +330,12 @@ def _guarded_improved_break(res: _Residual, w_cyc: int, i: int) -> BreakDetail |
 class _Arc:
     """A root cycle of the residual game: cycle ``i`` of the walk read from
     its top, which burned, as ``cyc``, its live members ``cyc[lo:hi]`` of
-    total size ``weight``, their sizes read off ``size``, which changes for
-    no live member.  The fire takes members at the two ends only.  The arc
-    is ``bare`` when every member has size 1, so hangs nothing.
+    total size ``weight``.  The members' sizes are gathered once, at open,
+    into ``sizes``, where ``sizes[p - 1]`` is the size of ``cyc[p]``: no
+    live member's size changes while its arc lives, so the member heap, the
+    profile and the chains a protection opens slice that tuple.  The fire
+    takes members at the two ends only.  The arc is ``bare`` when every
+    member has size 1, so hangs nothing; its weight is its member count.
 
     The arc's best, the one candidate it puts forward, is found at open by
     C-level passes over the sizes (the largest, then the lowest id of that
@@ -343,15 +346,15 @@ class _Arc:
     position), and its top, once the members that left are popped, is the
     best."""
 
-    __slots__ = ("i", "cyc", "lo", "hi", "weight", "size", "bare", "at", "heap", "profile")
+    __slots__ = ("i", "cyc", "lo", "hi", "weight", "sizes", "bare", "at", "heap", "profile")
 
     def __init__(self, i: int, cyc: tuple[int, ...], size: list[int]):
         members = cyc[1:]
-        sizes = list(map(size.__getitem__, members))
-        self.i, self.cyc, self.lo, self.hi, self.weight = i, cyc, 1, len(cyc), sum(sizes)
-        self.size = size
+        sizes = itemgetter(*members)(size)  # a tuple: a cycle has two members or more
+        self.i, self.cyc, self.lo, self.hi, self.sizes = i, cyc, 1, len(cyc), sizes
         top = max(sizes)
         self.bare = top == 1
+        self.weight = len(members) if self.bare else sum(sizes)
         best = min(members) if self.bare else min(compress(members, map(top.__eq__, sizes)))
         self.at = cyc.index(best, 1)
         self.heap: list[tuple[int, int, int]] | None = None
@@ -371,7 +374,7 @@ class _Arc:
         cyc, lo, hi, heap = self.cyc, self.lo, self.hi, self.heap
         if heap is None:
             live = cyc[lo:hi]
-            heap = list(zip(map(neg, map(self.size.__getitem__, live)), live, range(lo, hi)))
+            heap = list(zip(map(neg, self.sizes[lo - 1 : hi - 1]), live, range(lo, hi)))
             heapify(heap)
             self.heap = heap
         while not lo <= heap[0][2] < hi:
@@ -601,7 +604,7 @@ class _Residual:
         for end, a, b, step in ((lo, lo, p, 1), (hi - 1, p + 1, hi, -1)):
             if a < b:
                 e = cyc[end]
-                size[e] = b - a if arc.bare else sum(map(size.__getitem__, cyc[a:b]))
+                size[e] = b - a if arc.bare else sum(arc.sizes[a - 1 : b - 1])
                 mark[e] = (cyc, end, step)
                 self._push(e)
 
@@ -746,7 +749,8 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
     as ``graph_class``; ``kind`` must accept that class, even with no
     firefighter to place.  The residual game, built once if any round has
     firefighters, plays every round up to the last such one, and the game
-    ends there: the fire is not burned out.  The profit is the sum of the
+    ends with that round's decisions: the fire does not spread after them,
+    let alone burn out, since nothing reads it.  The profit is the sum of the
     protections' sizes in the residual game (``_Residual.saved``), each the
     territory the fire never reaches; with no firefighter it is 0, since
     the graph is connected.
@@ -758,11 +762,11 @@ def run_algorithm(instance: Instance, kind: AlgorithmKind) -> RunResult:
     profit = 0
     if last:
         res = _Residual(state, walk, kind)
-        while state.round <= last and not state.is_finished():
+        while not state.is_finished():
             events += _round(res)
-            burned = state.spread()
-            if state.round <= last:
-                res.burn(burned)
+            if state.round == last:
+                break
+            res.burn(state.spread())
         profit = res.saved
     else:
         _checked(kind, walk)

@@ -386,7 +386,8 @@ def _trial_nonredundant(rng: random.Random):
     walk = fundamental_cycles(inst.graph)
     protected = [v for _, v in norm]
     for cyc in walk.cycles:
-        inside = [v for v in protected if v in set(cyc)]
+        members = set(cyc)
+        inside = [v for v in protected if v in members]
         if len(inside) > 2:
             return False, _describe(
                 inst, f"cycle {cyc} still holds {inside} after normalization"
@@ -531,7 +532,8 @@ def _trial_algc_three_per_cycle(rng: random.Random):
     protected = [ev.vertex for ev in run_algorithm(inst, AlgorithmKind.ALG_C).events]
     walk = fundamental_cycles(inst.graph)
     for cyc in walk.cycles:
-        inside = [v for v in protected if v in set(cyc)]
+        members = set(cyc)
+        inside = [v for v in protected if v in members]
         if len(inside) > 3:
             return False, _describe(
                 inst, f"cycle {cyc} received {len(inside)} protections: {inside}"

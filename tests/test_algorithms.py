@@ -177,11 +177,23 @@ def test_game_plays_every_round_up_to_the_last_with_firefighters(monkeypatch):
         rounds.append(res.state.round)
         return real(res)
 
+    spreads = 0
+    real_spread = GameState.spread
+
+    def spread(state):
+        nonlocal spreads
+        spreads += 1
+        return real_spread(state)
+
     monkeypatch.setattr(algorithms, "_round", spy)
+    monkeypatch.setattr(GameState, "spread", spread)
     for kind in AlgorithmKind:
         rounds.clear()
+        spreads = 0
         r = run_algorithm(inst, kind)
         assert rounds == [1, 2, 3, 4, 5], kind
+        # the fire spreads between rounds only: not after round 5's decision
+        assert spreads == 4, kind
         assert [t.round for t in r.trace] == [2, 5]
         assert r.profit == 7 + 4
 
@@ -317,6 +329,42 @@ def test_games_end_at_their_last_decision(monkeypatch):
                 run_algorithm(inst, kind)
                 played += 1
     assert played > 600 and called == []
+
+
+def test_arcs_keep_their_members_sizes(monkeypatch):
+    """An arc gathers its members' sizes once, at open, and slices them
+    for its heap, its profile and its chains: around every round of the
+    random games, each live arc's kept size at position p is the residual
+    game's size of ``cyc[p]``, its weight their sum, and a bare arc's
+    weight its live member count."""
+    checked = {True: 0, False: 0}
+
+    def check(res):
+        for arc in res.arcs.values():
+            live = range(arc.lo, arc.hi)
+            sizes = [res.size[arc.cyc[p]] for p in live]
+            assert [arc.sizes[p - 1] for p in live] == sizes
+            assert arc.weight == sum(sizes)
+            if arc.bare:
+                assert arc.weight == len(live)
+            checked[arc.bare] += 1
+
+    real = algorithms._round
+
+    def spy(res):
+        check(res)
+        events = real(res)
+        check(res)
+        return events
+
+    monkeypatch.setattr(algorithms, "_round", spy)
+    for seed in range(300):
+        inst = _random_instance(seed)
+        tag = validate_and_decompose(inst.graph).class_tag
+        for kind in (AlgorithmKind.ALG_A, AlgorithmKind.ALG_C, AlgorithmKind.ALG_E):
+            if kind.accepts(tag):
+                run_algorithm(inst, kind)
+    assert checked[True] > 0 and checked[False] > 0, checked
 
 
 _PATH6 = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
