@@ -37,7 +37,14 @@ prunings keep it exact:
   R), k protections keep at most k vertices from burning this round, so a
   node is worth at most ``n - |front| + k``.  When that is at most alpha
   the node fails low before it enumerates anything or runs the one-pass
-  last round below, and stores no memo entry.
+  last round below, and stores no memo entry.  The parent takes the same
+  cut for each child before it floods the child's region: the child's
+  front is its burned set plus the next ring of the vertices that just
+  caught fire, all inside that region, and the child's round brings at
+  most its f firefighters.  A child cut so is counted as a node but gets
+  no flood, no memo lookup and no call; it could only have returned a
+  value its parent never adopts.  A child that survives has its region
+  flooded from that ring on.
 
 A caller that already holds a schedule worth ``reached`` (a strategy's
 profit) passes it in, and the root search starts with alpha
@@ -431,6 +438,8 @@ def solve_opt(
             # them survives the cut below
             paired = k == 1 and rnd == rounds - 1 and seq[-1] == 1
             off_keep = None
+            # the firefighters of the children's round, if they have one
+            k_next = seq[rnd] if rnd < rounds else 0
             best_val = alpha
             best_suf: ProtectionSchedule = ()
             for combo in itertools.combinations(avail, k):
@@ -448,9 +457,19 @@ def solve_opt(
                         pruned += 1
                         continue
                 # a burned vertex's neighbors in region are in front, so only
-                # the newly burned vertices can reach anything new
+                # the newly burned vertices can reach anything new; their
+                # next ring lies in the child's region, so the child's front
+                # is nb | nxt and its cut is taken here, before any flood
                 new = nb & ~burned
-                val, suf = dfs(nb, new, flood(new, nb, region & ~cm), rnd + 1, best_val)
+                allowed = region & ~cm
+                nxt = grow(new) & allowed & ~nb
+                if n - nb.bit_count() - nxt.bit_count() + k_next <= best_val:
+                    # the child could only return a value not above best_val
+                    nodes += 1
+                    if nodes > node_budget:
+                        raise SearchBudgetExceededError(f"node budget {node_budget} exhausted")
+                    continue
+                val, suf = dfs(nb, new, flood(nxt, nb | nxt, allowed), rnd + 1, best_val)
                 if val > best_val:
                     best_val = val
                     best_suf = tuple((rnd, v) for v in combo) + suf

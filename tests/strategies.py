@@ -42,5 +42,15 @@ def relabelled_cacti(draw, max_n=12):
         g = random_one_almost_tree(draw(st.integers(3, max_n)), seed)
     else:
         g = draw(cacti(max_n))
+    return _relabelled(draw, g)
+
+
+@st.composite
+def relabelled_trees(draw, max_n=12):
+    """A random tree under a random relabelling."""
+    return _relabelled(draw, random_tree(draw(st.integers(2, max_n)), draw(st.integers(0, 2**20))))
+
+
+def _relabelled(draw, g):
     perm = draw(st.permutations(range(g.n)))
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], perm[g.root])

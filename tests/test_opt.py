@@ -30,7 +30,7 @@ from firefight.optimum import (
     opt_upper_bound,
     solve_opt,
 )
-from strategies import connected_graphs, relabelled_cacti
+from strategies import connected_graphs, relabelled_cacti, relabelled_trees
 
 
 def path_graph(n):
@@ -389,12 +389,23 @@ def test_last_round_tie_skips_earlier_bfs_vertices():
 
 
 def test_unreachable_protections_share_a_memo_entry():
-    # protecting {1, 2} or {1, 3} leaves the same fire in 0-4-{5, 6}: vertex
-    # 2 or 3 sits behind 1, so the two states share one entry
+    # protecting {1, 2} or {1, 3} leaves the same fire in 0-4-5-{6, 7}:
+    # vertex 2 or 3 sits behind 1, so the two states share one entry.  {1,
+    # 2} sets the incumbent 3 and {1, 3}'s front bound is 4, so its child is
+    # searched and meets the entry
+    g = Graph.from_edges(8, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (5, 6), (6, 7)])
+    inst = Instance(g, (2, 0, 0))
+    res = solve_opt(inst)
+    assert res.memo_hits == 1
+    assert (res.value, res.schedule) == (6, ((1, 1), (1, 5)))
+    assert (res.value, res.schedule) == oracles.solve_opt_reference(inst)
+    # the same pair leaves the same fire in 0-4-{5, 6} here, but {1, 2}'s
+    # incumbent 4 is all {1, 3}'s front bound reaches: the parent cuts that
+    # child before its flood and its key, so no entry is met
     g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (4, 6)])
     inst = Instance(g, (2, 1))
     res = solve_opt(inst)
-    assert res.memo_hits > 0
+    assert res.memo_hits == 0
     assert (res.value, res.schedule) == (6, ((1, 1), (1, 4)))
     assert (res.value, res.schedule) == oracles.solve_opt_reference(inst)
 
@@ -433,6 +444,47 @@ def test_passed_down_bound_keeps_the_schedule(g, seq):
     assert (fast.value, fast.schedule) == (slow.value, slow.schedule)
     assert (fast.value, fast.schedule) == oracles.solve_opt_reference(inst)
     assert fast.nodes_explored <= slow.nodes_explored
+
+
+@given(
+    st.one_of(relabelled_cacti(max_n=12), relabelled_trees(max_n=12)),
+    st.sampled_from((1, 2)),
+    st.lists(st.sampled_from((0, 0, 1, 2)), min_size=2, max_size=4),
+)
+@settings(max_examples=150)
+def test_front_cut_before_the_flood_on_empty_rounds(g, first, rest):
+    # a child whose round has no firefighter is worth at most what its
+    # front leaves, so the parent's cut before the child's flood bites
+    # hardest there; memo on and off must both keep the reference's schedule
+    inst = Instance(g, (first, *rest))
+    want = oracles.solve_opt_reference(inst)
+    for use_memo in (True, False):
+        res = solve_opt(inst, use_memo=use_memo)
+        assert (res.value, res.schedule) == want
+        assert replay(inst, res.schedule)[0] == res.value
+
+
+def test_children_cut_by_their_front_cost_no_flood():
+    # the heaviest opt-sweep solve: all but a few of its 214 nodes are
+    # children that their front rules out, which the parent counts without
+    # flooding their region (212 floods when each child took its own cut)
+    floods = 0
+
+    def profiler(frame, event, arg):
+        nonlocal floods
+        code = frame.f_code
+        if event == "call" and code.co_name == "flood" and code.co_filename == optimum.__file__:
+            floods += 1
+
+    inst = Instance(random_tree(22, 64923643), (2, 0, 0, 2, 1))
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        res = solve_opt(inst)
+    finally:
+        sys.setprofile(previous)
+    assert (res.value, res.nodes_explored) == (15, 214)
+    assert floods <= 10
 
 
 @pytest.mark.parametrize("seed, value", [(1, 25), (2, 35), (3, 36)])
@@ -530,14 +582,21 @@ def _non_cactus_corpus():
 # corpus solve and of the no-cactus solves ending in one firefighter and in
 # two single ones, memo on and off: the `opt` record prints the node count,
 # so a change to how much the search explores changes it
-SOLVER_COUNTERS_SHA256 = "5d6c53d9dffd0110d4c13de67c1397d565bd91f725a6a25b99bbf5843ced117c"
+SOLVER_COUNTERS_SHA256 = "16f2e2b4e21d6632b7ef564b8a2063d977f8099ab69865f2228454ee0b7cc2b8"
+# the same over (nodes_explored, memo_entries, pruned) alone: a child that
+# its front rules out still counts as a node, but the parent cuts it before
+# it can meet a memo entry, so only memo_hits fell when that cut moved from
+# the child to the parent
+SOLVER_COUNTERS_NO_HITS_SHA256 = "dfc688a20295ab253e54444d7fa9b096186b0eba82510b36dc53dc81f7b6c449"
 
 
 def test_solver_counters_digest():
     h = hashlib.sha256()
+    no_hits = hashlib.sha256()
 
     def add(res):
         h.update(repr((res.nodes_explored, res.memo_hits, res.memo_entries, res.pruned)).encode())
+        no_hits.update(repr((res.nodes_explored, res.memo_entries, res.pruned)).encode())
 
     for inst in _digest_corpus():
         add(solve_opt(inst, max_n=inst.graph.n))
@@ -545,6 +604,7 @@ def test_solver_counters_digest():
         for tail in ((1,), (1, 1)):
             for use_memo in (True, False):
                 add(solve_opt(Instance(g, (*head, *tail)), use_memo=use_memo))
+    assert no_hits.hexdigest() == SOLVER_COUNTERS_NO_HITS_SHA256
     assert h.hexdigest() == SOLVER_COUNTERS_SHA256
 
 
